@@ -164,7 +164,7 @@ class ExperimentConfig:
             alpha = operator_norm_est(A)
             if not alpha < 1.0:
                 raise ConfigError(
-                    f"affine contraction needs ||A|| < 1, estimated {alpha:.6f}", key="A"
+                    f"affine contraction needs ||A||_2 < 1, got {alpha:.6f}", key="A"
                 )
             return Contraction(apply=lambda u: A @ u + b, alpha=alpha, name="affine")
         raise ConfigError(f"unknown contraction kind {kind!r}", key="kind")

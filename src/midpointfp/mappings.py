@@ -10,6 +10,7 @@ viscosity anchor f with constant alpha < 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "affine_power_pair",
     "operator_norm_est",
     "apply_power",
+    "power_operator",
     "verify_envelope",
 ]
 
@@ -74,26 +76,39 @@ class Contraction:
         return np.asarray(self.apply(as_vector(u)), dtype=float)
 
 
-def apply_power(mapping: Mapping, n: int, u, cap: int | None = None) -> np.ndarray:
-    """T^n u, via the closed form when available, else n-fold application.
+def power_operator(
+    mapping: Mapping, n: int, cap: int | None = None
+) -> Callable[[np.ndarray], np.ndarray]:
+    """u -> T^n u on vectors the caller has already checked.
 
-    ``cap`` bounds the n of a fold-based evaluation; exceeding it raises
+    The closed form bound to n when the mapping has one, else n-fold
+    application. ``cap`` bounds the n of a fold; exceeding it raises
     InvalidInputError so that O(n) per-step cost stays an explicit choice.
     """
     if n < 1:
         raise InvalidInputError(f"power must be a positive integer, got {n}")
-    v = as_vector(u, dim=mapping.domain_dim)
     if mapping.power is not None:
-        return np.asarray(mapping.power(n, v), dtype=float)
+        return partial(mapping.power, n)
     if cap is not None and n > cap:
         raise InvalidInputError(
             f"power {n} exceeds the n-fold application cap {cap} "
             f"for mapping {mapping.name!r} (no closed-form power)"
         )
-    w = v
-    for _ in range(n):
-        w = np.asarray(mapping.apply(w), dtype=float)
-    return w
+    apply = mapping.apply
+
+    def fold(u: np.ndarray) -> np.ndarray:
+        for _ in range(n):
+            u = np.asarray(apply(u), dtype=float)
+        return u
+
+    return fold
+
+
+def apply_power(mapping: Mapping, n: int, u, cap: int | None = None) -> np.ndarray:
+    """T^n u, via the closed form when available, else n-fold application
+    (bounded by ``cap``, see :func:`power_operator`)."""
+    power = power_operator(mapping, n, cap)
+    return np.asarray(power(as_vector(u, dim=mapping.domain_dim)), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -148,18 +163,9 @@ def flip_fixed(u) -> bool:
     return bool(v[0] * v[1] < 0.0 or (v[0] == 0.0 and v[1] == 0.0))
 
 
-def operator_norm_est(A: np.ndarray, iters: int = 100) -> float:
-    """Spectral-norm estimate of ``A`` by power iteration on A^T A."""
-    A = np.asarray(A, dtype=float)
-    v = np.ones(A.shape[1]) / np.sqrt(A.shape[1])
-    G = A.T @ A
-    for _ in range(iters):
-        w = G @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-    return float(np.sqrt(v @ G @ v))
+def operator_norm_est(A: np.ndarray) -> float:
+    """Spectral norm ||A||_2 of ``A``."""
+    return float(np.linalg.norm(np.asarray(A, dtype=float), 2))
 
 
 def affine_power_pair(A: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -182,19 +188,29 @@ def affine_power_pair(A: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray,
 
 
 class _AffinePower:
-    """Cached n-th powers of an affine map, O(log n) matrix products each."""
+    """n-th powers of an affine map, holding only the last pair formed.
+
+    A run asks for n = 1, 2, 3, ... (possibly interleaved with n = 1), so
+    T^n comes from T^(n-1) with one product; any other n falls back to
+    binary powering.
+    """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
         self.A = A
         self.b = b
-        self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._n, self._An, self._bn = 1, A, b
 
     def pair(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        hit = self._cache.get(n)
-        if hit is None:
-            hit = affine_power_pair(self.A, self.b, n)
-            self._cache[n] = hit
-        return hit
+        if n == 1:
+            return self.A, self.b
+        if n != self._n:
+            if n == self._n + 1:
+                # T^n = T o T^(n-1)
+                self._An, self._bn = self.A @ self._An, self.A @ self._bn + self.b
+            else:
+                self._An, self._bn = affine_power_pair(self.A, self.b, n)
+            self._n = n
+        return self._An, self._bn
 
     def __call__(self, n: int, u: np.ndarray) -> np.ndarray:
         An, bn = self.pair(n)
@@ -204,9 +220,8 @@ class _AffinePower:
 def make_affine(A, b, envelope: Callable[[int], float] | None = None) -> Mapping:
     """u -> A u + b with closed-form powers.
 
-    Default envelope is max(1, ||A||_2)^n with the operator norm
-    estimated by power iteration; pass ``envelope`` to declare a sharper
-    sequence.
+    Default envelope is max(1, ||A||_2)^n; pass ``envelope`` to declare
+    a sharper sequence.
     """
     A = np.asarray(A, dtype=float)
     bv = as_vector(b)
@@ -318,18 +333,22 @@ def verify_envelope(
     worst_n = 1
     worst_pair = pairs[0]
     per_power = {}
-    for u, v in pairs:
-        denom = norm(u - v, norm_spec)
-        tu, tv = u, v
-        for n in range(1, n_max + 1):
+    denoms = [norm(u - v, norm_spec) for u, v in pairs]
+    images = list(pairs)  # (T^n u, T^n v) of each pair
+    # n runs outermost so that each power is formed once, in the
+    # sequential order closed-form powers are built in
+    for n in range(1, n_max + 1):
+        k_n = env(n)
+        for i, (u, v) in enumerate(pairs):
             if mapping.power is not None:
                 tu = apply_power(mapping, n, u)
                 tv = apply_power(mapping, n, v)
             else:
+                tu, tv = images[i]
                 tu = np.asarray(mapping.apply(tu), dtype=float)
                 tv = np.asarray(mapping.apply(tv), dtype=float)
-            ratio = norm(tu - tv, norm_spec) / denom
-            excess = ratio - env(n)
+                images[i] = (tu, tv)
+            excess = norm(tu - tv, norm_spec) / denoms[i] - k_n
             if excess > per_power.get(n, -np.inf):
                 per_power[n] = excess
             if excess > max_excess:

@@ -22,9 +22,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import IllPosedError, InnerBudgetError, InvalidInputError
-from .mappings import Contraction, Mapping, affine_power_pair, apply_power
+from .mappings import Contraction, Mapping, affine_power_pair, apply_power, power_operator
 from .schedules import Schedule
-from .space import NormSpec, as_vector, norm
+from .space import NormSpec, as_vector, norm, norm_kernel
 
 __all__ = [
     "Scheme",
@@ -148,8 +148,10 @@ def implicit_step(cfg: SolverConfig, n: int, x_n, collect_deltas: bool = False) 
     Returns the accepted iterate together with the inner iteration count
     and the final a-posteriori bound; the accepted iterate is within
     tol_inner of the exact step solution whenever the contraction bound
-    is valid. Raises IllPosedError if q_n >= 1 and InnerBudgetError if
-    max_inner is hit first (the achieved bound is attached).
+    is valid. Raises IllPosedError if q_n >= 1, or if a Picard delta is
+    non-finite or exceeds the first one (no q_n-contraction does that),
+    and InnerBudgetError if max_inner is hit first (the achieved bound is
+    attached). ``x_n`` is checked once; the loop runs on raw arrays.
     """
     x_n = as_vector(x_n, dim=cfg.mapping.domain_dim)
     cf, cx, cT = cfg.scheme.coefficients(cfg.schedule, n)
@@ -169,12 +171,22 @@ def implicit_step(cfg: SolverConfig, n: int, x_n, collect_deltas: bool = False) 
         return StepResult(x=base, inner_iters=1, q=q, bound=0.0,
                           deltas=[] if collect_deltas else None)
 
+    power = power_operator(cfg.mapping, p, cap=cfg.power_cap)
+    size = norm_kernel(cfg.norm)
     factor = q / (1.0 - q)
     y = x_n
     deltas = [] if collect_deltas else None
     for m in range(1, cfg.max_inner + 1):
-        y_new = base + cT * apply_power(cfg.mapping, p, 0.5 * (x_n + y), cap=cfg.power_cap)
-        delta = norm(y_new - y, cfg.norm)
+        y_new = base + cT * power(0.5 * (x_n + y))
+        delta = size(y_new - y)
+        if m == 1:
+            first = delta
+        if not (delta <= first and math.isfinite(delta)):
+            raise IllPosedError(
+                f"implicit step diverges at n={n}: Picard delta {delta:.3e} after "
+                f"{first:.3e} at iteration {m}, so q_n = {q:.6f} understates the "
+                f"operator's Lipschitz constant", n=n, q=q,
+            )
         if deltas is not None:
             deltas.append(delta)
         y = y_new
@@ -275,7 +287,9 @@ def _power_residual(cfg: SolverConfig, n: int, x: np.ndarray) -> float:
 def run(cfg: SolverConfig) -> Trace:
     """Iterate the configured scheme from x1.
 
-    Stops when ||x_{n+1} - x_n|| <= tol_step or after max_outer steps.
+    Stops when ||x_{n+1} - x_n|| <= tol_step or after max_outer steps; on
+    a step whose operator coefficient cT is 0 the step-norm stop also
+    needs ||x_n - T x_n|| <= tol_step.
     Unless ``cfg.force``, the q_n sequence is scanned upfront over the
     whole outer budget and the first ill-posed index is reported before
     any work is done.
@@ -317,7 +331,11 @@ def run(cfg: SolverConfig) -> Trace:
             )
         )
         x = step.x
-        if step_norm <= cfg.tol_step:
+        # a step without the operator term (cT = 0) can stand still off the
+        # fixed set, so it stops the run only at a point T also fixes
+        if step_norm <= cfg.tol_step and (
+            res_map <= cfg.tol_step or cfg.scheme.coefficients(cfg.schedule, n)[2] != 0.0
+        ):
             converged = True
             break
     return Trace(records=records, final=x, converged=converged, scheme=cfg.scheme.name)

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedNormError
 
-__all__ = ["NormSpec", "as_vector", "norm", "inner", "duality_map"]
+__all__ = ["NormSpec", "as_vector", "norm_kernel", "norm", "inner", "duality_map"]
 
 
 @dataclass(frozen=True)
@@ -56,12 +57,24 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
+def norm_kernel(spec: NormSpec = NormSpec()) -> Callable[[np.ndarray], float]:
+    """The p-norm as an unchecked function of a 1-D float64 array.
+
+    For callers that have checked their vectors already, such as an inner
+    loop. For p = 2 it is the square root of the dot product, which is
+    what ``np.linalg.norm`` computes for such an array, bit for bit.
+    """
+    p = spec.p
+    if p == 2.0:
+        return lambda v: math.sqrt(v.dot(v))
+    if math.isinf(p):
+        return lambda v: float(np.max(np.abs(v)))
+    return lambda v: float(np.linalg.norm(v, ord=p))
+
+
 def norm(x, spec: NormSpec = NormSpec()) -> float:
     """p-norm of ``x``; 0 iff x = 0."""
-    v = as_vector(x)
-    if math.isinf(spec.p):
-        return float(np.max(np.abs(v)))
-    return float(np.linalg.norm(v, ord=spec.p))
+    return norm_kernel(spec)(as_vector(x))
 
 
 def inner(x, y) -> float:

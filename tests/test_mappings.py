@@ -152,6 +152,50 @@ class TestAffine:
             assert est == pytest.approx(np.linalg.norm(A, 2), rel=1e-6)
 
 
+    def test_operator_norm_exact_where_power_iteration_stalls(self):
+        # the all-ones vector lies in the kernel of this A, whose 2-norm is 2
+        A = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        assert operator_norm_est(A) == pytest.approx(2.0, rel=1e-12)
+
+
+class TestAffinePowerRequests:
+    """apply_power on an affine map agrees with binary powering in any request order."""
+
+    @pytest.fixture
+    def affine(self):
+        rng = np.random.default_rng(41)
+        A = rng.standard_normal((6, 6))
+        A *= 0.95 / np.linalg.norm(A, 2)
+        b = rng.standard_normal(6)
+        return A, b, make_affine(A, b), rng.standard_normal(6)
+
+    @staticmethod
+    def check(affine, n):
+        A, b, T, u = affine
+        An, bn = affine_power_pair(A, b, n)
+        want = An @ u + bn
+        assert np.linalg.norm(apply_power(T, n, u) - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_sequential(self, affine):
+        for n in range(1, 51):
+            self.check(affine, n)
+
+    def test_same_n_twice(self, affine):
+        for n in range(1, 21):
+            self.check(affine, n)
+            self.check(affine, n)
+
+    def test_jump_back(self, affine):
+        for n in [*range(1, 21), 7, 8, 9, 3, 30, 31, 2]:
+            self.check(affine, n)
+
+    def test_one_alternating_with_n(self, affine):
+        # GVIM's run asks for T^n (power residual), then T (the step)
+        for n in range(1, 41):
+            self.check(affine, n)
+            self.check(affine, 1)
+
+
 class TestPowerCap:
     def test_cap_only_binds_without_closed_form(self):
         flip = make_flip_map()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -113,6 +114,30 @@ class TestImplicitStep:
         assert err.value.achieved_bound > cfg.tol_inner
         assert err.value.iterations == 2
 
+    def test_diverging_step_raises_illposed(self):
+        # the paper envelope understates ||A^n||: at n = 3 the step map has
+        # factor c_3 ||A^3|| / 2 = 1.7, so the Picard deltas grow
+        cfg = SolverConfig(
+            scheme=SCHEMES["AGVIM"], mapping=make_affine(np.diag([1.9, 0.1]), [0.0, 0.0]),
+            schedule=paper_schedule(), x1=[1.0, 1.0], contraction=make_contraction_half(),
+        )
+        with pytest.raises(IllPosedError) as err:
+            run(cfg)
+        assert err.value.n == 3
+        assert err.value.q == cfg.step_contraction_factor(3)
+
+    def test_nonfinite_delta_raises_illposed(self):
+        blowup = Mapping(apply=lambda u: u, envelope=lambda n: 1.0, domain_dim=2,
+                         power=lambda n, u: np.full_like(u, np.inf))
+        cfg = SolverConfig(
+            scheme=SCHEMES["AGVIM"], mapping=blowup, schedule=paper_schedule(),
+            x1=[1.0, 1.0], contraction=make_contraction_half(),
+        )
+        with pytest.raises(IllPosedError) as err:
+            implicit_step(cfg, 2, [1.0, 1.0])
+        assert err.value.n == 2
+        assert err.value.q == cfg.step_contraction_factor(2)
+
     def test_picard_deltas_contract(self):
         rng = np.random.default_rng(77)
         sched = power_schedule(1.0, 0.2)
@@ -210,6 +235,20 @@ class TestRun:
         for n, step, res_map, res_power in residual_profile(trace):
             assert step == res_map == res_power == 0.0
 
+    @pytest.mark.parametrize("scheme", ["VIM", "GVIM", "AGVIM", "AVIM63"])
+    def test_explicit_first_step_does_not_stop_off_the_fixed_set(self, scheme):
+        # a_1 = 1 makes step 1 x_2 = f(x_1), which is x_1 at the origin;
+        # the origin is not a fixed point of T, so the run must go on
+        T = make_affine(0.5 * np.eye(2), [1.0, 1.0])
+        cfg = SolverConfig(
+            scheme=SCHEMES[scheme], mapping=T, schedule=paper_schedule(), x1=[0.0, 0.0],
+            contraction=make_contraction_half(), max_outer=50,
+        )
+        trace = run(cfg)
+        assert trace.records[0].step_norm == 0.0
+        assert trace.records[0].res_map == pytest.approx(math.sqrt(2.0))
+        assert len(trace.records) > 1
+
     def test_illposed_prescan_names_first_offender(self):
         # power scheme: q_3 = c_3 k_3 / 2 = 0.9 * 4 / 2 >= 1
         sched = custom_schedule([[0.5, 0.0, 0.5, 1.0]] * 2 + [[0.1, 0.0, 0.9, 4.0]] * 3)
@@ -283,6 +322,26 @@ class TestRun:
         assert len(trace.records) == 10
         assert math.isnan(trace.records[7].res_power)
         assert not math.isnan(trace.records[3].res_power)
+
+    def test_affine_power_run_memory_stays_flat(self):
+        # T^n comes from T^(n-1) with one product; no earlier power is kept
+        d = 30
+        rng = np.random.default_rng(3)
+        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        x_star = rng.standard_normal(d)
+        cfg = SolverConfig(
+            scheme=SCHEMES["AGVIM"], mapping=make_affine(Q, x_star - Q @ x_star),
+            schedule=paper_schedule(), x1=rng.standard_normal(d),
+            contraction=make_contraction_half(), max_outer=1000, tol_step=0.0,
+        )
+        tracemalloc.start()
+        try:
+            trace = run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace.records) == 1000
+        assert peak < 1_000_000
 
     def test_empty_profile_rejected(self):
         from midpointfp.solver import Trace

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from midpointfp.errors import InvalidInputError, UnsupportedNormError
-from midpointfp.space import NormSpec, duality_map, inner, norm
+from midpointfp.space import NormSpec, duality_map, inner, norm, norm_kernel
 
 
 class TestNorm:
@@ -51,6 +51,15 @@ class TestNorm:
                 d = rng.integers(1, 6)
                 x, y = rng.standard_normal(d), rng.standard_normal(d)
                 assert norm(x + y, spec) <= norm(x, spec) + norm(y, spec) + 1e-12
+
+
+    def test_kernel_matches_numpy_bitwise(self):
+        rng = np.random.default_rng(9)
+        for d in (1, 2, 7, 60):
+            v = rng.standard_normal(d) * 10.0 ** rng.integers(-8, 8)
+            assert norm_kernel(NormSpec(2.0))(v) == np.linalg.norm(v, 2)
+            assert norm_kernel(NormSpec(math.inf))(v) == np.max(np.abs(v))
+            assert norm_kernel(NormSpec(3.0))(v) == np.linalg.norm(v, 3)
 
 
 class TestInner:
