@@ -38,7 +38,6 @@ from .schedules import (
     Schedule,
     ValidationReport,
     custom_schedule,
-    inner_contraction_factor,
     paper_schedule,
     power_schedule,
     validate,
@@ -50,7 +49,6 @@ from .solver import (
     Trace,
     implicit_step,
     implicit_step_affine_oracle,
-    residual_profile,
     run,
     scheme_by_name,
 )

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import load_config
 from .diagnostics import check_vi, compare_schemes, sample_fixed_set_flip
-from .errors import ConfigError, MidpointError
+from .errors import MidpointError
 from .mappings import make_contraction_half, make_flip_map, verify_envelope
 from .schedules import paper_schedule, validate
 from .solver import SCHEMES, SolverConfig, Trace, run, scheme_by_name
@@ -49,18 +49,17 @@ def _write_csv(path: Path, header, rows):
 
 
 def _trace_csv(path: Path, trace: Trace):
-    dim = trace.final.size
     header = (
-        ["n"] + [f"x{i}" for i in range(dim)]
+        ["n"] + [f"x{i}" for i in range(trace.final.size)]
         + ["step_norm", "res_T", "res_Tn", "inner_iters", "q_n", "a_n", "b_n", "c_n", "k_n"]
     )
-    rows = []
-    for r in trace.records:
-        rows.append(
-            [r.n] + [_fmt(v) for v in r.x]
-            + [_fmt(r.step_norm), _fmt(r.res_map), _fmt(r.res_power), r.inner_iters,
-               _fmt(r.q), _fmt(r.a), _fmt(r.b), _fmt(r.c), _fmt(r.k)]
-        )
+    columns = (trace.step_norm, trace.res_map, trace.res_power, trace.inner_iters,
+               trace.q, trace.a, trace.b, trace.c, trace.k)
+    rows = (
+        [n] + [_fmt(v) for v in x]
+        + [_fmt(step), _fmt(rm), _fmt(rp), int(it), _fmt(q), _fmt(a), _fmt(b), _fmt(c), _fmt(k)]
+        for n, x, step, rm, rp, it, q, a, b, c, k in zip(range(1, len(trace) + 1), trace.x, *columns)
+    )
     _write_csv(path, header, rows)
 
 
@@ -74,7 +73,7 @@ def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
         solver_cfg = cfg.build_solver_config()
-    except ConfigError as exc:
+    except MidpointError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     out = _out_dir(cfg.out, args.out)
@@ -85,13 +84,12 @@ def cmd_run(args) -> int:
         return 1
     path = out / "trace.csv"
     _trace_csv(path, trace)
-    last = trace.records[-1]
     status = "converged" if trace.converged else "max_outer reached"
-    count = len(trace.records)
+    count = len(trace)
     print(
         f"{solver_cfg.scheme.name}: {status} after {count} "
         f"iteration{'s' if count != 1 else ''}; "
-        f"final step_norm {last.step_norm:.3e}; trace written to {path}"
+        f"final step_norm {trace.step_norm[-1]:.3e}; trace written to {path}"
     )
     return 0 if trace.converged else 2
 
@@ -101,7 +99,7 @@ def cmd_validate_schedule(args) -> int:
         cfg = load_config(args.config)
         schedule = cfg.build_schedule()
         contraction = cfg.build_contraction()
-    except ConfigError as exc:
+    except MidpointError as exc:  # builders raise InvalidInputError too
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     alpha = contraction.alpha if contraction is not None else 0.5
@@ -123,7 +121,7 @@ def cmd_validate_schedule(args) -> int:
 def cmd_compare(args) -> int:
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
+    except MidpointError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     names = [s.strip() for s in args.schemes.split(",")] if args.schemes else list(cfg.scheme)
@@ -187,11 +185,8 @@ def cmd_reproduce_table1(args) -> int:
 
     labels = [label for label, _, _ in _TABLE1_STARTS]
     norm2 = NormSpec(2.0)
-    step_cols = [t.step_norms() for t in traces]
-    dist_cols = []
-    for t in traces:
-        xs = t.iterates()
-        dist_cols.append(np.array([norm(xs[i + 1] - t.final, norm2) for i in range(len(t.records))]))
+    step_cols = [t.step_norm for t in traces]
+    dist_cols = [[norm(x - t.final, norm2) for x in t.x[1:]] for t in traces]
 
     header = ["n"] + labels
     _write_csv(out / "table1_step_norm.csv", header,
@@ -217,7 +212,7 @@ def cmd_reproduce_table1(args) -> int:
 
     # certificate of each run's final iterate, plus the tabulated
     # reference limits, against shared fixed-point samples; tolerance
-    # 1e-6 absorbs the truncation of the forced 20-step runs
+    # 1e-6 absorbs the truncation of the fixed-length 20-step runs
     samples = sample_fixed_set_flip(10, seed=_TABLE1_VI_SEED)
     flip = make_flip_map()
     vi_summary = {}
@@ -229,8 +224,8 @@ def cmd_reproduce_table1(args) -> int:
             f"  {label}: final iterate ({t.final[0]:.6g}, {t.final[1]:.6g}) "
             f"-> {cert.verdict} (min value {cert.min_value:.6g})"
         )
-        if not cert.holds and t.records[-1].step_norm > 1e-6:
-            unconverged.append((label, t.records[-1].step_norm))
+        if not cert.holds and t.step_norm[-1] > 1e-6:
+            unconverged.append((label, t.step_norm[-1]))
         claimed_cert = check_vi(claimed, contraction, samples, norm2, mapping=flip)
         at_origin = claimed_cert.values[0]  # samples[0] is the origin
         vi_lines.append(
@@ -282,7 +277,7 @@ def cmd_verify_mapping(args) -> int:
     try:
         cfg = load_config(args.config)
         mapping = cfg.build_mapping()
-    except ConfigError as exc:
+    except MidpointError as exc:  # builders raise InvalidInputError too
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     seed = args.seed if args.seed is not None else cfg.seed

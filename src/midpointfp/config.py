@@ -29,6 +29,7 @@ Schema (unknown keys are rejected at every level)::
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -83,6 +84,46 @@ def _require(section: str, data: dict, key: str):
     if key not in data:
         raise ConfigError(f"missing required key {key!r} in {section}", key=key)
     return data[key]
+
+
+def _bad(key: str, value, expected: str):
+    return ConfigError(f"bad value for {key!r}: expected {expected}, got {value!r}", key=key)
+
+
+def _number(key: str, value) -> float:
+    """A JSON number (not a boolean) as float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _bad(key, value, "a number")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise _bad(key, value, "a number in the float range") from None
+
+
+def _integer(key: str, value) -> int:
+    """A JSON number with an integral value (not a boolean) as int."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise _bad(key, value, "an integer")
+    return int(value)
+
+
+def _numbers(key: str, value, depth: int = 1) -> list:
+    """A non-empty array of finite numbers (depth 1), or of equally long
+    such arrays (depth 2), as floats."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"bad value for {key!r}: expected a non-empty array", key=key)
+    if depth == 2:
+        rows = [_numbers(key, row) for row in value]
+        if len({len(row) for row in rows}) != 1:
+            raise ConfigError(f"bad value for {key!r}: rows differ in length", key=key)
+        return rows
+    nums = [_number(key, v) for v in value]
+    for v in nums:
+        if not math.isfinite(v):
+            raise _bad(key, v, "a finite number")
+    return nums
 
 
 @dataclass(frozen=True)
@@ -219,8 +260,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown mapping kind {kind!r}", key="kind")
     _check_keys("mapping", mapping, _MAPPING_KEYS[kind])
     if kind == "affine":
-        _require("mapping", mapping, "A")
-        _require("mapping", mapping, "b")
+        _numbers("A", _require("mapping", mapping, "A"), depth=2)
+        _numbers("b", _require("mapping", mapping, "b"))
     if mapping.get("envelope") not in (None, "auto", "unit"):
         raise ConfigError("mapping envelope must be 'auto' or 'unit'", key="envelope")
 
@@ -233,10 +274,10 @@ def parse_config(data: dict) -> ExperimentConfig:
             raise ConfigError(f"unknown contraction kind {ckind!r}", key="kind")
         _check_keys("contraction", contraction, _CONTRACTION_KEYS[ckind])
         if ckind == "scale":
-            _require("contraction", contraction, "factor")
+            _number("factor", _require("contraction", contraction, "factor"))
         if ckind == "affine":
-            _require("contraction", contraction, "A")
-            _require("contraction", contraction, "b")
+            _numbers("A", _require("contraction", contraction, "A"), depth=2)
+            _numbers("b", _require("contraction", contraction, "b"))
 
     schedule = _require("config", data, "schedule")
     if not isinstance(schedule, dict):
@@ -246,42 +287,34 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown schedule family {family!r}", key="family")
     _check_keys("schedule", schedule, _SCHEDULE_KEYS[family])
     if family == "custom":
-        _require("schedule", schedule, "table")
+        _numbers("table", _require("schedule", schedule, "table"), depth=2)
+    for key in ("s", "b_const"):
+        if key in schedule:
+            _number(key, schedule[key])
 
     scheme_raw = _require("config", data, "scheme")
     single = isinstance(scheme_raw, str)
-    names = [scheme_raw] if single else list(scheme_raw)
-    if not names:
+    names = [scheme_raw] if single else scheme_raw
+    if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
         raise ConfigError("'scheme' must name at least one scheme", key="scheme")
     try:
         schemes = tuple(scheme_by_name(n).name for n in names)
     except InvalidInputError as exc:
         raise ConfigError(str(exc), key="scheme") from exc
 
-    x1 = _require("config", data, "x1")
-    if not isinstance(x1, (list, tuple)) or not x1:
-        raise ConfigError("'x1' must be a non-empty array of numbers", key="x1")
-
-    def _num(key, default, cast):
-        value = data.get(key, default)
-        try:
-            return cast(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {key!r}: {value!r}", key=key) from exc
-
     return ExperimentConfig(
         mapping=dict(mapping),
         contraction=dict(contraction) if contraction is not None else None,
         schedule=dict(schedule),
         scheme=schemes,
-        x1=tuple(float(v) for v in x1),
-        norm_p=_num("norm_p", 2.0, float),
-        tol_step=_num("tol_step", 1e-8, float),
-        tol_inner=_num("tol_inner", 1e-12, float),
-        max_outer=_num("max_outer", 10_000, int),
-        max_inner=_num("max_inner", 10_000, int),
-        power_cap=_num("power_cap", 1_000, int),
-        seed=None if data.get("seed") is None else _num("seed", None, int),
+        x1=tuple(_numbers("x1", _require("config", data, "x1"))),
+        norm_p=_number("norm_p", data.get("norm_p", 2.0)),
+        tol_step=_number("tol_step", data.get("tol_step", 1e-8)),
+        tol_inner=_number("tol_inner", data.get("tol_inner", 1e-12)),
+        max_outer=_integer("max_outer", data.get("max_outer", 10_000)),
+        max_inner=_integer("max_inner", data.get("max_inner", 10_000)),
+        power_cap=_integer("power_cap", data.get("power_cap", 1_000)),
+        seed=None if data.get("seed") is None else _integer("seed", data["seed"]),
         out=None if data.get("out") is None else str(data["out"]),
         _single_scheme=single,
     )

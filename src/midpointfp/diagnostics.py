@@ -146,18 +146,13 @@ class ComparisonReport:
 
     def to_csv(self) -> str:
         """Columns: n, then one step_norm column per scheme (LF endings)."""
-        ok = [r for r in self.runs if not r.failed]
-        length = max((len(r.trace.records) for r in ok), default=0)
+        cols = [[] if r.failed else r.trace.step_norm for r in self.runs]
+        length = max(map(len, cols), default=0)
         buf = io.StringIO()
         header = ["n"] + [f"step_norm_{r.scheme}" for r in self.runs]
         buf.write(",".join(header) + "\n")
         for i in range(length):
-            row = [str(i + 1)]
-            for r in self.runs:
-                if r.failed or i >= len(r.trace.records):
-                    row.append("")
-                else:
-                    row.append(format(r.trace.records[i].step_norm, ".17g"))
+            row = [str(i + 1)] + [format(c[i], ".17g") if i < len(c) else "" for c in cols]
             buf.write(",".join(row) + "\n")
         return buf.getvalue()
 
@@ -176,7 +171,7 @@ class ComparisonReport:
                 hits = [str(r.iters_to[t]) if r.iters_to[t] is not None else "-"
                         for t in self.thresholds]
                 rate = f"{r.rate:+.3f}" if r.rate is not None else "-"
-                cells = [r.scheme, status, str(len(r.trace.records))] + hits + [rate]
+                cells = [r.scheme, status, str(len(r.trace))] + hits + [rate]
             lines.append("| " + " | ".join(cells) + " |")
         return "\n".join(lines) + "\n"
 
@@ -203,7 +198,7 @@ def compare_schemes(
         except MidpointError as exc:
             runs.append(SchemeRun(scheme.name, None, str(exc), {t: None for t in thresholds}, None))
             continue
-        steps = trace.step_norms()
+        steps = trace.step_norm
         iters_to = {}
         for t in thresholds:
             hit = np.nonzero(steps <= t)[0]

@@ -22,7 +22,6 @@ __all__ = [
     "paper_schedule",
     "power_schedule",
     "custom_schedule",
-    "inner_contraction_factor",
     "validate",
     "HILBERT_NORMAL_STRUCTURE",
 ]
@@ -120,13 +119,6 @@ def custom_schedule(table) -> Schedule:
         family="custom",
         params={"table": [list(r) for r in rows]},
     )
-
-
-def inner_contraction_factor(sched: Schedule, n: int) -> float:
-    """q_n = c_n k_n / 2, the Lipschitz constant of the implicit step map."""
-    if n < 1:
-        raise InvalidInputError(f"n must be a positive integer, got {n}")
-    return 0.5 * sched.c(n) * sched.k(n)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,13 @@ for x, where the coefficient triple (cf, cx, cT) and the power p depend
 on the scheme (see :data:`SCHEMES`). The step map is a contraction with
 factor q_n = cT * k_p / 2 whenever q_n < 1, so the step is solved by
 Picard iteration warm-started at x_n with the standard a-posteriori
-error bound q/(1-q) * ||y_m - y_{m-1}|| as the stopping rule. For
-affine T the step also has a closed-form linear solve, kept as an
-independent oracle.
+error bound q/(1-q) * ||y_m - y_{m-1}|| as the stopping rule. k_p is the
+larger of the schedule's k_p and the mapping's envelope, and q_n < 1 is
+checked as step n is reached. For affine T the step also has a
+closed-form linear solve, kept as an independent oracle.
+
+:func:`run` returns a columnar :class:`Trace`: the iterates as one
+array plus one array per step statistic.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import IllPosedError, InnerBudgetError, InvalidInputError
-from .mappings import Contraction, Mapping, affine_power_pair, apply_power, power_operator
+from .mappings import Contraction, Mapping, affine_power_pair, power_operator
 from .schedules import Schedule
-from .space import NormSpec, as_vector, norm, norm_kernel
+from .space import NormSpec, as_vector, norm_kernel
 
 __all__ = [
     "Scheme",
@@ -32,12 +36,10 @@ __all__ = [
     "scheme_by_name",
     "SolverConfig",
     "StepResult",
-    "TraceRecord",
     "Trace",
     "implicit_step",
     "implicit_step_affine_oracle",
     "run",
-    "residual_profile",
 ]
 
 
@@ -98,7 +100,6 @@ class SolverConfig:
     positive tol_step, tol_inner must be strictly smaller so the inner
     error cannot pollute the outer stopping decision. ``power_cap``
     bounds n-fold power evaluation for mappings without a closed form.
-    ``force`` skips the upfront well-posedness scan of q_n.
     """
 
     scheme: Scheme
@@ -112,14 +113,17 @@ class SolverConfig:
     max_inner: int = 10_000
     norm: NormSpec = field(default_factory=NormSpec)
     power_cap: int = 1_000
-    force: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "x1", as_vector(self.x1, dim=self.mapping.domain_dim))
         if self.max_inner < 1 or self.max_outer < 1:
             raise InvalidInputError("max_inner and max_outer must be >= 1")
-        if self.tol_step < 0.0 or self.tol_inner <= 0.0:
-            raise InvalidInputError("tolerances must be positive (tol_step may be 0)")
+        # written so that NaN fails too
+        if not (0.0 <= self.tol_step < math.inf and 0.0 < self.tol_inner < math.inf):
+            raise InvalidInputError(
+                f"tolerances must be finite and positive (tol_step may be 0), "
+                f"got tol_step={self.tol_step}, tol_inner={self.tol_inner}"
+            )
         if self.tol_step > 0.0 and not (self.tol_inner < self.tol_step):
             raise InvalidInputError(
                 f"tol_inner ({self.tol_inner}) must be smaller than tol_step ({self.tol_step})"
@@ -128,9 +132,12 @@ class SolverConfig:
             raise InvalidInputError(f"scheme {self.scheme.name} needs a contraction")
 
     def step_contraction_factor(self, n: int) -> float:
-        """q_n for this scheme: operator coefficient times k_p / 2."""
+        """q_n for this scheme: operator coefficient times k_p / 2, with k_p
+        the larger of the schedule's k_p and the mapping's envelope(p), so
+        that q_n bounds the step map for the mapping actually supplied."""
         _, _, cT = self.scheme.coefficients(self.schedule, n)
-        return 0.5 * cT * self.schedule.k(self.scheme.power(n))
+        p = self.scheme.power(n)
+        return 0.5 * cT * max(self.schedule.k(p), self.mapping.envelope(p))
 
 
 @dataclass(frozen=True)
@@ -231,57 +238,38 @@ def implicit_step_affine_oracle(
         raise IllPosedError(f"singular implicit system at n={n}: {exc}", n=n) from exc
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """State at the start of outer step n plus the step's statistics.
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """A run as columns.
 
+    ``x`` stacks the iterates x_1 .. x_{N+1} row-wise; every other column
+    holds one value per step n = 1..N. res_map is ||x_n - T x_n||,
     res_power is ||x_n - T^n x_n|| (NaN when the power is uncomputable
-    under the configured cap); res_map is ||x_n - T x_n||.
+    under the configured cap), and a, b, c, k are the schedule's values.
     """
 
-    n: int
     x: np.ndarray
-    step_norm: float
-    res_map: float
-    res_power: float
-    inner_iters: int
-    q: float
-    a: float
-    b: float
-    c: float
-    k: float
-
-
-@dataclass(frozen=True)
-class Trace:
-    records: list
-    final: np.ndarray
+    step_norm: np.ndarray
+    res_map: np.ndarray
+    res_power: np.ndarray
+    inner_iters: np.ndarray
+    q: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    k: np.ndarray
     converged: bool
     scheme: str
 
+    @property
+    def final(self) -> np.ndarray:
+        return self.x[-1]
+
     def __len__(self):
-        return len(self.records)
-
-    def iterates(self) -> np.ndarray:
-        """All iterates including the final one, stacked row-wise."""
-        return np.vstack([r.x for r in self.records] + [self.final])
-
-    def step_norms(self) -> np.ndarray:
-        return np.array([r.step_norm for r in self.records])
-
-    def res_map(self) -> np.ndarray:
-        return np.array([r.res_map for r in self.records])
-
-    def res_power(self) -> np.ndarray:
-        return np.array([r.res_power for r in self.records])
+        return len(self.step_norm)
 
 
-def _power_residual(cfg: SolverConfig, n: int, x: np.ndarray) -> float:
-    """||x - T^n x||, NaN when n exceeds the fold cap for closed-form-less maps."""
-    try:
-        return norm(x - apply_power(cfg.mapping, n, x, cap=cfg.power_cap), cfg.norm)
-    except InvalidInputError:
-        return math.nan
+_COLUMNS = ("step_norm", "res_map", "res_power", "q", "a", "b", "c", "k")
 
 
 def run(cfg: SolverConfig) -> Trace:
@@ -289,60 +277,39 @@ def run(cfg: SolverConfig) -> Trace:
 
     Stops when ||x_{n+1} - x_n|| <= tol_step or after max_outer steps; on
     a step whose operator coefficient cT is 0 the step-norm stop also
-    needs ||x_n - T x_n|| <= tol_step.
-    Unless ``cfg.force``, the q_n sequence is scanned upfront over the
-    whole outer budget and the first ill-posed index is reported before
-    any work is done.
+    needs ||x_n - T x_n|| <= tol_step. Well-posedness is checked as each
+    step is reached: IllPosedError(n, q) is raised when q_n >= 1, before
+    step n is solved, so a run that stops earlier returns normally.
+    :func:`~midpointfp.schedules.validate` checks the schedule's q_n over
+    a whole horizon upfront.
     """
-    if not cfg.force:
-        for n in range(1, cfg.max_outer + 1):
-            try:
-                qn = cfg.step_contraction_factor(n)
-            except InvalidInputError:
-                break  # schedule horizon shorter than max_outer; checked lazily
-            if qn >= 1.0:
-                raise IllPosedError(
-                    f"schedule is ill-posed for scheme {cfg.scheme.name}: "
-                    f"q_n = {qn:.6f} >= 1 first at n={n}",
-                    n=n, q=qn,
-                )
-
-    records = []
-    x = cfg.x1
+    total = cfg.max_outer
+    xs = np.empty((total + 1, cfg.mapping.domain_dim))
+    stats = np.empty((total, len(_COLUMNS)))
+    iters = np.empty(total, dtype=int)
+    size = norm_kernel(cfg.norm)
+    apply = cfg.mapping.apply
+    sched = cfg.schedule
+    x = xs[0] = cfg.x1
     converged = False
-    for n in range(1, cfg.max_outer + 1):
-        res_map = norm(x - cfg.mapping(x), cfg.norm)
-        res_power = _power_residual(cfg, n, x)
-        step = implicit_step(cfg, n, x)
-        step_norm = norm(step.x - x, cfg.norm)
-        records.append(
-            TraceRecord(
-                n=n,
-                x=x,
-                step_norm=step_norm,
-                res_map=res_map,
-                res_power=res_power,
-                inner_iters=step.inner_iters,
-                q=step.q,
-                a=cfg.schedule.a(n),
-                b=cfg.schedule.b(n),
-                c=cfg.schedule.c(n),
-                k=cfg.schedule.k(n),
-            )
-        )
-        x = step.x
+    for n in range(1, total + 1):
+        step = implicit_step(cfg, n, x)  # checks x_n, then q_n < 1
+        res_map = size(x - apply(x))
+        try:
+            res_power = size(x - power_operator(cfg.mapping, n, cfg.power_cap)(x))
+        except InvalidInputError:  # n-fold power beyond the cap
+            res_power = math.nan
+        step_norm = size(step.x - x)
+        stats[n - 1] = (step_norm, res_map, res_power, step.q,
+                        sched.a(n), sched.b(n), sched.c(n), sched.k(n))
+        iters[n - 1] = step.inner_iters
+        x = xs[n] = step.x
         # a step without the operator term (cT = 0) can stand still off the
         # fixed set, so it stops the run only at a point T also fixes
         if step_norm <= cfg.tol_step and (
-            res_map <= cfg.tol_step or cfg.scheme.coefficients(cfg.schedule, n)[2] != 0.0
+            res_map <= cfg.tol_step or cfg.scheme.coefficients(sched, n)[2] != 0.0
         ):
             converged = True
             break
-    return Trace(records=records, final=x, converged=converged, scheme=cfg.scheme.name)
-
-
-def residual_profile(trace: Trace):
-    """Sequence of (n, step_norm, res_map, res_power) straight from the trace."""
-    if not trace.records:
-        raise InvalidInputError("empty trace")
-    return [(r.n, r.step_norm, r.res_map, r.res_power) for r in trace.records]
+    return Trace(x=xs[: n + 1], inner_iters=iters[:n], **dict(zip(_COLUMNS, stats[:n].T)),
+                 converged=converged, scheme=cfg.scheme.name)

@@ -110,9 +110,8 @@ def test_criterion_2_benchmark_table_pattern():
     traces = [run(benchmark_cfg(x1, max_outer=20, tol_step=0.0)) for x1 in STARTS]
     failures = []
     for x1, trace in zip(STARTS, traces):
-        steps = trace.step_norms()
-        xs = trace.iterates()
-        dists = np.array([norm(xs[i + 1] - trace.final) for i in range(len(trace.records))])
+        steps = trace.step_norm
+        dists = np.array([norm(x - trace.final) for x in trace.x[1:]])
         col_ok = False
         details = []
         for name, series in (("step", steps), ("dist", dists)):
@@ -140,14 +139,13 @@ def test_criterion_3_residual_laws(benchmark_default_traces):
     ok = True
     details = []
     for x1, trace in zip(STARTS, benchmark_default_traces):
-        last = trace.records[-1]
-        finals = (last.step_norm, last.res_map, last.res_power)
+        finals = (trace.step_norm[-1], trace.res_map[-1], trace.res_power[-1])
         if not all(v <= 1e-6 for v in finals):
             ok = False
             details.append(f"x1={x1.tolist()}: final residuals {finals}")
-        for name, seq in (("step", trace.step_norms()),
-                          ("res_T", trace.res_map()),
-                          ("res_Tn", trace.res_power())):
+        for name, seq in (("step", trace.step_norm),
+                          ("res_T", trace.res_map),
+                          ("res_Tn", trace.res_power)):
             if not tail_windowed_nonincreasing(seq):
                 ok = False
                 details.append(f"x1={x1.tolist()}: {name} tail not decreasing")
@@ -185,8 +183,8 @@ def test_criterion_4_scheme_reductions():
     for label, left, right, sched_rand, sched_ex in cases:
         for _ in range(10):
             cfg = random_affine_cfg(left, sched_rand)
-            a = run(cfg).iterates()
-            b = run(replace(cfg, scheme=right)).iterates()
+            a = run(cfg).x
+            b = run(replace(cfg, scheme=right)).x
             if not np.array_equal(a, b):
                 ok = False
                 details.append(f"{label} differs on a random affine problem")
@@ -196,8 +194,8 @@ def test_criterion_4_scheme_reductions():
                 scheme=left, mapping=make_flip_map(), schedule=sched_ex, x1=x1,
                 contraction=make_contraction_half(), max_outer=20, tol_step=0.0,
             )
-            a = run(cfg).iterates()
-            b = run(replace(cfg, scheme=right)).iterates()
+            a = run(cfg).x
+            b = run(replace(cfg, scheme=right)).x
             if not np.array_equal(a, b):
                 ok = False
                 details.append(f"{label} differs on the benchmark mapping from {x1.tolist()}")
@@ -245,7 +243,7 @@ def test_criterion_6_boundedness(benchmark_default_traces):
     for x1, trace in zip(STARTS, benchmark_default_traces):
         bound = iterate_bound(x1, p, f, schedule=paper_schedule())
         assert bound == norm(np.asarray(x1))  # f fixes p, so the radius is ||x1||
-        worst = max(norm(x - p) for x in trace.iterates())
+        worst = max(norm(x - p) for x in trace.x)
         if worst > bound + 1e-9:
             ok = False
             details.append(f"x1={x1.tolist()}: max ||x_n|| = {worst} > {bound}")

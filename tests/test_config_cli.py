@@ -305,3 +305,56 @@ def test_config_file_loader(tmp_path):
     path = write_config(tmp_path, BENCHMARK)
     cfg = load_config(path)
     assert cfg.scheme == ("AGVIM",)
+
+
+AFFINE = {"kind": "affine", "A": [[0.5, 0.0], [0.0, 0.5]], "b": [0.0, 0.0]}
+MALFORMED = {
+    "x1 string": ({"x1": ["a", 1]}, "x1"),
+    "x1 nested": ({"x1": [[1, 2]]}, "x1"),
+    "x1 huge integer": ({"x1": [10**400, 1]}, "x1"),
+    "ragged A": ({"mapping": {**AFFINE, "A": [[0.5, 0.0], [0.5]]}}, "A"),
+    "factor": ({"contraction": {"kind": "scale", "factor": "abc"}}, "factor"),
+    "power s": ({"schedule": {"family": "power", "s": "z"}}, "s"),
+    "table cell": ({"schedule": {"family": "custom", "table": [["x", 0.0, 0.5, 1.0]]}}, "table"),
+    "max_outer fraction": ({"max_outer": 2.7}, "max_outer"),
+    "max_inner bool": ({"max_inner": True}, "max_inner"),
+    "power_cap fraction": ({"power_cap": 1.5}, "power_cap"),
+    "seed bool": ({"seed": False}, "seed"),
+    "b not finite": ({"mapping": {**AFFINE, "b": [float("nan"), 0.0]}}, "b"),
+    "scheme number": ({"scheme": 5}, "scheme"),
+}
+
+
+@pytest.mark.parametrize("command", [["run"], ["verify-mapping", "--seed", "1"],
+                                     ["validate-schedule"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("case", MALFORMED, ids=list(MALFORMED))
+def test_malformed_value_is_config_error(tmp_path, capsys, command, case):
+    override, key = MALFORMED[case]
+    path = write_config(tmp_path, {**BENCHMARK, **override})
+    assert main([command[0], "--config", path] + command[1:]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert repr(key) in err
+    assert "Traceback" not in err
+
+
+def test_builder_error_is_config_error(tmp_path, capsys):
+    # shape errors surface when the mapping is built, in every command
+    path = write_config(tmp_path, {**BENCHMARK, "mapping": {**AFFINE, "A": [[0.5, 0.0, 0.0]]}})
+    assert main(["verify-mapping", "--config", path, "--seed", "1"]) == 1
+    assert capsys.readouterr().err.startswith("config error: A must be square")
+
+
+def test_integral_counts_accept_whole_floats():
+    cfg = parse_config({**BENCHMARK, "max_outer": 20.0, "seed": 3})
+    assert cfg.max_outer == 20 and isinstance(cfg.max_outer, int)
+
+
+@pytest.mark.parametrize("tols", [{"tol_step": float("nan")},
+                                  {"tol_step": 0.0, "tol_inner": float("nan")}])
+def test_nan_tolerance_is_config_error(tmp_path, capsys, tols):
+    # json parses NaN; it used to switch the stop rule off (18 steps became
+    # the whole budget) or end in an InnerBudgetError with bound 0
+    path = write_config(tmp_path, {**BENCHMARK, "x1": [0.5, 1.0], **tols})
+    assert main(["run", "--config", path, "--out", str(tmp_path)]) == 1
+    assert "config error: tolerances" in capsys.readouterr().err

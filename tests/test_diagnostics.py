@@ -114,7 +114,7 @@ class TestCompareSchemes:
         assert [r.scheme for r in report.runs] == ["GVIM", "VIM"]  # name order
         for r in report.runs:
             assert not r.failed
-            assert len(r.trace.records) == 60
+            assert len(r.trace) == 60
             assert r.iters_to[1e-2] is not None
             assert r.iters_to[1e-4] is not None
         csv_text = report.to_csv()
@@ -129,9 +129,9 @@ class TestCompareSchemes:
                                  [SCHEMES["VIM"], SCHEMES["GVIM"], SCHEMES["AGVIM"]])
         traces = [r.trace for r in report.runs]
         for i in range(20):
-            a_vals = {t.records[i].a for t in traces}
-            b_vals = {t.records[i].b for t in traces}
-            k_vals = {t.records[i].k for t in traces}
+            a_vals = {t.a[i] for t in traces}
+            b_vals = {t.b[i] for t in traces}
+            k_vals = {t.k[i] for t in traces}
             assert len(a_vals) == len(b_vals) == len(k_vals) == 1
 
     def test_fixed_start_hits_all_thresholds_immediately(self):

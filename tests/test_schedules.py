@@ -3,13 +3,20 @@ import math
 import pytest
 
 from midpointfp.errors import InvalidInputError
+from midpointfp.mappings import make_contraction_half, make_flip_map
 from midpointfp.schedules import (
     custom_schedule,
-    inner_contraction_factor,
     paper_schedule,
     power_schedule,
     validate,
 )
+from midpointfp.solver import SCHEMES, SolverConfig
+
+
+def agvim_flip(schedule):
+    """AGVIM on the flip map, whose envelope equals the paper schedule's k_n."""
+    return SolverConfig(scheme=SCHEMES["AGVIM"], mapping=make_flip_map(), schedule=schedule,
+                        x1=[0.5, 1.0], contraction=make_contraction_half())
 
 
 class TestBenchmarkFamily:
@@ -24,8 +31,9 @@ class TestBenchmarkFamily:
     def test_envelope_and_inner_factor(self):
         s = paper_schedule()
         assert s.k(2) == 1.25
-        assert inner_contraction_factor(s, 2) == pytest.approx(5.0 / 24.0, abs=1e-15)
-        assert inner_contraction_factor(s, 1) == 0.0
+        cfg = agvim_flip(s)
+        assert cfg.step_contraction_factor(2) == pytest.approx(5.0 / 24.0, abs=1e-15)
+        assert cfg.step_contraction_factor(1) == 0.0
 
     def test_simplex_over_horizon(self):
         s = paper_schedule()
@@ -39,8 +47,9 @@ class TestBenchmarkFamily:
 
     def test_inner_factor_below_one_everywhere(self):
         s = paper_schedule()
+        cfg = agvim_flip(s)
         for n in range(1, 100_001, 97):
-            q = inner_contraction_factor(s, n)
+            q = cfg.step_contraction_factor(n)
             assert q < 1.0
             assert s.c(n) * s.k(n) <= 1.0 + 1e-12
 

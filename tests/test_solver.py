@@ -20,7 +20,6 @@ from midpointfp.solver import (
     SolverConfig,
     implicit_step,
     implicit_step_affine_oracle,
-    residual_profile,
     run,
     scheme_by_name,
 )
@@ -99,7 +98,7 @@ class TestImplicitStep:
 
     def test_illposed_raises(self):
         sched = custom_schedule([[0.1, 0.0, 0.9, 4.0]] * 5)
-        cfg = replace(one_d_identity_cfg(), schedule=sched, force=True)
+        cfg = replace(one_d_identity_cfg(), schedule=sched)
         with pytest.raises(IllPosedError) as err:
             implicit_step(cfg, 1, [1.0])
         assert err.value.n == 1
@@ -107,7 +106,7 @@ class TestImplicitStep:
 
     def test_inner_budget_exceeded(self):
         sched = custom_schedule([[0.05, 0.0, 0.95, 1.9]] * 3)  # q = 0.9025
-        cfg = replace(one_d_identity_cfg(), schedule=sched, max_inner=2, force=True)
+        cfg = replace(one_d_identity_cfg(), schedule=sched, max_inner=2)
         with pytest.raises(InnerBudgetError) as err:
             implicit_step(cfg, 1, [1.0])
         assert err.value.n == 1
@@ -115,16 +114,35 @@ class TestImplicitStep:
         assert err.value.iterations == 2
 
     def test_diverging_step_raises_illposed(self):
-        # the paper envelope understates ||A^n||: at n = 3 the step map has
-        # factor c_3 ||A^3|| / 2 = 1.7, so the Picard deltas grow
+        # a declared envelope of 1 understates ||A^n||: at n = 3 the step
+        # map has factor c_3 ||A^3|| / 2 = 1.7, so the Picard deltas grow
         cfg = SolverConfig(
-            scheme=SCHEMES["AGVIM"], mapping=make_affine(np.diag([1.9, 0.1]), [0.0, 0.0]),
+            scheme=SCHEMES["AGVIM"],
+            mapping=make_affine(np.diag([1.9, 0.1]), [0.0, 0.0], envelope=lambda n: 1.0),
             schedule=paper_schedule(), x1=[1.0, 1.0], contraction=make_contraction_half(),
         )
-        with pytest.raises(IllPosedError) as err:
+        with pytest.raises(IllPosedError, match="diverges") as err:
             run(cfg)
         assert err.value.n == 3
         assert err.value.q == cfg.step_contraction_factor(3)
+
+    def test_step_factor_uses_the_mapping_envelope(self):
+        # the paper schedule's k_n = 1 + 2^-n is far below ||A^n|| = 1.9^n;
+        # q_n must come from the larger envelope so the Picard bound holds
+        A = np.diag([1.9, 0.1])
+        cfg = SolverConfig(
+            scheme=SCHEMES["AGVIM"], mapping=make_affine(A, [0.0, 0.0]),
+            schedule=paper_schedule(), x1=[1.0, 1.0], contraction=make_contraction_half(),
+        )
+        assert cfg.step_contraction_factor(2) == 0.5 * cfg.schedule.c(2) * 1.9 ** 2
+        x2 = implicit_step(cfg, 1, cfg.x1).x
+        got = implicit_step(cfg, 2, x2).x
+        want = implicit_step_affine_oracle(A, [0.0, 0.0], cfg.scheme, cfg.schedule, 2, x2,
+                                           cfg.contraction)
+        assert np.linalg.norm(got - want) <= cfg.tol_inner
+        with pytest.raises(IllPosedError, match="not a contraction") as err:
+            run(cfg)
+        assert err.value.n == 3
 
     def test_nonfinite_delta_raises_illposed(self):
         blowup = Mapping(apply=lambda u: u, envelope=lambda n: 1.0, domain_dim=2,
@@ -200,7 +218,7 @@ class TestRun:
         cfg = benchmark_cfg([0.0, 1.0 / 3.0], max_outer=12, tol_step=0.0)
         trace = run(cfg)
         oracle = ray_oracle([0.0, 1.0 / 3.0], 12)
-        xs = trace.iterates()
+        xs = trace.x
         for i, expected in enumerate(oracle):
             got = xs[i]
             want = np.array([float(expected[0]), float(expected[1])])
@@ -208,7 +226,7 @@ class TestRun:
 
     def test_frozen_early_iterates(self):
         trace = run(benchmark_cfg([0.0, 1.0 / 3.0], max_outer=6, tol_step=0.0))
-        xs = trace.iterates()
+        xs = trace.x
         frozen = [
             1.0 / 6.0,            # f(x_1)
             7.0 / 60.0,
@@ -223,17 +241,17 @@ class TestRun:
     def test_converges_from_table_start(self):
         trace = run(benchmark_cfg([0.0, 1.0 / 3.0]))
         assert trace.converged
-        assert len(trace.records) <= 20
-        assert trace.records[-1].step_norm <= 1e-8
-        assert all(r.inner_iters <= 10_000 for r in trace.records)
+        assert len(trace) <= 20
+        assert trace.step_norm[-1] <= 1e-8
+        assert np.all(trace.inner_iters <= 10_000)
 
     def test_stationary_start_stops_immediately(self):
         trace = run(benchmark_cfg([0.0, 0.0]))
         assert trace.converged
-        assert len(trace.records) == 1
+        assert len(trace) == 1
         np.testing.assert_array_equal(trace.final, [0.0, 0.0])
-        for n, step, res_map, res_power in residual_profile(trace):
-            assert step == res_map == res_power == 0.0
+        for column in (trace.step_norm, trace.res_map, trace.res_power):
+            np.testing.assert_array_equal(column, [0.0])
 
     @pytest.mark.parametrize("scheme", ["VIM", "GVIM", "AGVIM", "AVIM63"])
     def test_explicit_first_step_does_not_stop_off_the_fixed_set(self, scheme):
@@ -245,18 +263,21 @@ class TestRun:
             contraction=make_contraction_half(), max_outer=50,
         )
         trace = run(cfg)
-        assert trace.records[0].step_norm == 0.0
-        assert trace.records[0].res_map == pytest.approx(math.sqrt(2.0))
-        assert len(trace.records) > 1
+        assert trace.step_norm[0] == 0.0
+        assert trace.res_map[0] == pytest.approx(math.sqrt(2.0))
+        assert len(trace) > 1
 
     def test_illposed_prescan_names_first_offender(self):
-        # power scheme: q_3 = c_3 k_3 / 2 = 0.9 * 4 / 2 >= 1
+        # power scheme: q_3 = c_3 k_3 / 2 = 0.9 * 4 / 2 >= 1, raised when
+        # step 3 is reached
         sched = custom_schedule([[0.5, 0.0, 0.5, 1.0]] * 2 + [[0.1, 0.0, 0.9, 4.0]] * 3)
         cfg = replace(one_d_identity_cfg(), schedule=sched, max_outer=5,
-                      scheme=SCHEMES["AGVIM"])
+                      scheme=SCHEMES["AGVIM"], tol_step=0.0)
         with pytest.raises(IllPosedError) as err:
             run(cfg)
         assert err.value.n == 3
+        # a run that ends before the ill-posed index returns normally
+        assert len(run(replace(cfg, max_outer=2))) == 2
 
     def test_single_application_factor_ignores_power_envelope(self):
         # the same schedule is well posed for single-application schemes,
@@ -264,22 +285,22 @@ class TestRun:
         sched = custom_schedule([[0.5, 0.0, 0.5, 1.0]] * 2 + [[0.1, 0.0, 0.9, 4.0]] * 3)
         cfg = replace(one_d_identity_cfg(), schedule=sched, max_outer=5, tol_step=0.0)
         trace = run(cfg)
-        assert len(trace.records) == 5
-        assert max(r.q for r in trace.records) < 1.0
+        assert len(trace) == 5
+        assert max(trace.q) < 1.0
 
     def test_boundedness_on_benchmark_runs(self):
         for x1 in ([0.0, 1.0 / 3.0], [0.5, 1.0], [-2.0, 1.0]):
             trace = run(benchmark_cfg(x1, max_outer=20, tol_step=0.0))
             r0 = np.linalg.norm(np.asarray(x1))
-            for x in trace.iterates():
+            for x in trace.x:
                 assert np.linalg.norm(x) <= r0 + 1e-9
 
     def test_fixed_region_residuals_vanish(self):
         # iterates from (-2, 1) stay inside the open fixed region
         trace = run(benchmark_cfg([-2.0, 1.0], max_outer=20, tol_step=0.0))
-        assert np.all(trace.res_map() == 0.0)
-        assert np.all(trace.res_power() == 0.0)
-        assert np.all(trace.step_norms() > 0.0)
+        assert np.all(trace.res_map == 0.0)
+        assert np.all(trace.res_power == 0.0)
+        assert np.all(trace.step_norm > 0.0)
 
     def test_residual_chain_bound(self):
         # ||x_n - T x_n|| <= ||x_(n+1) - x_n|| + ||x_(n+1) - T^n x_n||
@@ -288,14 +309,13 @@ class TestRun:
 
         cfg = benchmark_cfg([0.0, 1.0 / 3.0], max_outer=15, tol_step=0.0)
         trace = run(cfg)
-        xs = trace.iterates()
+        xs = trace.x
         k1 = cfg.schedule.k(1)
-        for r in trace.records[1:]:
-            n = r.n
+        for n in range(2, len(trace) + 1):
             x_n, x_next = xs[n - 1], xs[n]
-            lhs = r.res_map
+            lhs = trace.res_map[n - 1]
             rhs = (
-                r.step_norm
+                trace.step_norm[n - 1]
                 + np.linalg.norm(x_next - apply_power(cfg.mapping, n, x_n))
                 + k1 * np.linalg.norm(x_n - apply_power(cfg.mapping, n - 1, x_n))
             )
@@ -319,9 +339,9 @@ class TestRun:
             power_cap=5, max_outer=10, tol_step=0.0,
         )
         trace = run(cfg)
-        assert len(trace.records) == 10
-        assert math.isnan(trace.records[7].res_power)
-        assert not math.isnan(trace.records[3].res_power)
+        assert len(trace) == 10
+        assert math.isnan(trace.res_power[7])
+        assert not math.isnan(trace.res_power[3])
 
     def test_affine_power_run_memory_stays_flat(self):
         # T^n comes from T^(n-1) with one product; no earlier power is kept
@@ -340,14 +360,8 @@ class TestRun:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(trace.records) == 1000
+        assert len(trace) == 1000
         assert peak < 1_000_000
-
-    def test_empty_profile_rejected(self):
-        from midpointfp.solver import Trace
-
-        with pytest.raises(InvalidInputError):
-            residual_profile(Trace(records=[], final=np.zeros(1), converged=False, scheme="VIM"))
 
 
 class TestSchemeAlgebra:
@@ -396,8 +410,8 @@ class TestSchemeAlgebra:
         sched = power_schedule(1.0, 0.0)  # b identically zero
         for _ in range(3):
             cfg = self._random_affine_cfg(rng, SCHEMES["AGVIM"], sched)
-            a = run(cfg).iterates()
-            b = run(replace(cfg, scheme=SCHEMES["AVIM63"])).iterates()
+            a = run(cfg).x
+            b = run(replace(cfg, scheme=SCHEMES["AVIM63"])).x
             assert np.array_equal(a, b)
 
     def test_single_application_power_scheme_is_inertial_scheme(self):
@@ -406,8 +420,8 @@ class TestSchemeAlgebra:
         single = replace(SCHEMES["AGVIM"], use_power=False)
         for _ in range(3):
             cfg = self._random_affine_cfg(rng, single, sched)
-            a = run(cfg).iterates()
-            b = run(replace(cfg, scheme=SCHEMES["GVIM"])).iterates()
+            a = run(cfg).x
+            b = run(replace(cfg, scheme=SCHEMES["GVIM"])).x
             assert np.array_equal(a, b)
 
     def test_inertial_scheme_reduces_to_plain_viscosity(self):
@@ -415,8 +429,8 @@ class TestSchemeAlgebra:
         sched = power_schedule(1.0, 0.0)
         for _ in range(3):
             cfg = self._random_affine_cfg(rng, SCHEMES["GVIM"], sched)
-            a = run(cfg).iterates()
-            b = run(replace(cfg, scheme=SCHEMES["VIM"])).iterates()
+            a = run(cfg).x
+            b = run(replace(cfg, scheme=SCHEMES["VIM"])).x
             assert np.array_equal(a, b)
 
 
@@ -435,3 +449,11 @@ class TestConfigValidation:
             one_d_identity_cfg(max_inner=0)
         with pytest.raises(InvalidInputError):
             one_d_identity_cfg(max_outer=0)
+
+    @pytest.mark.parametrize("tol_step, tol_inner", [
+        (math.nan, 1e-12), (0.0, math.nan), (math.inf, 1e-12), (0.0, math.inf), (-1e-8, 1e-12),
+    ])
+    def test_nonfinite_tolerances_rejected(self, tol_step, tol_inner):
+        # NaN would silently switch the stop rule or the Picard bound off
+        with pytest.raises(InvalidInputError, match="tolerances"):
+            one_d_identity_cfg(tol_step=tol_step, tol_inner=tol_inner)
