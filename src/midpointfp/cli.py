@@ -53,14 +53,18 @@ def _trace_csv(path: Path, trace: Trace):
         ["n"] + [f"x{i}" for i in range(trace.final.size)]
         + ["step_norm", "res_T", "res_Tn", "inner_iters", "q_n", "a_n", "b_n", "c_n", "k_n"]
     )
-    columns = (trace.step_norm, trace.res_map, trace.res_power, trace.inner_iters,
-               trace.q, trace.a, trace.b, trace.c, trace.k)
-    rows = (
-        [n] + [_fmt(v) for v in x]
-        + [_fmt(step), _fmt(rm), _fmt(rp), int(it), _fmt(q), _fmt(a), _fmt(b), _fmt(c), _fmt(k)]
-        for n, x, step, rm, rp, it, q, a, b, c, k in zip(range(1, len(trace) + 1), trace.x, *columns)
-    )
-    _write_csv(path, header, rows)
+    count = len(trace)
+    # every cell as a float: "%.17g" writes the integer columns n and
+    # inner_iters without a decimal point, as int() would
+    table = np.column_stack((
+        np.arange(1, count + 1), trace.x[:count], trace.step_norm, trace.res_map,
+        trace.res_power, trace.inner_iters, trace.q, trace.a, trace.b, trace.c, trace.k,
+    ))
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        # one row's Python floats at a time, so the table is not held twice
+        fh.writelines(row % tuple(cells.tolist()) for cells in table)
 
 
 def _out_dir(cfg_out, flag_out) -> Path:
@@ -141,6 +145,10 @@ def cmd_compare(args) -> int:
         return 1
     try:
         base = cfg.build_solver_config(scheme=deduped[0])
+    except MidpointError as exc:  # builders raise InvalidInputError too
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    try:
         report = compare_schemes(base, deduped)
     except MidpointError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,9 +2,10 @@
 and the envelope verifier.
 
 A :class:`Mapping` bundles the operator itself, an optional closed form
-for its n-th power, and an envelope sequence ``k_n >= 1`` bounding the
-Lipschitz constant of every power. A :class:`Contraction` is the
-viscosity anchor f with constant alpha < 1.
+for its n-th power (for affine maps also as a matrix pair), and an
+envelope sequence ``k_n >= 1`` bounding the Lipschitz constant of every
+power. A :class:`Contraction` is the viscosity anchor f with constant
+alpha < 1.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ class Mapping:
     checks. ``power`` is an optional closed form for T^n; when absent,
     powers are evaluated by n-fold application. ``sample_domain`` draws
     points from the region the envelope is declared on; when absent the
-    verifier samples a uniform box.
+    verifier samples a uniform box. ``affine_pair(n)``, when present,
+    returns (A_n, b_n) with T^n u = A_n u + b_n; the step solver then
+    solves each implicit step as a linear system.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -54,6 +57,7 @@ class Mapping:
     power: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
     sample_domain: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
     name: str = "mapping"
+    affine_pair: Optional[Callable[[int], tuple[np.ndarray, np.ndarray]]] = None
 
     def __call__(self, u) -> np.ndarray:
         v = as_vector(u, dim=self.domain_dim)
@@ -218,7 +222,7 @@ class _AffinePower:
 
 
 def make_affine(A, b, envelope: Callable[[int], float] | None = None) -> Mapping:
-    """u -> A u + b with closed-form powers.
+    """u -> A u + b with closed-form powers and their affine pairs.
 
     Default envelope is max(1, ||A||_2)^n; pass ``envelope`` to declare
     a sharper sequence.
@@ -241,6 +245,7 @@ def make_affine(A, b, envelope: Callable[[int], float] | None = None) -> Mapping
         domain_dim=bv.size,
         power=power,
         name="affine",
+        affine_pair=power.pair,
     )
 
 

@@ -10,8 +10,15 @@ factor q_n = cT * k_p / 2 whenever q_n < 1, so the step is solved by
 Picard iteration warm-started at x_n with the standard a-posteriori
 error bound q/(1-q) * ||y_m - y_{m-1}|| as the stopping rule. k_p is the
 larger of the schedule's k_p and the mapping's envelope, and q_n < 1 is
-checked as step n is reached. For affine T the step also has a
-closed-form linear solve, kept as an independent oracle.
+checked as step n is reached.
+
+For affine T (a mapping with ``affine_pair``) the step is the linear
+system (I - (cT/2) A_p) x = cf f(x_n) + cx x_n + cT (A_p x_n / 2 + b_p).
+It is solved once, and its solution becomes the Picard warm start, so
+the accepted iterate passes the same a-posteriori bound; the first
+Picard iterate checks that the step map contracts by q_n along the
+solve, which catches an envelope that understates T. The same system,
+with powers by binary powering, is kept as an independent oracle.
 
 :func:`run` returns a columnar :class:`Trace`: the iterates as one
 array plus one array per step statistic.
@@ -150,15 +157,21 @@ class StepResult:
 
 
 def implicit_step(cfg: SolverConfig, n: int, x_n, collect_deltas: bool = False) -> StepResult:
-    """Solve one implicit step by Picard iteration on the step map.
+    """Solve one implicit step by Picard iteration on the step map G.
 
     Returns the accepted iterate together with the inner iteration count
     and the final a-posteriori bound; the accepted iterate is within
     tol_inner of the exact step solution whenever the contraction bound
-    is valid. Raises IllPosedError if q_n >= 1, or if a Picard delta is
-    non-finite or exceeds the first one (no q_n-contraction does that),
-    and InnerBudgetError if max_inner is hit first (the achieved bound is
-    attached). ``x_n`` is checked once; the loop runs on raw arrays.
+    is valid. For a mapping with an ``affine_pair`` whose first iterate
+    y_1 = G(x_n) does not meet tol_inner, the step's linear system is
+    solved once and its solution y* replaces the warm start, so the
+    accepted iterate is still a Picard iterate G(y*) under the same bound;
+    inner_iters then counts from y*. Raises IllPosedError if q_n >= 1, if
+    a Picard delta is non-finite or exceeds the first one, if the linear
+    system is singular, or if ||y_1 - G(y*)|| > q_n ||x_n - y*|| + tol_inner
+    (no q_n-contraction does any of these), and InnerBudgetError if
+    max_inner is hit first (the achieved bound is attached). ``x_n`` is
+    checked once; the loop runs on raw arrays.
     """
     x_n = as_vector(x_n, dim=cfg.mapping.domain_dim)
     cf, cx, cT = cfg.scheme.coefficients(cfg.schedule, n)
@@ -181,29 +194,54 @@ def implicit_step(cfg: SolverConfig, n: int, x_n, collect_deltas: bool = False) 
     power = power_operator(cfg.mapping, p, cap=cfg.power_cap)
     size = norm_kernel(cfg.norm)
     factor = q / (1.0 - q)
-    y = x_n
+    pair = cfg.mapping.affine_pair
+    y, y1, first = x_n, None, None
     deltas = [] if collect_deltas else None
-    for m in range(1, cfg.max_inner + 1):
+    m = 0
+    while m < cfg.max_inner:
+        m += 1
         y_new = base + cT * power(0.5 * (x_n + y))
         delta = size(y_new - y)
-        if m == 1:
+        if first is None:
             first = delta
         if not (delta <= first and math.isfinite(delta)):
-            raise IllPosedError(
-                f"implicit step diverges at n={n}: Picard delta {delta:.3e} after "
-                f"{first:.3e} at iteration {m}, so q_n = {q:.6f} understates the "
-                f"operator's Lipschitz constant", n=n, q=q,
-            )
+            raise _diverges(n, q, f"Picard delta {delta:.3e} after {first:.3e} at iteration {m}")
+        if m == 1 and y1 is not None:
+            # y = y*: G must bring x_n and y* closer by the factor q_n
+            gap, dist = size(y1 - y_new), size(x_n - y)
+            if not gap <= q * dist + cfg.tol_inner:
+                raise _diverges(n, q, f"||G(x_n) - G(y*)|| = {gap:.3e} for "
+                                      f"||x_n - y*|| = {dist:.3e}")
         if deltas is not None:
             deltas.append(delta)
         y = y_new
         bound = factor * delta
         if bound <= cfg.tol_inner:
             return StepResult(x=y, inner_iters=m, q=q, bound=bound, deltas=deltas)
+        if pair is not None and y1 is None:
+            y1, y, m = y, _solve_affine_step(pair(p), cT, base, x_n, n, q), 0
     raise InnerBudgetError(
         f"inner solver hit max_inner={cfg.max_inner} at n={n}; achieved bound {bound:.3e}",
         n=n, achieved_bound=bound, iterations=cfg.max_inner,
     )
+
+
+def _diverges(n: int, q: float, evidence: str) -> IllPosedError:
+    return IllPosedError(
+        f"implicit step diverges at n={n}: {evidence}, so q_n = {q:.6f} understates "
+        f"the operator's Lipschitz constant", n=n, q=q,
+    )
+
+
+def _solve_affine_step(pair, cT: float, base: np.ndarray, x_n: np.ndarray, n: int,
+                       q: float) -> np.ndarray:
+    """Fixed point y* of y -> base + cT (A_p (x_n + y) / 2 + b_p)."""
+    Ap, bp = pair
+    M = np.eye(x_n.size) - 0.5 * cT * Ap
+    try:
+        return np.linalg.solve(M, base + cT * (0.5 * (Ap @ x_n) + bp))
+    except np.linalg.LinAlgError as exc:
+        raise IllPosedError(f"singular implicit system at n={n}: {exc}", n=n, q=q) from exc
 
 
 def implicit_step_affine_oracle(
@@ -218,8 +256,9 @@ def implicit_step_affine_oracle(
     """Exact implicit step for an affine mapping u -> A u + b.
 
     Solves (I - (cT/2) A_p) x = cf f(x_n) + cx x_n + cT (A_p x_n / 2 + b_p)
-    directly, with (A_p, b_p) the affine p-th power. Independent of the
-    Picard path; used as its oracle.
+    directly, with (A_p, b_p) the affine p-th power by binary powering.
+    Independent of the mapping's own powers and of :func:`implicit_step`;
+    used as its oracle.
     """
     A = np.asarray(A, dtype=float)
     x_n = as_vector(x_n, dim=A.shape[0])
@@ -270,6 +309,15 @@ class Trace:
 
 
 _COLUMNS = ("step_norm", "res_map", "res_power", "q", "a", "b", "c", "k")
+# rows allocated upfront; the buffers double when full, so a huge
+# max_outer costs no memory until the run uses it
+_FIRST_ROWS = 4096
+
+
+def _grown(a: np.ndarray, rows: int) -> np.ndarray:
+    out = np.empty((rows,) + a.shape[1:], dtype=a.dtype)
+    out[: len(a)] = a
+    return out
 
 
 def run(cfg: SolverConfig) -> Trace:
@@ -284,9 +332,10 @@ def run(cfg: SolverConfig) -> Trace:
     a whole horizon upfront.
     """
     total = cfg.max_outer
-    xs = np.empty((total + 1, cfg.mapping.domain_dim))
-    stats = np.empty((total, len(_COLUMNS)))
-    iters = np.empty(total, dtype=int)
+    rows = min(total, _FIRST_ROWS)
+    xs = np.empty((rows + 1, cfg.mapping.domain_dim))
+    stats = np.empty((rows, len(_COLUMNS)))
+    iters = np.empty(rows, dtype=int)
     size = norm_kernel(cfg.norm)
     apply = cfg.mapping.apply
     sched = cfg.schedule
@@ -300,6 +349,9 @@ def run(cfg: SolverConfig) -> Trace:
         except InvalidInputError:  # n-fold power beyond the cap
             res_power = math.nan
         step_norm = size(step.x - x)
+        if n > rows:  # buffers full: double them
+            rows = min(2 * rows, total)
+            xs, stats, iters = _grown(xs, rows + 1), _grown(stats, rows), _grown(iters, rows)
         stats[n - 1] = (step_norm, res_map, res_power, step.q,
                         sched.a(n), sched.b(n), sched.c(n), sched.k(n))
         iters[n - 1] = step.inner_iters

@@ -1,12 +1,14 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
-from midpointfp.cli import main
+from midpointfp.cli import _trace_csv, main
 from midpointfp.config import load_config, parse_config
 from midpointfp.errors import ConfigError
+from midpointfp.solver import Trace
 
 BENCHMARK = {
     "mapping": {"kind": "flip"},
@@ -123,6 +125,30 @@ class TestRunCommand:
         # full precision: the 17-significant-digit text round-trips exactly
         for cell in (rows[2][3], rows[4][2], rows[5][9]):
             assert cell == format(float(cell), ".17g")
+
+    def test_trace_csv_matches_per_cell_formatting(self, tmp_path):
+        # the writer formats whole rows at once; the reference is the
+        # per-cell csv writer it replaced, on cells rounding could upset
+        special = [0.1, -0.0, 1e300, 5e-324, 2.0 / 3.0, math.nan, math.inf, -7.0]
+        count = len(special)
+        trace = Trace(
+            x=np.array([special + [0.0], special[::-1] + [0.0], [1.0] * (count + 1)]).T,
+            step_norm=np.array(special), res_map=np.array(special[::-1]),
+            res_power=np.full(count, math.nan), inner_iters=np.array([1, 35, 10_000] + [2] * 5),
+            q=np.array(special), a=np.array(special), b=np.zeros(count),
+            c=np.array(special[::-1]), k=np.ones(count), converged=False, scheme="AGVIM",
+        )
+        _trace_csv(tmp_path / "trace.csv", trace)
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["n", "x0", "x1", "x2", "step_norm", "res_T", "res_Tn",
+                             "inner_iters", "q_n", "a_n", "b_n", "c_n", "k_n"])
+            cols = (trace.step_norm, trace.res_map, trace.res_power, trace.inner_iters,
+                    trace.q, trace.a, trace.b, trace.c, trace.k)
+            for n, x, sn, rm, rp, it, *rest in zip(range(1, count + 1), trace.x, *cols):
+                writer.writerow([n] + [format(float(v), ".17g") for v in (*x, sn, rm, rp)]
+                                + [int(it)] + [format(float(v), ".17g") for v in rest])
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_illposed_config_exits_one_citing_n(self, tmp_path, capsys):
         data = dict(BENCHMARK)
@@ -341,8 +367,10 @@ def test_malformed_value_is_config_error(tmp_path, capsys, command, case):
 def test_builder_error_is_config_error(tmp_path, capsys):
     # shape errors surface when the mapping is built, in every command
     path = write_config(tmp_path, {**BENCHMARK, "mapping": {**AFFINE, "A": [[0.5, 0.0, 0.0]]}})
-    assert main(["verify-mapping", "--config", path, "--seed", "1"]) == 1
-    assert capsys.readouterr().err.startswith("config error: A must be square")
+    for argv in (["verify-mapping", "--seed", "1"], ["run", "--out", str(tmp_path)],
+                 ["compare", "--schemes", "VIM,AGVIM", "--out", str(tmp_path)]):
+        assert main(argv + ["--config", path]) == 1
+        assert capsys.readouterr().err.startswith("config error: A must be square"), argv[0]
 
 
 def test_integral_counts_accept_whole_floats():

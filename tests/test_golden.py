@@ -59,6 +59,17 @@ def test_outputs_match_golden(case, tmp_path, capsys):
         assert got == want, f"{case[0]}/{fname} differs from the golden file"
 
 
+def test_huge_outer_budget_runs_like_the_default(tmp_path, capsys):
+    # the trace buffers grow with the run, so an outer budget far beyond
+    # memory still converges in 18 steps with the same bytes
+    case = ("run_flip", {**FLIP, "scheme": "AGVIM", "max_outer": 10**18}, ["run"], 0,
+            ["trace.csv"])
+    produce(case, tmp_path / "run_flip")
+    assert "converged after 18 iterations" in capsys.readouterr().out
+    got = (tmp_path / "run_flip" / "trace.csv").read_bytes()
+    assert got == (GOLDEN / "run_flip" / "trace.csv").read_bytes()
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from midpointfp import solver
 from midpointfp.errors import IllPosedError, InnerBudgetError, InvalidInputError
 from midpointfp.mappings import (
     Mapping,
@@ -25,11 +26,16 @@ from midpointfp.solver import (
 )
 
 
+def picard_only(mapping):
+    """The mapping without its affine pair, so steps run plain Picard."""
+    return replace(mapping, affine_pair=None)
+
+
 def one_d_identity_cfg(**kw):
     sched = custom_schedule([[0.5, 0.0, 0.5, 1.0]] * kw.pop("rows", 1))
     return SolverConfig(
         scheme=SCHEMES["GVIM"],
-        mapping=make_affine([[1.0]], [0.0]),
+        mapping=picard_only(make_affine([[1.0]], [0.0])),
         schedule=sched,
         x1=[1.0],
         contraction=make_scaling_contraction(0.5),
@@ -118,13 +124,63 @@ class TestImplicitStep:
         # map has factor c_3 ||A^3|| / 2 = 1.7, so the Picard deltas grow
         cfg = SolverConfig(
             scheme=SCHEMES["AGVIM"],
-            mapping=make_affine(np.diag([1.9, 0.1]), [0.0, 0.0], envelope=lambda n: 1.0),
+            mapping=picard_only(make_affine(np.diag([1.9, 0.1]), [0.0, 0.0],
+                                            envelope=lambda n: 1.0)),
             schedule=paper_schedule(), x1=[1.0, 1.0], contraction=make_contraction_half(),
         )
         with pytest.raises(IllPosedError, match="diverges") as err:
             run(cfg)
         assert err.value.n == 3
         assert err.value.q == cfg.step_contraction_factor(3)
+
+    def test_understated_envelope_caught_by_the_affine_solve(self):
+        # the solve finds the exact step solution whatever the envelope,
+        # but at n = 2 the step map's true factor c_2 ||A^2|| / 2 = 0.60
+        # exceeds q_2 = 0.21, and the first Picard iterate shows it
+        cfg = SolverConfig(
+            scheme=SCHEMES["AGVIM"],
+            mapping=make_affine(np.diag([1.9, 0.1]), [0.0, 0.0], envelope=lambda n: 1.0),
+            schedule=paper_schedule(), x1=[1.0, 1.0], contraction=make_contraction_half(),
+        )
+        with pytest.raises(IllPosedError, match="diverges") as err:
+            run(cfg)
+        assert err.value.n == 2
+        assert err.value.q == cfg.step_contraction_factor(2)
+
+    def test_singular_affine_system_raises_illposed(self):
+        # (I - (cT/2) A) is singular for A = 2I/cT; the declared envelope
+        # hides that the step map is no contraction
+        sched = custom_schedule([[0.5, 0.0, 0.5, 1.0]])
+        cfg = SolverConfig(
+            scheme=SCHEMES["GVIM"], mapping=make_affine(4.0 * np.eye(2), [1.0, 0.0],
+                                                        envelope=lambda n: 1.0),
+            schedule=sched, x1=[1.0, 1.0], contraction=make_contraction_half(),
+        )
+        with pytest.raises(IllPosedError, match="singular") as err:
+            implicit_step(cfg, 1, [1.0, 1.0])
+        assert err.value.n == 1
+
+    def test_affine_fixed_point_start_passes_the_pair_check(self):
+        # T is orthogonal about x*, so envelope 1 is exact, and once the
+        # paper's k_n = 1 + 2^-n rounds to 1 (n > 52) the pair check holds
+        # with equality up to rounding; f = x/2 does not fix x*, so every
+        # step after the first moves and goes through the solve
+        rng = np.random.default_rng(11)
+        Q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        x_star = rng.standard_normal(8)
+        b = x_star - Q @ x_star
+        cfg = SolverConfig(
+            scheme=SCHEMES["AGVIM"], mapping=make_affine(Q, b, envelope=lambda n: 1.0),
+            schedule=paper_schedule(), x1=x_star, contraction=make_contraction_half(),
+            max_outer=200, tol_step=0.0,
+        )
+        trace = run(cfg)
+        assert len(trace) == 200
+        assert np.all(trace.inner_iters == 1)
+        for n in (2, 3, 200):
+            want = implicit_step_affine_oracle(Q, b, cfg.scheme, cfg.schedule, n,
+                                               trace.x[n - 1], cfg.contraction)
+            assert np.linalg.norm(trace.x[n] - want) <= cfg.tol_inner
 
     def test_step_factor_uses_the_mapping_envelope(self):
         # the paper schedule's k_n = 1 + 2^-n is far below ||A^n|| = 1.9^n;
@@ -163,7 +219,7 @@ class TestImplicitStep:
             d = rng.integers(1, 4)
             A = rng.standard_normal((d, d))
             A *= 0.9 / max(1.0, np.linalg.norm(A, 2))
-            T = make_affine(A, rng.standard_normal(d))
+            T = picard_only(make_affine(A, rng.standard_normal(d)))
             cfg = SolverConfig(
                 scheme=SCHEMES["GVIM"], mapping=T, schedule=sched,
                 x1=rng.standard_normal(d), contraction=make_scaling_contraction(0.4),
@@ -201,7 +257,7 @@ class TestImplicitStep:
             A = rng.standard_normal((d, d))
             A *= rng.uniform(0.2, 1.0) / max(1.0, np.linalg.norm(A, 2))
             b = rng.standard_normal(d)
-            T = make_affine(A, b)
+            T = picard_only(make_affine(A, b))
             cfg = SolverConfig(
                 scheme=SCHEMES["AGVIM"], mapping=T, schedule=sched,
                 x1=rng.standard_normal(d), contraction=make_scaling_contraction(0.3),
@@ -211,6 +267,28 @@ class TestImplicitStep:
             got = implicit_step(cfg, n, x_n).x
             want = implicit_step_affine_oracle(A, b, cfg.scheme, sched, n, x_n, cfg.contraction)
             assert np.linalg.norm(got - want) <= cfg.tol_inner
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_affine_solve_takes_one_iteration(self, scheme):
+        # the solved warm start passes the a-posteriori bound at once
+        rng = np.random.default_rng(202)
+        sched = power_schedule(1.0, 0.25)
+        for _ in range(20):
+            d = rng.integers(1, 5)
+            A = rng.standard_normal((d, d))
+            A *= rng.uniform(0.2, 1.0) / max(1.0, np.linalg.norm(A, 2))
+            b = rng.standard_normal(d)
+            cfg = SolverConfig(
+                scheme=SCHEMES[scheme], mapping=make_affine(A, b), schedule=sched,
+                x1=rng.standard_normal(d), contraction=make_scaling_contraction(0.3),
+            )
+            n = int(rng.integers(2, 7))
+            x_n = rng.standard_normal(d)
+            res = implicit_step(cfg, n, x_n, collect_deltas=True)
+            assert res.inner_iters == 1
+            assert res.bound <= cfg.tol_inner < res.deltas[0] * res.q / (1.0 - res.q)
+            want = implicit_step_affine_oracle(A, b, cfg.scheme, sched, n, x_n, cfg.contraction)
+            assert np.linalg.norm(res.x - want) <= cfg.tol_inner
 
 
 class TestRun:
@@ -342,6 +420,15 @@ class TestRun:
         assert len(trace) == 10
         assert math.isnan(trace.res_power[7])
         assert not math.isnan(trace.res_power[3])
+
+    def test_buffers_grow_without_changing_the_trace(self, monkeypatch):
+        cfg = benchmark_cfg([0.5, 1.0])
+        want = run(cfg)
+        monkeypatch.setattr(solver, "_FIRST_ROWS", 2)  # doubles to 4, 8, 16, 18
+        got = run(cfg)
+        assert len(got) == len(want) == 18 and got.converged
+        for column in ("x", "step_norm", "res_map", "res_power", "inner_iters", "q", "a", "k"):
+            np.testing.assert_array_equal(getattr(got, column), getattr(want, column))
 
     def test_affine_power_run_memory_stays_flat(self):
         # T^n comes from T^(n-1) with one product; no earlier power is kept
