@@ -101,25 +101,26 @@ def cmd_run(args) -> int:
 def cmd_validate_schedule(args) -> int:
     try:
         cfg = load_config(args.config)
-        schedule = cfg.build_schedule()
-        contraction = cfg.build_contraction()
+        solver_cfgs = [cfg.build_solver_config(scheme) for scheme in cfg.schemes()]
     except MidpointError as exc:  # builders raise InvalidInputError too
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    alpha = contraction.alpha if contraction is not None else 0.5
     try:
-        report = validate(schedule, horizon=args.horizon, alpha=alpha)
+        reports = [validate(c, horizon=args.horizon) for c in solver_cfgs]
     except MidpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    width = max(len(label) for label, *_ in report.rows())
-    print(f"schedule family {schedule.family!r}, horizon {report.horizon}")
-    for label, status, value, at_n, detail in report.rows():
-        val = "" if value is None else f" value={value:.6g}"
-        at = "" if at_n is None else f" n={at_n}"
-        print(f"  {label:<{width}}  {status.upper():<7}{val}{at}  {detail}")
-    print(f"overall: {'PASS' if report.passed else 'FAIL'}")
-    return 0 if report.passed else 3
+    width = max(len(label) for label, *_ in reports[0].rows())
+    for c, report in zip(solver_cfgs, reports):
+        print(f"scheme {c.scheme.name}, mapping {c.mapping.name!r}, schedule family "
+              f"{c.schedule.family!r}, norm_p {c.norm.p:g}, horizon {report.horizon}")
+        for label, status, value, at_n, detail in report.rows():
+            val = "" if value is None else f" value={value:.6g}"
+            at = "" if at_n is None else f" n={at_n}"
+            print(f"  {label:<{width}}  {status.upper():<7}{val}{at}  {detail}")
+    passed = all(report.passed for report in reports)
+    print(f"overall: {'PASS' if passed else 'FAIL'}")
+    return 0 if passed else 3
 
 
 def cmd_compare(args) -> int:
@@ -165,10 +166,6 @@ def cmd_compare(args) -> int:
     return 2 if failures else 0
 
 
-def _round4(x: float) -> str:
-    return f"{x:.4f}"
-
-
 def cmd_reproduce_table1(args) -> int:
     out = _out_dir(None, args.out)
     schedule = paper_schedule()
@@ -207,7 +204,7 @@ def cmd_reproduce_table1(args) -> int:
     def table(title, cols):
         lines = [title, "| n | " + " | ".join(labels) + " |", "|---|" + "---|" * len(labels)]
         for i in range(_TABLE1_ROWS):
-            lines.append(f"| {i + 1} | " + " | ".join(_round4(c[i]) for c in cols) + " |")
+            lines.append(f"| {i + 1} | " + " | ".join(f"{c[i]:.4f}" for c in cols) + " |")
         return "\n".join(lines)
 
     md_parts = [
@@ -253,18 +250,13 @@ def cmd_reproduce_table1(args) -> int:
     discrepant = [lab for lab, d in vi_summary.items() if d["reference_verdict"] == "violated"]
     if discrepant:
         worst = min(vi_summary[lab]["reference_value_at_origin"] for lab in discrepant)
-        vi_lines.append(
-            "  note: the reference limits for "
-            + ", ".join(discrepant)
-            + f" violate the certificate with f(x) = x/2 (value {worst:g} at sample (0,0));"
-        )
-        vi_lines.append(
-            "  the certificate selects the origin instead. The tabulated quantity and limits"
-        )
-        vi_lines.append(
-            "  of the reference experiment are therefore reported under both interpretations"
-        )
-        vi_lines.append("  above rather than matched cell by cell.")
+        vi_lines += [
+            f"  note: the reference limits for {', '.join(discrepant)} violate the certificate"
+            f" with f(x) = x/2 (value {worst:g} at sample (0,0));",
+            "  the certificate selects the origin instead. The tabulated quantity and limits",
+            "  of the reference experiment are therefore reported under both interpretations",
+            "  above rather than matched cell by cell.",
+        ]
     for label, step in unconverged:
         vi_lines.append(
             f"  note: the run from {label} is not yet converged after {_TABLE1_ROWS} steps "
@@ -303,13 +295,12 @@ def cmd_verify_mapping(args) -> int:
 
 
 def _setup_logging():
-    level = os.environ.get("MIDPOINT_LOG", "off").lower()
-    if level == "debug":
-        logging.basicConfig(level=logging.DEBUG)
-    elif level == "info":
-        logging.basicConfig(level=logging.INFO)
-    else:
+    level = {"debug": logging.DEBUG, "info": logging.INFO}.get(
+        os.environ.get("MIDPOINT_LOG", "off").lower())
+    if level is None:
         logging.disable(logging.CRITICAL)
+    else:
+        logging.basicConfig(level=level)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -102,22 +102,16 @@ def sample_fixed_set_flip(count: int, seed: int, radius: float = 2.0) -> list:
     return out
 
 
-def iterate_bound(x1, p, contraction: Contraction, schedule=None,
-                  norm_spec: NormSpec = NormSpec()) -> float:
+def iterate_bound(x1, p, contraction: Contraction, norm_spec: NormSpec = NormSpec()) -> float:
     """A-priori radius around the fixed point p containing every iterate:
-    max(||x1 - p||, ||f(p) - p|| / (1 - alpha - eps)).
-
-    ``eps`` comes from the schedule when one is given, else defaults to
-    (1 - alpha) / 2. When p is also fixed under f the bound reduces to
-    the starting distance.
+    max(||x1 - p||, ||f(p) - p|| / (1 - alpha - eps)) with the slack
+    eps = (1 - alpha) / 2. When p is also fixed under f the bound reduces
+    to the starting distance.
     """
     x1 = as_vector(x1)
     p = as_vector(p, dim=x1.size)
     alpha = contraction.alpha
-    if schedule is not None:
-        eps = schedule.resolve_epsilon(alpha)
-    else:
-        eps = 0.5 * (1.0 - alpha)
+    eps = 0.5 * (1.0 - alpha)
     drift = norm(contraction(p) - p, norm_spec) / (1.0 - alpha - eps)
     return max(norm(x1 - p, norm_spec), drift)
 

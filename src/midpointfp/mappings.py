@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidInputError
-from .space import NormSpec, as_vector, norm
+from .space import as_vector, norm
 
 __all__ = [
     "Mapping",
@@ -41,14 +41,15 @@ __all__ = [
 class Mapping:
     """An operator T on R^d with its asymptotic envelope.
 
-    ``envelope(n)`` must bound ``||T^n x - T^n y|| / ||x - y||`` on the
-    mapping's sampling domain; it is the quantity :func:`verify_envelope`
-    checks. ``power`` is an optional closed form for T^n; when absent,
-    powers are evaluated by n-fold application. ``sample_domain`` draws
-    points from the region the envelope is declared on; when absent the
-    verifier samples a uniform box. ``affine_pair(n)``, when present,
-    returns (A_n, b_n) with T^n u = A_n u + b_n; the step solver then
-    solves each implicit step as a linear system.
+    ``envelope(n)`` must bound ``||T^n x - T^n y||_2 / ||x - y||_2`` on
+    the mapping's sampling domain; it is the quantity :func:`verify_envelope`
+    checks, and a run in another norm converts it (``SolverConfig.step_bound``).
+    ``power`` is an optional closed form for T^n; when absent, powers are
+    evaluated by n-fold application. ``sample_domain`` draws points from
+    the region the envelope is declared on; when absent the verifier
+    samples a uniform box. ``affine_pair(n)``, when present, returns
+    (A_n, b_n) with T^n u = A_n u + b_n; the step solver then solves each
+    implicit step as a linear system.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -286,8 +287,8 @@ class EnvelopeReport:
     def __str__(self):
         status = "pass" if self.passed else "FAIL"
         return (
-            f"envelope check: {status} (max excess {self.max_excess:.3e} at n={self.worst_n}, "
-            f"{self.samples} pairs, n_max={self.n_max}, tol={self.tol:g})"
+            f"envelope check: {status} in the 2-norm (max excess {self.max_excess:.3e} "
+            f"at n={self.worst_n}, {self.samples} pairs, n_max={self.n_max}, tol={self.tol:g})"
         )
 
 
@@ -299,9 +300,8 @@ def verify_envelope(
     radius: float = 2.0,
     envelope: Callable[[int], float] | None = None,
     tol: float = 1e-10,
-    norm_spec: NormSpec = NormSpec(),
 ) -> EnvelopeReport:
-    """Check ``||T^n u - T^n v|| <= k_n ||u - v||`` on random pairs.
+    """Check ``||T^n u - T^n v||_2 <= k_n ||u - v||_2`` on random pairs.
 
     Pairs are drawn from the mapping's own sampling domain when it
     declares one, else uniformly from [-radius, radius]^d; pairs closer
@@ -338,7 +338,7 @@ def verify_envelope(
     worst_n = 1
     worst_pair = pairs[0]
     per_power = {}
-    denoms = [norm(u - v, norm_spec) for u, v in pairs]
+    denoms = [norm(u - v) for u, v in pairs]
     images = list(pairs)  # (T^n u, T^n v) of each pair
     # n runs outermost so that each power is formed once, in the
     # sequential order closed-form powers are built in
@@ -353,7 +353,7 @@ def verify_envelope(
                 tu = np.asarray(mapping.apply(tu), dtype=float)
                 tv = np.asarray(mapping.apply(tv), dtype=float)
                 images[i] = (tu, tv)
-            excess = norm(tu - tv, norm_spec) / denoms[i] - k_n
+            excess = norm(tu - tv) / denoms[i] - k_n
             if excess > per_power.get(n, -np.inf):
                 per_power[n] = excess
             if excess > max_excess:

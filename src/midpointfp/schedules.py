@@ -1,19 +1,23 @@
-"""Parameter-sequence families and their validators.
+"""Parameter-sequence families and their validator.
 
 A :class:`Schedule` provides the four sequences a_n, b_n, c_n (simplex:
-a + b + c = 1) and k_n >= 1. :func:`validate` checks, over a finite
-horizon, the three convergence conditions on {a_n} and {k_n}, the
-simplex identity, well-posedness of the implicit step (q_n = c_n k_n / 2
-< 1), and a configurable geometric bound on sup k_n.
+a + b + c = 1) and k_n >= 1. :func:`validate` checks a run's
+configuration over a finite horizon: the three convergence conditions,
+the simplex identity, well-posedness of the implicit step (q_n < 1) and
+a geometric bound on sup k_n, with k_n and q_n read from the run's
+:class:`SolverConfig`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
 from .errors import InvalidInputError
+
+if TYPE_CHECKING:
+    from .solver import SolverConfig
 
 __all__ = [
     "Schedule",
@@ -28,6 +32,7 @@ __all__ = [
 
 # normal-structure coefficient of a Hilbert space
 HILBERT_NORMAL_STRUCTURE = math.sqrt(2.0)
+TOL_III = 1e-3  # condition (iii): largest tail ratio (k_n^2 - 1)/a_n that passes
 
 
 @dataclass(frozen=True)
@@ -36,9 +41,9 @@ class Schedule:
 
     ``family`` tags a registered parametric family ("paper", "power",
     "custom"); ``params`` keeps the defining constants so divergence of
-    the series sum(a_n) can be classified symbolically. ``epsilon`` is
-    the slack constant used in boundedness checks; when None it defaults
-    to (1 - alpha)/2 at the point of use.
+    the series sum(a_n) can be classified symbolically. ``k`` is an
+    envelope declared in the 2-norm; a run uses the larger of it and the
+    mapping's envelope (:meth:`SolverConfig.envelope`).
     """
 
     a: Callable[[int], float]
@@ -47,15 +52,6 @@ class Schedule:
     k: Callable[[int], float]
     family: str = "custom"
     params: dict = field(default_factory=dict)
-    epsilon: Optional[float] = None
-
-    def resolve_epsilon(self, alpha: float) -> float:
-        eps = self.epsilon if self.epsilon is not None else 0.5 * (1.0 - alpha)
-        if not (0.0 < eps < 1.0 - alpha):
-            raise InvalidInputError(
-                f"epsilon must lie in (0, 1 - alpha) = (0, {1.0 - alpha}), got {eps}"
-            )
-        return eps
 
 
 def paper_schedule(k: Callable[[int], float] | None = None) -> Schedule:
@@ -167,14 +163,11 @@ class ValidationReport:
             ("condition (ii): sum a_n = inf", self.condition_ii),
             ("condition (iii): (k_n^2 - 1)/a_n -> 0", self.condition_iii),
             ("simplex: a_n + b_n + c_n = 1", self.simplex),
-            ("wellposed: q_n = c_n k_n / 2 < 1", self.wellposed),
+            ("wellposed: q_n = cT k_p / 2 < 1", self.wellposed),
             ("normal structure: sup k_n <= N^(1/2)", self.normal_structure_bound),
             ("ranges on tail", self.ranges),
         ]
-        return [
-            (label, r.status, r.value, r.at_n, r.detail)
-            for label, r in named
-        ]
+        return [(label, r.status, r.value, r.at_n, r.detail) for label, r in named]
 
 
 def _monotone_nonincreasing(vals, start_n):
@@ -185,15 +178,13 @@ def _monotone_nonincreasing(vals, start_n):
     return None
 
 
-def validate(
-    sched: Schedule,
-    horizon: int,
-    alpha: float,
-    normal_structure: float = HILBERT_NORMAL_STRUCTURE,
-    tol_iii: float = 1e-3,
-) -> ValidationReport:
-    """Check the schedule over n = 1..horizon.
+def validate(cfg: SolverConfig, horizon: int) -> ValidationReport:
+    """Check a run's configuration over n = 1..horizon.
 
+    Conditions (i), (ii) and the simplex identity read the schedule;
+    condition (iii), the normal-structure bound and k >= 1 read the
+    declared 2-norm ``cfg.envelope(n)``; well-posedness reads the q_n that
+    ``run`` checks, in the run's norm.
     Tail-limit conditions are checked on the second half of the horizon,
     since the underlying requirements only bind for sufficiently large n.
     Divergence of sum(a_n) is classified symbolically for registered
@@ -203,12 +194,12 @@ def validate(
     """
     if horizon < 10:
         raise InvalidInputError(f"validation horizon must be >= 10, got {horizon}")
-    sched.resolve_epsilon(alpha)  # surfaces an out-of-range epsilon early
+    sched = cfg.schedule
     ns = range(1, horizon + 1)
     a = [sched.a(n) for n in ns]
     b = [sched.b(n) for n in ns]
     c = [sched.c(n) for n in ns]
-    k = [sched.k(n) for n in ns]
+    k = [cfg.envelope(n) for n in ns]
 
     half = horizon // 2
     tail = slice(half - 1, horizon)  # 0-based slice covering n = half..horizon
@@ -249,13 +240,13 @@ def validate(
     if bad_n is not None:
         cond_iii = CheckResult("fail", r_end, horizon,
                                f"ratio increases at n={bad_n}; tail value {r_end:.3e}")
-    elif r_end <= tol_iii:
-        first_ok = next(n for n in range(half, horizon + 1) if ratio[n - 1] <= tol_iii)
+    elif r_end <= TOL_III:
+        first_ok = next(n for n in range(half, horizon + 1) if ratio[n - 1] <= TOL_III)
         cond_iii = CheckResult("pass", r_end, horizon,
-                               f"tail ratio {r_end:.3e} <= {tol_iii:g} (holds from n={first_ok})")
+                               f"tail ratio {r_end:.3e} <= {TOL_III:g} (holds from n={first_ok})")
     else:
         cond_iii = CheckResult("fail", r_end, horizon,
-                               f"tail ratio {r_end:.3e} exceeds {tol_iii:g}")
+                               f"tail ratio {r_end:.3e} exceeds {TOL_III:g}")
 
     # simplex, pointwise over the whole horizon
     worst = 0.0
@@ -271,8 +262,8 @@ def validate(
     else:
         simplex = CheckResult("pass", worst, worst_n, "pointwise to 1e-12")
 
-    # wellposedness of the implicit step
-    q = [0.5 * cc * kk for cc, kk in zip(c, k)]
+    # wellposedness of the implicit step, by the q_n that run checks
+    q = [cfg.step_contraction_factor(n) for n in ns]
     q_max = max(q)
     q_arg = q.index(q_max) + 1
     if q_max < 1.0:
@@ -286,12 +277,12 @@ def validate(
     # example itself exceeds the Hilbert value)
     sup_k = max(k)
     sup_arg = k.index(sup_k) + 1
-    bound = normal_structure ** 0.5
+    bound = HILBERT_NORMAL_STRUCTURE ** 0.5
     if sup_k <= bound:
-        nsb = CheckResult("pass", sup_k, sup_arg, f"sup k_n = {sup_k:.6f} <= {bound:.6f}")
+        nsb = CheckResult("pass", sup_k, sup_arg, f"sup k_n = {sup_k:.6g} <= {bound:.6f}")
     else:
         nsb = CheckResult("warn", sup_k, sup_arg,
-                          f"sup k_n = {sup_k:.6f} exceeds N^(1/2) = {bound:.6f}")
+                          f"sup k_n = {sup_k:.6g} exceeds N^(1/2) = {bound:.6f}")
 
     # informational range check on the tail half
     rng_bad = None

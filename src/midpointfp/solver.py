@@ -8,9 +8,9 @@ for x, where the coefficient triple (cf, cx, cT) and the power p depend
 on the scheme (see :data:`SCHEMES`). The step map is a contraction with
 factor q_n = cT * k_p / 2 whenever q_n < 1, so the step is solved by
 Picard iteration warm-started at x_n with the standard a-posteriori
-error bound q/(1-q) * ||y_m - y_{m-1}|| as the stopping rule. k_p is the
-larger of the schedule's k_p and the mapping's envelope, and q_n < 1 is
-checked as step n is reached.
+error bound q/(1-q) * ||y_m - y_{m-1}|| as the stopping rule. k_p and
+q_n come from :class:`SolverConfig` alone, and q_n < 1 is checked as
+step n is reached.
 
 For affine T (a mapping with ``affine_pair``) the step is the linear
 system (I - (cT/2) A_p) x = cf f(x_n) + cx x_n + cT (A_p x_n / 2 + b_p).
@@ -138,13 +138,33 @@ class SolverConfig:
         if self.scheme.viscosity and self.contraction is None:
             raise InvalidInputError(f"scheme {self.scheme.name} needs a contraction")
 
-    def step_contraction_factor(self, n: int) -> float:
-        """q_n for this scheme: operator coefficient times k_p / 2, with k_p
-        the larger of the schedule's k_p and the mapping's envelope(p), so
-        that q_n bounds the step map for the mapping actually supplied."""
+    def envelope(self, p: int, rho: float = 1.0) -> float:
+        """k_p as declared, in the 2-norm that :func:`verify_envelope` checks:
+        the larger of the schedule's k_p and rho times the mapping's
+        envelope(p); inf when it overflows a float."""
+        try:
+            return max(self.schedule.k(p), rho * self.mapping.envelope(p))
+        except OverflowError:  # e.g. the default affine envelope 1.9 ** 1107
+            return math.inf
+
+    def step_bound(self, n: int) -> tuple[float, float]:
+        """(q_n, k_p) for this scheme's step n: q_n = cT * k_p / 2, with k_p
+        bounding T^p in the run's r-norm, so that q_n bounds the step map for
+        the mapping actually supplied. At r = inf an affine map uses its
+        exact ||A_p||_inf; otherwise the mapping's 2-norm envelope is scaled
+        by rho = d^|1/r - 1/2| (p-norm equivalence, Higham, Accuracy and
+        Stability of Numerical Algorithms, ch. 6; rho = 1 at r = 2)."""
         _, _, cT = self.scheme.coefficients(self.schedule, n)
-        p = self.scheme.power(n)
-        return 0.5 * cT * max(self.schedule.k(p), self.mapping.envelope(p))
+        p, r, pair = self.scheme.power(n), self.norm.p, self.mapping.affine_pair
+        if math.isinf(r) and pair is not None:  # NaN once A_p overflows
+            lip = float(np.linalg.norm(pair(p)[0], np.inf))
+            k = math.inf if math.isnan(lip) else max(self.schedule.k(p), lip)
+        else:
+            k = self.envelope(p, self.mapping.domain_dim ** abs(1.0 / r - 0.5))
+        return 0.5 * cT * k, k
+
+    def step_contraction_factor(self, n: int) -> float:
+        return self.step_bound(n)[0]
 
 
 @dataclass(frozen=True)
@@ -152,6 +172,7 @@ class StepResult:
     x: np.ndarray
     inner_iters: int
     q: float
+    k: float
     bound: float
     deltas: Optional[list] = None
 
@@ -176,7 +197,7 @@ def implicit_step(cfg: SolverConfig, n: int, x_n, collect_deltas: bool = False) 
     x_n = as_vector(x_n, dim=cfg.mapping.domain_dim)
     cf, cx, cT = cfg.scheme.coefficients(cfg.schedule, n)
     p = cfg.scheme.power(n)
-    q = cfg.step_contraction_factor(n)
+    q, k = cfg.step_bound(n)
     if q >= 1.0:
         raise IllPosedError(
             f"implicit step not a contraction at n={n}: q_n = {q:.6f} >= 1", n=n, q=q
@@ -188,7 +209,7 @@ def implicit_step(cfg: SolverConfig, n: int, x_n, collect_deltas: bool = False) 
 
     if cT == 0.0:
         # operator term absent: the step map is constant
-        return StepResult(x=base, inner_iters=1, q=q, bound=0.0,
+        return StepResult(x=base, inner_iters=1, q=q, k=k, bound=0.0,
                           deltas=[] if collect_deltas else None)
 
     power = power_operator(cfg.mapping, p, cap=cfg.power_cap)
@@ -217,7 +238,7 @@ def implicit_step(cfg: SolverConfig, n: int, x_n, collect_deltas: bool = False) 
         y = y_new
         bound = factor * delta
         if bound <= cfg.tol_inner:
-            return StepResult(x=y, inner_iters=m, q=q, bound=bound, deltas=deltas)
+            return StepResult(x=y, inner_iters=m, q=q, k=k, bound=bound, deltas=deltas)
         if pair is not None and y1 is None:
             y1, y, m = y, _solve_affine_step(pair(p), cT, base, x_n, n, q), 0
     raise InnerBudgetError(
@@ -284,7 +305,8 @@ class Trace:
     ``x`` stacks the iterates x_1 .. x_{N+1} row-wise; every other column
     holds one value per step n = 1..N. res_map is ||x_n - T x_n||,
     res_power is ||x_n - T^n x_n|| (NaN when the power is uncomputable
-    under the configured cap), and a, b, c, k are the schedule's values.
+    under the configured cap), a, b, c are the schedule's values, and k
+    is the step's k_p, so that q = cT k / 2.
     """
 
     x: np.ndarray
@@ -328,8 +350,8 @@ def run(cfg: SolverConfig) -> Trace:
     needs ||x_n - T x_n|| <= tol_step. Well-posedness is checked as each
     step is reached: IllPosedError(n, q) is raised when q_n >= 1, before
     step n is solved, so a run that stops earlier returns normally.
-    :func:`~midpointfp.schedules.validate` checks the schedule's q_n over
-    a whole horizon upfront.
+    :func:`~midpointfp.schedules.validate` checks the same q_n over a
+    whole horizon upfront.
     """
     total = cfg.max_outer
     rows = min(total, _FIRST_ROWS)
@@ -353,7 +375,7 @@ def run(cfg: SolverConfig) -> Trace:
             rows = min(2 * rows, total)
             xs, stats, iters = _grown(xs, rows + 1), _grown(stats, rows), _grown(iters, rows)
         stats[n - 1] = (step_norm, res_map, res_power, step.q,
-                        sched.a(n), sched.b(n), sched.c(n), sched.k(n))
+                        sched.a(n), sched.b(n), sched.c(n), step.k)
         iters[n - 1] = step.inner_iters
         x = xs[n] = step.x
         # a step without the operator term (cT = 0) can stand still off the

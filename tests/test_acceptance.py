@@ -209,20 +209,25 @@ def test_criterion_5_schedule_validator():
     ok = True
     details = []
 
-    rep = validate(paper_schedule(), horizon=1000, alpha=0.5)
+    def on_unit_flip(sched):
+        # the flip map declared with envelope 1, so the run's k_n is the schedule's
+        return replace(benchmark_cfg(STARTS[0]), mapping=make_flip_map(envelope=lambda n: 1.0),
+                       schedule=sched)
+
+    rep = validate(on_unit_flip(paper_schedule()), horizon=1000)
     if not (rep.condition_i.ok and rep.condition_ii.ok and rep.condition_iii.ok
             and rep.simplex.ok and rep.wellposed.ok
             and rep.normal_structure_bound.status == "warn" and rep.passed):
         ok = False
         details.append("benchmark schedule did not pass with structure warning")
 
-    rep = validate(power_schedule(2.0, 0.0), horizon=1000, alpha=0.5)
+    rep = validate(on_unit_flip(power_schedule(2.0, 0.0)), horizon=1000)
     if rep.condition_ii.status != "fail":
         ok = False
         details.append("a_n = 1/n^2 not flagged for convergent series")
 
     sched = power_schedule(2.0, 0.0, k=lambda n: 1.0 + 1.0 / n)
-    rep = validate(sched, horizon=1000, alpha=0.5)
+    rep = validate(on_unit_flip(sched), horizon=1000)
     ratio_end = rep.condition_iii.value
     ratio_mid = (sched.k(500) ** 2 - 1.0) / sched.a(500)
     linear_growth = abs(ratio_end / ratio_mid - 2.0) < 0.05  # ratio ~ 2n
@@ -241,7 +246,7 @@ def test_criterion_6_boundedness(benchmark_default_traces):
     ok = True
     details = []
     for x1, trace in zip(STARTS, benchmark_default_traces):
-        bound = iterate_bound(x1, p, f, schedule=paper_schedule())
+        bound = iterate_bound(x1, p, f)
         assert bound == norm(np.asarray(x1))  # f fixes p, so the radius is ||x1||
         worst = max(norm(x - p) for x in trace.x)
         if worst > bound + 1e-9:

@@ -217,6 +217,38 @@ class TestValidateScheduleCommand:
         assert "n=7" in capsys.readouterr().out
 
 
+    def test_mapping_envelope_fails_what_run_refuses(self, tmp_path, capsys):
+        # the paper schedule alone is well posed, but A's envelope 1.9^n
+        # gives q_3 = 1.714750, where run stops; from n = 1107 on, 1.9^n
+        # overflows a float and reads inf
+        data = {**BENCHMARK, "mapping": {"kind": "affine", "A": [[1.9, 0.0], [0.0, 0.1]],
+                                         "b": [0.0, 0.0]}, "x1": [1.0, 1.0]}
+        path = write_config(tmp_path, data)
+        code = main(["validate-schedule", "--config", path, "--horizon", "2000"])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert "q_n >= 1 first at n=3" in out
+        assert "overall: FAIL" in out
+        assert main(["run", "--config", path, "--out", str(tmp_path)]) == 1
+        assert "q_n = 1.714750 >= 1" in capsys.readouterr().err
+
+    def test_flip_passes_in_the_max_norm(self, tmp_path, capsys):
+        # the flip map's envelope is a 2-norm declaration: conditions (iii)
+        # and the normal-structure bound read it unscaled, q_n in norm_p
+        path = write_config(tmp_path, {**BENCHMARK, "norm_p": math.inf})
+        assert main(["validate-schedule", "--config", path, "--horizon", "1000"]) == 0
+        out = capsys.readouterr().out
+        assert "norm_p inf, horizon 1000" in out
+        assert "overall: PASS" in out
+
+    def test_every_configured_scheme_is_checked(self, tmp_path, capsys):
+        path = write_config(tmp_path, {**BENCHMARK, "scheme": ["GVIM", "AGVIM"]})
+        assert main(["validate-schedule", "--config", path, "--horizon", "100"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("mapping 'flip', schedule family 'paper', norm_p 2, horizon 100") == 2
+        assert out.index("scheme GVIM,") < out.index("scheme AGVIM,")
+
+
 class TestCompareCommand:
     def test_three_scheme_csv(self, tmp_path):
         data = {**BENCHMARK, "scheme": ["VIM", "GVIM", "AGVIM"], "max_outer": 30,
@@ -301,6 +333,17 @@ class TestVerifyMappingCommand:
         code = main(["verify-mapping", "--config", path, "--seed", "3"])
         assert code == 0
         assert "pass" in capsys.readouterr().out
+
+    def test_check_is_stated_in_the_two_norm(self, tmp_path, capsys):
+        # envelope 1 holds for a rotation in the 2-norm, not in norm_p = inf;
+        # the run scales it, and the report says which norm it checked
+        c = 0.5 ** 0.5
+        data = {**BENCHMARK, "norm_p": math.inf, "x1": [1.0, 0.3],
+                "mapping": {"kind": "affine", "A": [[c, -c], [c, c]], "b": [0.0, 0.0],
+                            "envelope": "unit"}}
+        path = write_config(tmp_path, data)
+        assert main(["verify-mapping", "--config", path, "--seed", "3"]) == 0
+        assert "envelope check: pass in the 2-norm (" in capsys.readouterr().out
 
     def test_doubling_with_unit_envelope_fails(self, tmp_path, capsys):
         data = dict(BENCHMARK)

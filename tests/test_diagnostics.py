@@ -125,14 +125,18 @@ class TestCompareSchemes:
         assert "GVIM" in md and "VIM" in md
 
     def test_schedule_values_shared_bitwise(self):
-        report = compare_schemes(_flip_cfg([0.5, 1.0], steps=20),
-                                 [SCHEMES["VIM"], SCHEMES["GVIM"], SCHEMES["AGVIM"]])
+        cfg = _flip_cfg([0.5, 1.0], steps=20)
+        report = compare_schemes(cfg, [SCHEMES["VIM"], SCHEMES["GVIM"], SCHEMES["AGVIM"]])
         traces = [r.trace for r in report.runs]
         for i in range(20):
             a_vals = {t.a[i] for t in traces}
             b_vals = {t.b[i] for t in traces}
-            k_vals = {t.k[i] for t in traces}
-            assert len(a_vals) == len(b_vals) == len(k_vals) == 1
+            c_vals = {t.c[i] for t in traces}
+            assert len(a_vals) == len(b_vals) == len(c_vals) == 1
+        # k is each step's k_p: k_1 for single-application schemes, k_n for AGVIM
+        for r in report.runs:
+            powers = [SCHEMES[r.scheme].power(n) for n in range(1, 21)]
+            assert r.trace.k.tolist() == [cfg.envelope(p) for p in powers]
 
     def test_fixed_start_hits_all_thresholds_immediately(self):
         cfg = _flip_cfg([0.0, 0.0], steps=10)
@@ -186,16 +190,6 @@ class TestIterateBound:
         p = np.array([1.0, -1.0])
         drift = (np.sqrt(2.0) / 2.0) / 0.25
         assert iterate_bound(p, p, f) == pytest.approx(drift, rel=1e-12)
-
-    def test_epsilon_from_schedule(self):
-        from midpointfp.schedules import power_schedule
-        from dataclasses import replace as dreplace
-
-        f = make_contraction_half()
-        sched = dreplace(power_schedule(1.0, 0.0), epsilon=0.1)
-        p = np.array([1.0, -1.0])
-        expected = (np.sqrt(2.0) / 2.0) / (1.0 - 0.5 - 0.1)
-        assert iterate_bound(p, p, f, schedule=sched) == pytest.approx(expected, rel=1e-12)
 
 
 class TestEstimateRate:

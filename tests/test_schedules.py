@@ -1,22 +1,25 @@
 import math
 
+import numpy as np
 import pytest
 
-from midpointfp.errors import InvalidInputError
-from midpointfp.mappings import make_contraction_half, make_flip_map
+from midpointfp.errors import IllPosedError, InvalidInputError
+from midpointfp.mappings import make_affine, make_contraction_half, make_flip_map
 from midpointfp.schedules import (
     custom_schedule,
     paper_schedule,
     power_schedule,
     validate,
 )
-from midpointfp.solver import SCHEMES, SolverConfig
+from midpointfp.solver import SCHEMES, SolverConfig, run
+from midpointfp.space import NormSpec
 
 
 def agvim_flip(schedule):
-    """AGVIM on the flip map, whose envelope equals the paper schedule's k_n."""
-    return SolverConfig(scheme=SCHEMES["AGVIM"], mapping=make_flip_map(), schedule=schedule,
-                        x1=[0.5, 1.0], contraction=make_contraction_half())
+    """AGVIM on the flip map declared with envelope 1, so that the run's
+    k_n is the schedule's k_n."""
+    return SolverConfig(scheme=SCHEMES["AGVIM"], mapping=make_flip_map(envelope=lambda n: 1.0),
+                        schedule=schedule, x1=[0.5, 1.0], contraction=make_contraction_half())
 
 
 class TestBenchmarkFamily:
@@ -91,7 +94,7 @@ class TestCustomFamily:
 
 class TestValidate:
     def test_paper_schedule_passes_with_structure_warning(self):
-        report = validate(paper_schedule(), horizon=1000, alpha=0.5)
+        report = validate(agvim_flip(paper_schedule()), horizon=1000)
         assert report.condition_i.status == "pass"
         assert report.condition_ii.status == "pass"
         assert report.condition_iii.status == "pass"
@@ -106,56 +109,104 @@ class TestValidate:
         assert report.passed
 
     def test_fast_decay_fails_divergence(self):
-        report = validate(power_schedule(2.0, 0.0), horizon=1000, alpha=0.5)
+        report = validate(agvim_flip(power_schedule(2.0, 0.0)), horizon=1000)
         assert report.condition_ii.status == "fail"
         assert not report.passed
 
     def test_slow_envelope_fails_ratio(self):
         # k_n = 1 + 1/n with a_n = 1/n^2: ratio (k^2-1)/a ~ 2n grows
         sched = power_schedule(2.0, 0.0, k=lambda n: 1.0 + 1.0 / n)
-        report = validate(sched, horizon=1000, alpha=0.5)
+        report = validate(agvim_flip(sched), horizon=1000)
         assert report.condition_iii.status == "fail"
         assert report.condition_iii.value > 1000  # ~ 2 * horizon at the tail
 
     def test_slow_power_family_passes_i(self):
-        report = validate(power_schedule(0.5, 0.0), horizon=1000, alpha=0.5)
+        report = validate(agvim_flip(power_schedule(0.5, 0.0)), horizon=1000)
         assert report.condition_i.status == "pass"
         assert report.condition_ii.status == "pass"
 
     def test_nonvanishing_a_fails_i(self):
         sched = custom_schedule([[0.5, 0.25, 0.25, 1.0]] * 200)
-        report = validate(sched, horizon=200, alpha=0.5)
+        report = validate(agvim_flip(sched), horizon=200)
         assert report.condition_i.status == "fail"
         assert report.condition_ii.status == "unknown"
 
     def test_custom_simplex_violation_names_n(self):
         rows = [[0.5, 0.25, 0.25, 1.0]] * 20
         rows[4] = [0.5, 0.3, 0.25, 1.0]  # n = 5 breaks the simplex
-        report = validate(custom_schedule(rows), horizon=20, alpha=0.5)
+        report = validate(agvim_flip(custom_schedule(rows)), horizon=20)
         assert report.simplex.status == "fail"
         assert report.simplex.at_n == 5
         assert not report.passed
 
     def test_illposed_schedule_fails_wellposed(self):
         rows = [[0.1, 0.0, 0.9, 4.0]] * 20
-        report = validate(custom_schedule(rows), horizon=20, alpha=0.5)
+        report = validate(agvim_flip(custom_schedule(rows)), horizon=20)
         assert report.wellposed.status == "fail"
         assert report.wellposed.at_n == 1
         assert report.wellposed.value >= 1.0
 
     def test_horizon_guard(self):
         with pytest.raises(InvalidInputError):
-            validate(paper_schedule(), horizon=5, alpha=0.5)
-
-    def test_epsilon_resolution(self):
-        s = paper_schedule()
-        assert s.resolve_epsilon(0.5) == 0.25
-        bad = power_schedule(1.0, 0.0)
-        object.__setattr__(bad, "epsilon", 0.9)
-        with pytest.raises(InvalidInputError):
-            bad.resolve_epsilon(0.5)
+            validate(agvim_flip(paper_schedule()), horizon=5)
 
     def test_normal_structure_pass_for_unit_envelope(self):
-        report = validate(power_schedule(1.0, 0.0), horizon=100, alpha=0.5,
-                          normal_structure=math.sqrt(2.0))
+        report = validate(agvim_flip(power_schedule(1.0, 0.0)), horizon=100)
         assert report.normal_structure_bound.status == "pass"
+
+
+class TestValidateAgreesWithRun:
+    """validate reads the q_n that run checks: mapping, scheme and norm."""
+
+    @staticmethod
+    def diag_cfg(scheme, x1, steps):
+        return SolverConfig(
+            scheme=SCHEMES[scheme], mapping=make_affine(np.diag([1.9, 0.1]), [0.0, 0.0]),
+            schedule=paper_schedule(), x1=x1, contraction=make_contraction_half(),
+            max_outer=steps, tol_step=0.0,
+        )
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_wellposed_fails_where_run_stops(self, scheme):
+        # the default envelope 1.9^p of A dominates the schedule's k_p, so
+        # the power schemes stop at n = 3 and the others run 50 steps; x1
+        # has no e1 part, so no iterate grows along A's expanding axis
+        cfg = self.diag_cfg(scheme, [0.0, 1.0], 50)
+        report = validate(cfg, horizon=50)
+        if SCHEMES[scheme].use_power:
+            with pytest.raises(IllPosedError, match="not a contraction") as err:
+                run(cfg)
+            assert report.wellposed.status == "fail"
+            assert (report.wellposed.at_n, report.wellposed.value) == (3, err.value.q)
+            assert err.value.n == 3
+        else:
+            trace = run(cfg)
+            assert len(trace) == 50
+            assert report.wellposed.status == "pass"
+            assert report.wellposed.value == max(trace.q)
+
+    @pytest.mark.xfail(raises=IllPosedError, strict=True,
+                       reason="tol_inner is absolute (ROADMAP item 2): once the iterates "
+                              "grow, rounding in the step exceeds it and the pair check fails")
+    @pytest.mark.parametrize("scheme", ["VIM", "GVIM"])
+    def test_growing_iterates_run_to_the_budget(self, scheme):
+        # q_n < 1 on every step, but the e1 part of x1 grows like 19^n
+        cfg = self.diag_cfg(scheme, [1.0, 1.0], 50)
+        assert validate(cfg, horizon=50).wellposed.status == "pass"
+        assert len(run(cfg)) == 50
+
+    def test_only_wellposedness_reads_the_run_norm(self):
+        # k_n for conditions (iii) and the normal-structure bound is the
+        # declared 2-norm envelope; the run's max norm enters through q_n
+        c = s = np.sqrt(0.5)
+        rotation = make_affine([[c, -s], [s, c]], [0.0, 0.0], envelope=lambda n: 1.0)
+        for mapping in (rotation, make_flip_map()):
+            cfg = SolverConfig(scheme=SCHEMES["AGVIM"], mapping=mapping,
+                               schedule=paper_schedule(), x1=[1.0, 0.3],
+                               contraction=make_contraction_half(), norm=NormSpec(math.inf))
+            report = validate(cfg, horizon=1000)
+            assert report.passed
+            assert report.condition_iii.status == "pass"
+            assert report.normal_structure_bound.value == 1.5
+            assert report.wellposed.value == max(cfg.step_contraction_factor(n)
+                                                 for n in range(1, 1001))

@@ -13,6 +13,7 @@ from midpointfp.mappings import (
     make_affine,
     make_contraction_half,
     make_flip_map,
+    make_scaling,
     make_scaling_contraction,
 )
 from midpointfp.schedules import custom_schedule, paper_schedule, power_schedule
@@ -24,6 +25,7 @@ from midpointfp.solver import (
     run,
     scheme_by_name,
 )
+from midpointfp.space import NormSpec, norm
 
 
 def picard_only(mapping):
@@ -199,6 +201,45 @@ class TestImplicitStep:
         with pytest.raises(IllPosedError, match="not a contraction") as err:
             run(cfg)
         assert err.value.n == 3
+
+    @pytest.mark.parametrize("norm_p", [math.inf, 1.5, 3.0])
+    def test_rotation_runs_in_a_non_euclidean_norm(self, norm_p):
+        # ||R||_2 = 1 but ||R||_inf = sqrt(2) for a 45 degree rotation: k_p
+        # is ||R^p||_inf at r = inf, and the 2-norm envelope times
+        # rho = 2^|1/r - 1/2| otherwise, so q_n bounds the step map in the
+        # norm the run measures in
+        c = s = math.sqrt(0.5)
+        R = np.array([[c, -s], [s, c]])
+        spec = NormSpec(norm_p)
+        cfg = SolverConfig(
+            scheme=SCHEMES["AGVIM"], mapping=make_affine(R, [0.0, 0.0]),
+            schedule=paper_schedule(), x1=[1.0, 0.3], contraction=make_contraction_half(),
+            max_outer=200, tol_step=0.0, norm=spec,
+        )
+        trace = run(cfg)
+        assert len(trace) == 200
+        assert max(trace.q) < 1.0
+        np.testing.assert_array_equal(trace.q, 0.5 * trace.c * trace.k)
+        for n in range(1, 201):
+            want = implicit_step_affine_oracle(R, [0.0, 0.0], cfg.scheme, cfg.schedule, n,
+                                               trace.x[n - 1], cfg.contraction)
+            assert norm(trace.x[n] - want, spec) <= cfg.tol_inner
+
+    def test_max_norm_bound_of_an_affine_map_is_exact(self):
+        # ||(0.5 I)^p||_inf = 0.5^p, so at r = inf q_n is the 2-norm q_n; at
+        # r = 3 the envelope 1 is scaled by rho = 100^(1/6), and the run is
+        # refused from n = 14 on, where q_n = (1 - 1/n) rho / 2 reaches 1
+        def cfg(r):
+            return SolverConfig(scheme=SCHEMES["VIM"], mapping=make_scaling(0.5, 100),
+                                schedule=paper_schedule(), x1=np.ones(100),
+                                contraction=make_contraction_half(), norm=NormSpec(r))
+        for n in range(1, 50):
+            assert cfg(math.inf).step_bound(n) == cfg(2.0).step_bound(n)
+        assert run(cfg(math.inf)).converged
+        assert cfg(3.0).step_bound(2)[1] == 100 ** (1.0 / 6.0)
+        with pytest.raises(IllPosedError, match="not a contraction") as err:
+            run(cfg(3.0))
+        assert err.value.n == 14
 
     def test_nonfinite_delta_raises_illposed(self):
         blowup = Mapping(apply=lambda u: u, envelope=lambda n: 1.0, domain_dim=2,
