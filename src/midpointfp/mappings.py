@@ -10,6 +10,7 @@ alpha < 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
@@ -17,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidInputError
-from .space import as_vector, norm
+from .space import as_vector, norm, norm_kernel
 
 __all__ = [
     "Mapping",
@@ -307,7 +308,10 @@ def verify_envelope(
     declares one, else uniformly from [-radius, radius]^d; pairs closer
     than 1e-9 are discarded to avoid ratio blowup. Reports the maximum
     over samples and n <= n_max of ratio - k_n; passes iff <= ``tol``.
-    A violating mapping yields a failing report, not an exception.
+    Each drawn stack of sample points is checked once and a closed-form
+    power is bound once per n: 2 * samples * n_max power evaluations. An
+    exceeded envelope yields a failing report; a malformed or non-finite
+    sample stack, or a NaN or Inf image T^n u, raises InvalidInputError.
     """
     if n_max < 1 or samples < 1:
         raise InvalidInputError("n_max and samples must be >= 1")
@@ -315,51 +319,54 @@ def verify_envelope(
     rng = np.random.default_rng(seed)
     d = mapping.domain_dim
 
-    def draw(count):
-        if mapping.sample_domain is not None:
-            return mapping.sample_domain(rng, count)
-        return rng.uniform(-radius, radius, size=(count, d))
+    def draw():
+        if mapping.sample_domain is None:
+            return rng.uniform(-radius, radius, size=(samples, d))
+        pts = np.asarray(mapping.sample_domain(rng, samples), dtype=float)
+        if pts.shape != (samples, d) or not np.all(np.isfinite(pts)):
+            raise InvalidInputError(f"sample points must be {samples} finite points in R^{d}, "
+                                    f"got an array of shape {pts.shape}")
+        return pts
 
-    pairs = []
+    us, vs = np.empty((0, d)), np.empty((0, d))
     guard = 0
-    while len(pairs) < samples and guard < 100 * samples + 100:
-        us = draw(samples)
-        vs = draw(samples)
-        for u, v in zip(us, vs):
-            if np.linalg.norm(u - v) >= 1e-9:
-                pairs.append((u, v))
-                if len(pairs) == samples:
-                    break
+    while len(us) < samples and guard < 100 * samples + 100:
+        u, v = draw(), draw()
+        keep = np.linalg.norm(u - v, axis=1) >= 1e-9
+        us, vs = np.concatenate((us, u[keep])), np.concatenate((vs, v[keep]))
         guard += samples
-    if len(pairs) < samples:
+    if len(us) < samples:
         raise InvalidInputError("could not draw enough well-separated sample pairs")
+    pairs = list(zip(us[:samples], vs[:samples]))
 
+    size = norm_kernel()  # bit-identical to norm for the 2-norm
     max_excess = -np.inf
     worst_n = 1
     worst_pair = pairs[0]
     per_power = {}
-    denoms = [norm(u - v) for u, v in pairs]
+    denoms = [size(u - v) for u, v in pairs]
     images = list(pairs)  # (T^n u, T^n v) of each pair
     # n runs outermost so that each power is formed once, in the
     # sequential order closed-form powers are built in
     for n in range(1, n_max + 1):
         k_n = env(n)
-        for i, (u, v) in enumerate(pairs):
-            if mapping.power is not None:
-                tu = apply_power(mapping, n, u)
-                tv = apply_power(mapping, n, v)
-            else:
-                tu, tv = images[i]
-                tu = np.asarray(mapping.apply(tu), dtype=float)
-                tv = np.asarray(mapping.apply(tv), dtype=float)
-                images[i] = (tu, tv)
-            excess = norm(tu - tv) / denoms[i] - k_n
+        if mapping.power is not None:  # T^n of the pair
+            step, sources = partial(mapping.power, n), pairs
+        else:  # T of (T^(n-1) u, T^(n-1) v)
+            step, sources = mapping.apply, images
+        for i, (u, v) in enumerate(sources):
+            tu, tv = np.asarray(step(u), dtype=float), np.asarray(step(v), dtype=float)
+            images[i] = (tu, tv)
+            dist = size(tu - tv)
+            if not math.isfinite(dist):
+                dist = norm(tu - tv)  # raises on a NaN or Inf image
+            excess = dist / denoms[i] - k_n
             if excess > per_power.get(n, -np.inf):
                 per_power[n] = excess
             if excess > max_excess:
                 max_excess = excess
                 worst_n = n
-                worst_pair = (u.copy(), v.copy())
+                worst_pair = (pairs[i][0].copy(), pairs[i][1].copy())
     return EnvelopeReport(
         passed=bool(max_excess <= tol),
         max_excess=float(max_excess),

@@ -263,7 +263,8 @@ def validate(cfg: SolverConfig, horizon: int) -> ValidationReport:
         simplex = CheckResult("pass", worst, worst_n, "pointwise to 1e-12")
 
     # wellposedness of the implicit step, by the q_n that run checks
-    q = [cfg.step_contraction_factor(n) for n in ns]
+    q = [cfg.step_bound(n, cfg.scheme.coefficients_from(*abc)[2])[0]
+         for n, abc in enumerate(zip(a, b, c), start=1)]
     q_max = max(q)
     q_arg = q.index(q_max) + 1
     if q_max < 1.0:

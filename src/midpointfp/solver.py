@@ -69,11 +69,14 @@ class Scheme:
 
     def coefficients(self, sched: Schedule, n: int) -> tuple[float, float, float]:
         """(cf, cx, cT) for step n."""
-        a = sched.a(n)
+        return self.coefficients_from(sched.a(n), sched.b(n), sched.c(n))
+
+    def coefficients_from(self, a: float, b: float, c: float) -> tuple[float, float, float]:
+        """(cf, cx, cT) from the schedule's a_n, b_n, c_n."""
         if not self.viscosity:
             return 0.0, 1.0 - a, a
         if self.keep_inertia:
-            return a, sched.b(n), sched.c(n)
+            return a, b, c
         return a, 0.0, 1.0 - a
 
     def power(self, n: int) -> int:
@@ -147,14 +150,16 @@ class SolverConfig:
         except OverflowError:  # e.g. the default affine envelope 1.9 ** 1107
             return math.inf
 
-    def step_bound(self, n: int) -> tuple[float, float]:
+    def step_bound(self, n: int, cT: float | None = None) -> tuple[float, float]:
         """(q_n, k_p) for this scheme's step n: q_n = cT * k_p / 2, with k_p
         bounding T^p in the run's r-norm, so that q_n bounds the step map for
         the mapping actually supplied. At r = inf an affine map uses its
         exact ||A_p||_inf; otherwise the mapping's 2-norm envelope is scaled
         by rho = d^|1/r - 1/2| (p-norm equivalence, Higham, Accuracy and
-        Stability of Numerical Algorithms, ch. 6; rho = 1 at r = 2)."""
-        _, _, cT = self.scheme.coefficients(self.schedule, n)
+        Stability of Numerical Algorithms, ch. 6; rho = 1 at r = 2). cT is
+        the step's, from the schedule unless the caller passes it."""
+        if cT is None:
+            cT = self.scheme.coefficients(self.schedule, n)[2]
         p, r, pair = self.scheme.power(n), self.norm.p, self.mapping.affine_pair
         if math.isinf(r) and pair is not None:  # NaN once A_p overflows
             lip = float(np.linalg.norm(pair(p)[0], np.inf))
@@ -177,7 +182,8 @@ class StepResult:
     deltas: Optional[list] = None
 
 
-def implicit_step(cfg: SolverConfig, n: int, x_n, collect_deltas: bool = False) -> StepResult:
+def implicit_step(cfg: SolverConfig, n: int, x_n, collect_deltas: bool = False,
+                  coefficients: tuple[float, float, float] | None = None) -> StepResult:
     """Solve one implicit step by Picard iteration on the step map G.
 
     Returns the accepted iterate together with the inner iteration count
@@ -192,12 +198,13 @@ def implicit_step(cfg: SolverConfig, n: int, x_n, collect_deltas: bool = False) 
     system is singular, or if ||y_1 - G(y*)|| > q_n ||x_n - y*|| + tol_inner
     (no q_n-contraction does any of these), and InnerBudgetError if
     max_inner is hit first (the achieved bound is attached). ``x_n`` is
-    checked once; the loop runs on raw arrays.
+    checked once; the loop runs on raw arrays. ``coefficients`` is step
+    n's (cf, cx, cT) when the caller has computed it already.
     """
     x_n = as_vector(x_n, dim=cfg.mapping.domain_dim)
-    cf, cx, cT = cfg.scheme.coefficients(cfg.schedule, n)
+    cf, cx, cT = coefficients or cfg.scheme.coefficients(cfg.schedule, n)
     p = cfg.scheme.power(n)
-    q, k = cfg.step_bound(n)
+    q, k = cfg.step_bound(n, cT)
     if q >= 1.0:
         raise IllPosedError(
             f"implicit step not a contraction at n={n}: q_n = {q:.6f} >= 1", n=n, q=q
@@ -364,7 +371,9 @@ def run(cfg: SolverConfig) -> Trace:
     x = xs[0] = cfg.x1
     converged = False
     for n in range(1, total + 1):
-        step = implicit_step(cfg, n, x)  # checks x_n, then q_n < 1
+        abc = sched.a(n), sched.b(n), sched.c(n)
+        coef = cfg.scheme.coefficients_from(*abc)
+        step = implicit_step(cfg, n, x, coefficients=coef)  # checks x_n, then q_n < 1
         res_map = size(x - apply(x))
         try:
             res_power = size(x - power_operator(cfg.mapping, n, cfg.power_cap)(x))
@@ -374,14 +383,13 @@ def run(cfg: SolverConfig) -> Trace:
         if n > rows:  # buffers full: double them
             rows = min(2 * rows, total)
             xs, stats, iters = _grown(xs, rows + 1), _grown(stats, rows), _grown(iters, rows)
-        stats[n - 1] = (step_norm, res_map, res_power, step.q,
-                        sched.a(n), sched.b(n), sched.c(n), step.k)
+        stats[n - 1] = (step_norm, res_map, res_power, step.q, *abc, step.k)
         iters[n - 1] = step.inner_iters
         x = xs[n] = step.x
         # a step without the operator term (cT = 0) can stand still off the
         # fixed set, so it stops the run only at a point T also fixes
         if step_norm <= cfg.tol_step and (
-            res_map <= cfg.tol_step or cfg.scheme.coefficients(sched, n)[2] != 0.0
+            res_map <= cfg.tol_step or coef[2] != 0.0
         ):
             converged = True
             break

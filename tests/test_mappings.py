@@ -3,6 +3,7 @@ import pytest
 
 from midpointfp.errors import InvalidInputError
 from midpointfp.mappings import (
+    Mapping,
     affine_power_pair,
     apply_power,
     flip_fixed,
@@ -14,6 +15,7 @@ from midpointfp.mappings import (
     operator_norm_est,
     verify_envelope,
 )
+from midpointfp.space import norm
 
 
 class TestFlipMap:
@@ -239,3 +241,111 @@ class TestVerifyEnvelope:
             verify_envelope(make_flip_map(), n_max=0, samples=10, seed=1)
         with pytest.raises(InvalidInputError):
             verify_envelope(make_flip_map(), n_max=1, samples=0, seed=1)
+
+
+def reference_envelope(mapping, n_max, samples, seed, radius=2.0, envelope=None):
+    """The per-pair loop verify_envelope replaced: apply_power and the
+    checked norm on every pair and power. Returns the report's fields."""
+    env = envelope if envelope is not None else mapping.envelope
+    rng = np.random.default_rng(seed)
+    d = mapping.domain_dim
+
+    def draw(count):
+        if mapping.sample_domain is not None:
+            return mapping.sample_domain(rng, count)
+        return rng.uniform(-radius, radius, size=(count, d))
+
+    pairs = []
+    guard = 0
+    while len(pairs) < samples and guard < 100 * samples + 100:
+        us = draw(samples)
+        vs = draw(samples)
+        for u, v in zip(us, vs):
+            if np.linalg.norm(u - v) >= 1e-9:
+                pairs.append((u, v))
+                if len(pairs) == samples:
+                    break
+        guard += samples
+    max_excess, worst_n, worst_pair, per_power = -np.inf, 1, pairs[0], {}
+    denoms = [norm(u - v) for u, v in pairs]
+    images = list(pairs)
+    for n in range(1, n_max + 1):
+        k_n = env(n)
+        for i, (u, v) in enumerate(pairs):
+            if mapping.power is not None:
+                tu, tv = apply_power(mapping, n, u), apply_power(mapping, n, v)
+            else:
+                tu, tv = images[i]
+                tu = np.asarray(mapping.apply(tu), dtype=float)
+                tv = np.asarray(mapping.apply(tv), dtype=float)
+                images[i] = (tu, tv)
+            excess = norm(tu - tv) / denoms[i] - k_n
+            if excess > per_power.get(n, -np.inf):
+                per_power[n] = excess
+            if excess > max_excess:
+                max_excess, worst_n, worst_pair = excess, n, (u.copy(), v.copy())
+    return max_excess <= 1e-10, max_excess, worst_n, worst_pair, per_power
+
+
+def _tanh_map():
+    # no closed-form power: verify_envelope folds apply n times
+    return Mapping(apply=lambda u: np.tanh(2.0 * u), envelope=lambda n: 2.0 ** n, domain_dim=3)
+
+
+def _affine5():
+    rng = np.random.default_rng(52)
+    return make_affine(0.4 * rng.standard_normal((5, 5)), rng.standard_normal(5))
+
+
+ENVELOPE_CASES = {
+    "flip default envelope": (make_flip_map, None),
+    "flip unit envelope": (make_flip_map, lambda n: 1.0),
+    "affine d=5": (_affine5, None),
+    "tanh, n-fold": (_tanh_map, None),
+    # doubles along e1 only, so the worst pair is the one closest to e1
+    "doubling": (lambda: make_affine(np.diag([2.0, 0.5]), [1.0, -1.0]), lambda n: 1.0),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 8])
+@pytest.mark.parametrize("case", ENVELOPE_CASES, ids=list(ENVELOPE_CASES))
+def test_verify_envelope_matches_the_per_pair_loop(case, seed):
+    build, envelope = ENVELOPE_CASES[case]
+    report = verify_envelope(build(), n_max=12, samples=150, seed=seed, envelope=envelope)
+    passed, max_excess, worst_n, worst_pair, per_power = reference_envelope(
+        build(), n_max=12, samples=150, seed=seed, envelope=envelope)
+    assert report.passed == passed == (case != "doubling")
+    assert report.max_excess == max_excess
+    assert report.worst_n == worst_n
+    np.testing.assert_array_equal(report.worst_pair[0], worst_pair[0])
+    np.testing.assert_array_equal(report.worst_pair[1], worst_pair[1])
+    assert report.per_power_excess == per_power
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # arithmetic on the NaN/Inf images
+class TestVerifyEnvelopeBoundary:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_power_raises(self, bad):
+        # finite up to n = 3, so the image is checked on every power
+        power = lambda n, u: u if n < 4 else np.full_like(u, bad)
+        T = Mapping(apply=lambda u: u, envelope=lambda n: 1.0, domain_dim=2, power=power)
+        with pytest.raises(InvalidInputError):
+            verify_envelope(T, n_max=5, samples=20, seed=1)
+
+    def test_overflowing_fold_raises(self):
+        T = Mapping(apply=lambda u: 1e200 * u, envelope=lambda n: 1.0, domain_dim=2)
+        with pytest.raises(InvalidInputError):
+            verify_envelope(T, n_max=3, samples=20, seed=1)
+
+    @pytest.mark.parametrize("sampler", [
+        lambda rng, count: rng.uniform(-1.0, 1.0, size=(count, 3)),
+        lambda rng, count: rng.uniform(-1.0, 1.0, size=(count - 1, 2)),
+        lambda rng, count: rng.uniform(-1.0, 1.0, size=count),
+        lambda rng, count: np.vstack([rng.uniform(-1.0, 1.0, size=(count - 1, 2)), [[np.nan, 0.0]]]),
+        lambda rng, count: np.vstack([[[np.inf, 1.0]], rng.uniform(-1.0, 1.0, size=(count - 1, 2))]),
+    ], ids=["wrong dimension", "too few points", "flat", "nan point", "inf point"])
+    def test_bad_sample_stack_raises(self, sampler):
+        T = Mapping(apply=lambda u: u, envelope=lambda n: 1.0, domain_dim=2,
+                    power=lambda n, u: u, sample_domain=sampler)
+        with pytest.raises(InvalidInputError, match=r"20 finite points in R\^2"):
+            verify_envelope(T, n_max=2, samples=20, seed=1)
