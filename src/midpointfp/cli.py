@@ -3,7 +3,10 @@
 Commands: run, validate-schedule, compare, reproduce-table1,
 verify-mapping. Exit codes: 0 success, 1 error/schema violation,
 2 no convergence (run) or partial failure (compare), 3 failed
-validation/verification. MIDPOINT_LOG=off|info|debug controls verbosity.
+validation/verification. ``main`` is the one error boundary: a config
+problem prints ``config error: ...`` on stderr, any other error
+``error: ...``, and both exit 1. MIDPOINT_LOG=off|info|debug controls
+verbosity.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .config import load_config
 from .diagnostics import check_vi, compare_schemes, sample_fixed_set_flip
-from .errors import MidpointError
+from .errors import ConfigError, MidpointError
 from .mappings import make_contraction_half, make_flip_map, verify_envelope
 from .schedules import paper_schedule, validate
 from .solver import SCHEMES, SolverConfig, Trace, run, scheme_by_name
@@ -74,18 +77,10 @@ def _out_dir(cfg_out, flag_out) -> Path:
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        solver_cfg = cfg.build_solver_config()
-    except MidpointError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    cfg = load_config(args.config)
+    solver_cfg = cfg.build_solver_config()
     out = _out_dir(cfg.out, args.out)
-    try:
-        trace = run(solver_cfg)
-    except MidpointError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 1
+    trace = run(solver_cfg)
     path = out / "trace.csv"
     _trace_csv(path, trace)
     status = "converged" if trace.converged else "max_outer reached"
@@ -99,17 +94,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate_schedule(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        solver_cfgs = [cfg.build_solver_config(scheme) for scheme in cfg.schemes()]
-    except MidpointError as exc:  # builders raise InvalidInputError too
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        reports = [validate(c, horizon=args.horizon) for c in solver_cfgs]
-    except MidpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = load_config(args.config)
+    solver_cfgs = [cfg.build_solver_config(scheme) for scheme in cfg.schemes()]
+    reports = [validate(c, horizon=args.horizon) for c in solver_cfgs]
     width = max(len(label) for label, *_ in reports[0].rows())
     for c, report in zip(solver_cfgs, reports):
         print(f"scheme {c.scheme.name}, mapping {c.mapping.name!r}, schedule family "
@@ -124,36 +111,16 @@ def cmd_validate_schedule(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except MidpointError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    cfg = load_config(args.config)
     names = [s.strip() for s in args.schemes.split(",")] if args.schemes else list(cfg.scheme)
-    try:
-        schemes = [scheme_by_name(n) for n in names]
-    except MidpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    schemes = [scheme_by_name(n) for n in names]
     deduped = []
     for s in schemes:
         if s in deduped:
             print(f"warning: duplicate scheme {s.name} ignored", file=sys.stderr)
         else:
             deduped.append(s)
-    if len(deduped) < 2:
-        print("error: need at least two distinct schemes", file=sys.stderr)
-        return 1
-    try:
-        base = cfg.build_solver_config(scheme=deduped[0])
-    except MidpointError as exc:  # builders raise InvalidInputError too
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        report = compare_schemes(base, deduped)
-    except MidpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = compare_schemes(cfg.build_solver_config(scheme=deduped[0]), deduped)
     out = _out_dir(cfg.out, args.out)
     (out / "compare.csv").write_text(report.to_csv())
     md = report.to_markdown()
@@ -171,22 +138,18 @@ def cmd_reproduce_table1(args) -> int:
     schedule = paper_schedule()
     contraction = make_contraction_half()
     traces = []
-    try:
-        for _, x1, _ in _TABLE1_STARTS:
-            cfg = SolverConfig(
-                scheme=SCHEMES["AGVIM"],
-                mapping=make_flip_map(),
-                schedule=schedule,
-                x1=x1,
-                contraction=contraction,
-                max_outer=_TABLE1_ROWS,
-                tol_step=0.0,  # run exactly 20 steps
-                tol_inner=1e-12,
-            )
-            traces.append(run(cfg))
-    except MidpointError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 1
+    for _, x1, _ in _TABLE1_STARTS:
+        cfg = SolverConfig(
+            scheme=SCHEMES["AGVIM"],
+            mapping=make_flip_map(),
+            schedule=schedule,
+            x1=x1,
+            contraction=contraction,
+            max_outer=_TABLE1_ROWS,
+            tol_step=0.0,  # run exactly 20 steps
+            tol_inner=1e-12,
+        )
+        traces.append(run(cfg))
 
     labels = [label for label, _, _ in _TABLE1_STARTS]
     norm2 = NormSpec(2.0)
@@ -274,33 +237,25 @@ def cmd_reproduce_table1(args) -> int:
 
 
 def cmd_verify_mapping(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        mapping = cfg.build_mapping()
-    except MidpointError as exc:  # builders raise InvalidInputError too
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    cfg = load_config(args.config)
+    mapping = cfg.build_mapping()
     seed = args.seed if args.seed is not None else cfg.seed
     if seed is None:
-        print("config error: randomized verification requires an explicit seed "
-              "(--seed or config key 'seed')", file=sys.stderr)
-        return 1
-    try:
-        report = verify_envelope(mapping, n_max=args.horizon, samples=args.samples, seed=seed)
-    except MidpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ConfigError("randomized verification requires an explicit seed "
+                          "(--seed or config key 'seed')", key="seed")
+    report = verify_envelope(mapping, n_max=args.horizon, samples=args.samples, seed=seed)
     print(f"mapping {mapping.name!r}: {report}")
     return 0 if report.passed else 3
 
 
 def _setup_logging():
+    # the package logger's level, set on every call: a process that calls
+    # main more than once honours each call's MIDPOINT_LOG
     level = {"debug": logging.DEBUG, "info": logging.INFO}.get(
-        os.environ.get("MIDPOINT_LOG", "off").lower())
-    if level is None:
-        logging.disable(logging.CRITICAL)
-    else:
-        logging.basicConfig(level=level)
+        os.environ.get("MIDPOINT_LOG", "off").lower(), logging.CRITICAL + 1)
+    log.setLevel(level)
+    if level <= logging.INFO:
+        logging.basicConfig()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,7 +300,13 @@ def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
     log.info("command: %s", args.command)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+    except (MidpointError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ Schema (unknown keys are rejected at every level)::
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -57,20 +58,13 @@ _TOP_KEYS = {
     "tol_step", "tol_inner", "max_outer", "max_inner", "power_cap",
     "seed", "out",
 }
-_MAPPING_KEYS = {
-    "flip": {"kind", "envelope"},
-    "affine": {"kind", "A", "b", "envelope"},
-    "contraction_half": {"kind", "envelope"},
-}
-_CONTRACTION_KEYS = {
-    "half": {"kind"},
-    "scale": {"kind", "factor"},
-    "affine": {"kind", "A", "b"},
-}
-_SCHEDULE_KEYS = {
-    "paper": {"family"},
-    "power": {"family", "s", "b_const"},
-    "custom": {"family", "table"},
+_SECTIONS = {  # section: (the key naming its variant, {variant: {key: required}})
+    "mapping": ("kind", {"flip": {"envelope": False}, "contraction_half": {"envelope": False},
+                         "affine": {"A": True, "b": True, "envelope": False}}),
+    "contraction": ("kind", {"half": {}, "scale": {"factor": True},
+                             "affine": {"A": True, "b": True}}),
+    "schedule": ("family", {"paper": {}, "power": {"s": False, "b_const": False},
+                            "custom": {"table": True}}),
 }
 
 
@@ -126,6 +120,47 @@ def _numbers(key: str, value, depth: int = 1) -> list:
     return nums
 
 
+def _envelope(key: str, value):
+    if value not in (None, "auto", "unit"):
+        raise ConfigError("mapping envelope must be 'auto' or 'unit'", key=key)
+
+
+_matrix = functools.partial(_numbers, depth=2)
+# how the value of each section key is checked
+_CHECKS = {"A": _matrix, "b": _numbers, "table": _matrix, "factor": _number,
+           "s": _number, "b_const": _number, "envelope": _envelope}
+
+
+def _section(data: dict, name: str) -> dict:
+    """The required section ``name`` of ``data``, checked against ``_SECTIONS``."""
+    section = _require("config", data, name)
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name!r} must be an object", key=name)
+    variant_key, variants = _SECTIONS[name]
+    variant = _require(name, section, variant_key)
+    if not isinstance(variant, str) or variant not in variants:
+        raise ConfigError(f"unknown {name} {variant_key} {variant!r}", key=variant_key)
+    keys = variants[variant]
+    _check_keys(name, section, {variant_key, *keys})
+    for key, required in keys.items():
+        if required or key in section:
+            _CHECKS[key](key, _require(name, section, key))
+    return dict(section)
+
+
+def _as_config_error(build):
+    """A builder that reports every package error as a ConfigError."""
+    @functools.wraps(build)
+    def checked(self, *args, **kwargs):
+        try:
+            return build(self, *args, **kwargs)
+        except ConfigError:
+            raise
+        except MidpointError as exc:
+            raise ConfigError(str(exc)) from exc
+    return checked
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative experiment description; round-trips losslessly via JSON."""
@@ -173,6 +208,7 @@ class ExperimentConfig:
 
     # -- builders ------------------------------------------------------
 
+    @_as_config_error
     def build_mapping(self) -> Mapping:
         spec = self.mapping
         kind = spec["kind"]
@@ -224,26 +260,21 @@ class ExperimentConfig:
     def schemes(self) -> list[Scheme]:
         return [scheme_by_name(name) for name in self.scheme]
 
+    @_as_config_error
     def build_solver_config(self, scheme: Scheme | None = None) -> SolverConfig:
-        scheme = scheme if scheme is not None else self.schemes()[0]
-        try:
-            return SolverConfig(
-                scheme=scheme,
-                mapping=self.build_mapping(),
-                schedule=self.build_schedule(),
-                x1=np.asarray(self.x1, dtype=float),
-                contraction=self.build_contraction(),
-                max_outer=self.max_outer,
-                tol_step=self.tol_step,
-                tol_inner=self.tol_inner,
-                max_inner=self.max_inner,
-                norm=NormSpec(self.norm_p),
-                power_cap=self.power_cap,
-            )
-        except ConfigError:
-            raise
-        except MidpointError as exc:
-            raise ConfigError(str(exc)) from exc
+        return SolverConfig(
+            scheme=scheme if scheme is not None else self.schemes()[0],
+            mapping=self.build_mapping(),
+            schedule=self.build_schedule(),
+            x1=np.asarray(self.x1, dtype=float),
+            contraction=self.build_contraction(),
+            max_outer=self.max_outer,
+            tol_step=self.tol_step,
+            tol_inner=self.tol_inner,
+            max_inner=self.max_inner,
+            norm=NormSpec(self.norm_p),
+            power_cap=self.power_cap,
+        )
 
 
 def parse_config(data: dict) -> ExperimentConfig:
@@ -251,46 +282,9 @@ def parse_config(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("top-level config must be a JSON object")
     _check_keys("config", data, _TOP_KEYS)
-
-    mapping = _require("config", data, "mapping")
-    if not isinstance(mapping, dict):
-        raise ConfigError("'mapping' must be an object", key="mapping")
-    kind = _require("mapping", mapping, "kind")
-    if kind not in _MAPPING_KEYS:
-        raise ConfigError(f"unknown mapping kind {kind!r}", key="kind")
-    _check_keys("mapping", mapping, _MAPPING_KEYS[kind])
-    if kind == "affine":
-        _numbers("A", _require("mapping", mapping, "A"), depth=2)
-        _numbers("b", _require("mapping", mapping, "b"))
-    if mapping.get("envelope") not in (None, "auto", "unit"):
-        raise ConfigError("mapping envelope must be 'auto' or 'unit'", key="envelope")
-
-    contraction = data.get("contraction")
-    if contraction is not None:
-        if not isinstance(contraction, dict):
-            raise ConfigError("'contraction' must be an object", key="contraction")
-        ckind = _require("contraction", contraction, "kind")
-        if ckind not in _CONTRACTION_KEYS:
-            raise ConfigError(f"unknown contraction kind {ckind!r}", key="kind")
-        _check_keys("contraction", contraction, _CONTRACTION_KEYS[ckind])
-        if ckind == "scale":
-            _number("factor", _require("contraction", contraction, "factor"))
-        if ckind == "affine":
-            _numbers("A", _require("contraction", contraction, "A"), depth=2)
-            _numbers("b", _require("contraction", contraction, "b"))
-
-    schedule = _require("config", data, "schedule")
-    if not isinstance(schedule, dict):
-        raise ConfigError("'schedule' must be an object", key="schedule")
-    family = _require("schedule", schedule, "family")
-    if family not in _SCHEDULE_KEYS:
-        raise ConfigError(f"unknown schedule family {family!r}", key="family")
-    _check_keys("schedule", schedule, _SCHEDULE_KEYS[family])
-    if family == "custom":
-        _numbers("table", _require("schedule", schedule, "table"), depth=2)
-    for key in ("s", "b_const"):
-        if key in schedule:
-            _number(key, schedule[key])
+    mapping = _section(data, "mapping")
+    contraction = None if data.get("contraction") is None else _section(data, "contraction")
+    schedule = _section(data, "schedule")
 
     scheme_raw = _require("config", data, "scheme")
     single = isinstance(scheme_raw, str)
@@ -302,10 +296,10 @@ def parse_config(data: dict) -> ExperimentConfig:
     except InvalidInputError as exc:
         raise ConfigError(str(exc), key="scheme") from exc
 
-    return ExperimentConfig(
-        mapping=dict(mapping),
-        contraction=dict(contraction) if contraction is not None else None,
-        schedule=dict(schedule),
+    cfg = ExperimentConfig(
+        mapping=mapping,
+        contraction=contraction,
+        schedule=schedule,
         scheme=schemes,
         x1=tuple(_numbers("x1", _require("config", data, "x1"))),
         norm_p=_number("norm_p", data.get("norm_p", 2.0)),
@@ -318,6 +312,9 @@ def parse_config(data: dict) -> ExperimentConfig:
         out=None if data.get("out") is None else str(data["out"]),
         _single_scheme=single,
     )
+    if cfg.seed is not None and cfg.seed < 0:
+        raise _bad("seed", cfg.seed, "a non-negative integer")
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

@@ -315,6 +315,8 @@ def verify_envelope(
     """
     if n_max < 1 or samples < 1:
         raise InvalidInputError("n_max and samples must be >= 1")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     env = envelope if envelope is not None else mapping.envelope
     rng = np.random.default_rng(seed)
     d = mapping.domain_dim

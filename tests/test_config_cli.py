@@ -389,6 +389,7 @@ MALFORMED = {
     "max_inner bool": ({"max_inner": True}, "max_inner"),
     "power_cap fraction": ({"power_cap": 1.5}, "power_cap"),
     "seed bool": ({"seed": False}, "seed"),
+    "seed negative": ({"seed": -3}, "seed"),
     "b not finite": ({"mapping": {**AFFINE, "b": [float("nan"), 0.0]}}, "b"),
     "scheme number": ({"scheme": 5}, "scheme"),
 }
@@ -429,3 +430,60 @@ def test_nan_tolerance_is_config_error(tmp_path, capsys, tols):
     path = write_config(tmp_path, {**BENCHMARK, "x1": [0.5, 1.0], **tols})
     assert main(["run", "--config", path, "--out", str(tmp_path)]) == 1
     assert "config error: tolerances" in capsys.readouterr().err
+
+
+ILL_POSED = {**BENCHMARK, "schedule": {"family": "custom", "table": [[0.1, 0.0, 0.9, 4.0]] * 5}}
+SHORT_TABLE = {**BENCHMARK, "scheme": "VIM", "x1": [-2.0, 1.0],
+               "schedule": {"family": "custom", "table": [[0.5, 0.25, 0.25, 1.0]] * 2}}
+# (config or None, argv with "{tmp}" for the test directory, stderr prefix);
+# "{tmp}/file" is a regular file, so "{tmp}/file/sub" cannot be created
+ERRORS = {
+    "horizon below 10": (BENCHMARK, ["validate-schedule", "--horizon", "5"],
+                         "error: validation horizon must be >= 10, got 5"),
+    "no samples": (BENCHMARK, ["verify-mapping", "--seed", "1", "--samples", "0"],
+                   "error: n_max and samples must be >= 1"),
+    "no seed": (BENCHMARK, ["verify-mapping"],
+                "config error: randomized verification requires an explicit seed "
+                "(--seed or config key 'seed')"),
+    "negative seed flag": (BENCHMARK, ["verify-mapping", "--seed", "-1"], "error: seed must be >= 0"),
+    "kind not a name": ({**BENCHMARK, "mapping": {"kind": ["flip"]}}, ["run", "--out", "{tmp}"],
+                        "config error: unknown mapping kind ['flip']"),
+    "negative config seed": ({**BENCHMARK, "seed": -3}, ["verify-mapping"],
+                             "config error: bad value for 'seed'"),
+    "unknown scheme": (BENCHMARK, ["compare", "--schemes", "VIM,BOGUS"],
+                       "error: unknown scheme 'BOGUS'"),
+    "one distinct scheme": (BENCHMARK, ["compare", "--schemes", "VIM,VIM"],
+                            "warning: duplicate scheme VIM ignored\n"
+                            "error: need at least two schemes to compare"),
+    "ill-posed table": (ILL_POSED, ["run", "--out", "{tmp}"],
+                        "error: implicit step not a contraction at n=1"),
+    "past the table": (SHORT_TABLE, ["run", "--out", "{tmp}"],
+                       "error: custom schedule defined for n in [1, 2], requested n=3"),
+    "run out is a file": (BENCHMARK, ["run", "--out", "{tmp}/file/sub"], "error: "),
+    "compare out is a file": (BENCHMARK, ["compare", "--schemes", "VIM,AGVIM",
+                                          "--out", "{tmp}/file/sub"], "error: "),
+    "reproduce out is a file": (None, ["reproduce-table1", "--out", "{tmp}/file/sub"], "error: "),
+}
+
+
+@pytest.mark.parametrize("case", ERRORS, ids=list(ERRORS))
+def test_error_exits_one_with_its_prefix(tmp_path, capsys, case):
+    data, argv, prefix = ERRORS[case]
+    (tmp_path / "file").write_text("")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    if data is not None:
+        argv += ["--config", write_config(tmp_path, {**data, "max_outer": 10})]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert "Traceback" not in err
+
+
+def test_each_call_sets_its_own_log_level(tmp_path, monkeypatch, caplog):
+    argv = ["verify-mapping", "--config", write_config(tmp_path, BENCHMARK),
+            "--seed", "1", "--horizon", "1", "--samples", "1"]
+    for level, logged in (("off", False), ("info", True), ("debug", True), ("off", False)):
+        monkeypatch.setenv("MIDPOINT_LOG", level)
+        caplog.clear()
+        assert main(argv) == 0
+        assert ("command: verify-mapping" in caplog.messages) is logged, level

@@ -349,3 +349,7 @@ class TestVerifyEnvelopeBoundary:
                     power=lambda n, u: u, sample_domain=sampler)
         with pytest.raises(InvalidInputError, match=r"20 finite points in R\^2"):
             verify_envelope(T, n_max=2, samples=20, seed=1)
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(InvalidInputError, match="seed"):
+            verify_envelope(make_flip_map(), n_max=2, samples=20, seed=-1)
