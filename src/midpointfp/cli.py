@@ -12,7 +12,6 @@ verbosity.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -40,34 +39,27 @@ _TABLE1_ROWS = 20
 _TABLE1_VI_SEED = 2020
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
-def _write_csv(path: Path, header, rows):
+def _write_csv(path: Path, header, columns):
+    """Write ``columns`` (1-d, or 2-d for several) after an ``n = 1..N``
+    column, under ``n`` and ``header``. Every cell is a "%.17g" float,
+    which writes integer columns (n, inner_iters) as int() would."""
+    table = np.column_stack((np.arange(1, len(columns[0]) + 1), *columns))
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(["n", *header]) + "\n")
+        # one row's Python floats at a time, so the table is not held twice
+        fh.writelines(row % tuple(cells.tolist()) for cells in table)
 
 
 def _trace_csv(path: Path, trace: Trace):
     header = (
-        ["n"] + [f"x{i}" for i in range(trace.final.size)]
+        [f"x{i}" for i in range(trace.final.size)]
         + ["step_norm", "res_T", "res_Tn", "inner_iters", "q_n", "a_n", "b_n", "c_n", "k_n"]
     )
-    count = len(trace)
-    # every cell as a float: "%.17g" writes the integer columns n and
-    # inner_iters without a decimal point, as int() would
-    table = np.column_stack((
-        np.arange(1, count + 1), trace.x[:count], trace.step_norm, trace.res_map,
-        trace.res_power, trace.inner_iters, trace.q, trace.a, trace.b, trace.c, trace.k,
+    _write_csv(path, header, (
+        trace.x[:len(trace)], trace.step_norm, trace.res_map, trace.res_power,
+        trace.inner_iters, trace.q, trace.a, trace.b, trace.c, trace.k,
     ))
-    row = ",".join(["%.17g"] * len(header)) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        # one row's Python floats at a time, so the table is not held twice
-        fh.writelines(row % tuple(cells.tolist()) for cells in table)
 
 
 def _out_dir(cfg_out, flag_out) -> Path:
@@ -147,7 +139,6 @@ def cmd_reproduce_table1(args) -> int:
             contraction=contraction,
             max_outer=_TABLE1_ROWS,
             tol_step=0.0,  # run exactly 20 steps
-            tol_inner=1e-12,
         )
         traces.append(run(cfg))
 
@@ -156,11 +147,8 @@ def cmd_reproduce_table1(args) -> int:
     step_cols = [t.step_norm for t in traces]
     dist_cols = [[norm(x - t.final, norm2) for x in t.x[1:]] for t in traces]
 
-    header = ["n"] + labels
-    _write_csv(out / "table1_step_norm.csv", header,
-               [[i + 1] + [_fmt(c[i]) for c in step_cols] for i in range(_TABLE1_ROWS)])
-    _write_csv(out / "table1_dist_to_final.csv", header,
-               [[i + 1] + [_fmt(c[i]) for c in dist_cols] for i in range(_TABLE1_ROWS)])
+    _write_csv(out / "table1_step_norm.csv", labels, step_cols)
+    _write_csv(out / "table1_dist_to_final.csv", labels, dist_cols)
     for idx, t in enumerate(traces, start=1):
         _trace_csv(out / f"table1_trace_run{idx}.csv", t)
 

@@ -1,5 +1,5 @@
-"""JSON experiment configuration: strict parsing, lossless round-trip,
-and builders for the solver objects.
+"""JSON experiment configuration: strict parsing, a round-trip that parses
+back to an equal config, and builders for the solver objects.
 
 Schema (unknown keys are rejected at every level)::
 
@@ -15,12 +15,12 @@ Schema (unknown keys are rejected at every level)::
                    | {"family": "custom", "table": [[a, b, c, k], ...]},
       "scheme":      "AGVIM" or ["VIM", "GVIM", ...],
       "x1":          [..],
-      "norm_p":      2.0,          # optional
-      "tol_step":    1e-8,         # optional
-      "tol_inner":   1e-12,        # optional
-      "max_outer":   10000,        # optional
-      "max_inner":   10000,        # optional
-      "power_cap":   1000,         # optional
+      "norm_p":      p,            # optional solver settings: a key left
+      "tol_step":    tol,          # out takes SolverConfig's default, and
+      "tol_inner":   tol,          # norm_p becomes norm=NormSpec(p)
+      "max_outer":   count,
+      "max_inner":   count,
+      "power_cap":   count,
       "seed":        1,            # required by randomized commands
       "out":         "results"     # optional output directory
     }
@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -53,11 +53,6 @@ from .space import NormSpec
 
 __all__ = ["ExperimentConfig", "load_config", "parse_config"]
 
-_TOP_KEYS = {
-    "mapping", "contraction", "schedule", "scheme", "x1", "norm_p",
-    "tol_step", "tol_inner", "max_outer", "max_inner", "power_cap",
-    "seed", "out",
-}
 _SECTIONS = {  # section: (the key naming its variant, {variant: {key: required}})
     "mapping": ("kind", {"flip": {"envelope": False}, "contraction_half": {"envelope": False},
                          "affine": {"A": True, "b": True, "envelope": False}}),
@@ -129,6 +124,10 @@ _matrix = functools.partial(_numbers, depth=2)
 # how the value of each section key is checked
 _CHECKS = {"A": _matrix, "b": _numbers, "table": _matrix, "factor": _number,
            "s": _number, "b_const": _number, "envelope": _envelope}
+# the solver settings a config file may set, and how each value is checked;
+# a setting the file leaves out takes SolverConfig's default
+_SETTINGS = {"norm_p": _number, "tol_step": _number, "tol_inner": _number,
+             "max_outer": _integer, "max_inner": _integer, "power_cap": _integer}
 
 
 def _section(data: dict, name: str) -> dict:
@@ -163,45 +162,25 @@ def _as_config_error(build):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative experiment description; round-trips losslessly via JSON."""
+    """Declarative experiment description. ``to_dict``/``to_json`` write
+    back the keys the file set, with ``scheme`` as a list, and parse to an
+    equal config."""
 
     mapping: dict
     schedule: dict
     scheme: tuple  # one or more scheme names, upper-case
     x1: tuple
     contraction: dict | None = None
-    norm_p: float = 2.0
-    tol_step: float = 1e-8
-    tol_inner: float = 1e-12
-    max_outer: int = 10_000
-    max_inner: int = 10_000
-    power_cap: int = 1_000
+    settings: dict = field(default_factory=dict)  # the _SETTINGS keys the file sets
     seed: int | None = None
     out: str | None = None
-    _single_scheme: bool = field(default=True, repr=False)
 
     # -- construction -------------------------------------------------
 
     def to_dict(self) -> dict:
-        d = {
-            "mapping": dict(self.mapping),
-            "schedule": dict(self.schedule),
-            "scheme": self.scheme[0] if self._single_scheme else list(self.scheme),
-            "x1": list(self.x1),
-            "norm_p": self.norm_p,
-            "tol_step": self.tol_step,
-            "tol_inner": self.tol_inner,
-            "max_outer": self.max_outer,
-            "max_inner": self.max_inner,
-            "power_cap": self.power_cap,
-        }
-        if self.contraction is not None:
-            d["contraction"] = dict(self.contraction)
-        if self.seed is not None:
-            d["seed"] = self.seed
-        if self.out is not None:
-            d["out"] = self.out
-        return d
+        d = asdict(self)  # a deep copy
+        d.update(d.pop("settings"), scheme=list(self.scheme), x1=list(self.x1))
+        return {key: value for key, value in d.items() if value is not None}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -262,18 +241,16 @@ class ExperimentConfig:
 
     @_as_config_error
     def build_solver_config(self, scheme: Scheme | None = None) -> SolverConfig:
+        settings = dict(self.settings)
+        if "norm_p" in settings:
+            settings["norm"] = NormSpec(settings.pop("norm_p"))
         return SolverConfig(
             scheme=scheme if scheme is not None else self.schemes()[0],
             mapping=self.build_mapping(),
             schedule=self.build_schedule(),
             x1=np.asarray(self.x1, dtype=float),
             contraction=self.build_contraction(),
-            max_outer=self.max_outer,
-            tol_step=self.tol_step,
-            tol_inner=self.tol_inner,
-            max_inner=self.max_inner,
-            norm=NormSpec(self.norm_p),
-            power_cap=self.power_cap,
+            **settings,
         )
 
 
@@ -281,14 +258,14 @@ def parse_config(data: dict) -> ExperimentConfig:
     """Validate a decoded JSON object and freeze it as an ExperimentConfig."""
     if not isinstance(data, dict):
         raise ConfigError("top-level config must be a JSON object")
-    _check_keys("config", data, _TOP_KEYS)
+    _check_keys("config", data, {*_SECTIONS, *_SETTINGS, "scheme", "x1", "seed", "out"})
     mapping = _section(data, "mapping")
     contraction = None if data.get("contraction") is None else _section(data, "contraction")
     schedule = _section(data, "schedule")
 
-    scheme_raw = _require("config", data, "scheme")
-    single = isinstance(scheme_raw, str)
-    names = [scheme_raw] if single else scheme_raw
+    names = _require("config", data, "scheme")
+    if isinstance(names, str):
+        names = [names]
     if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
         raise ConfigError("'scheme' must name at least one scheme", key="scheme")
     try:
@@ -302,18 +279,14 @@ def parse_config(data: dict) -> ExperimentConfig:
         schedule=schedule,
         scheme=schemes,
         x1=tuple(_numbers("x1", _require("config", data, "x1"))),
-        norm_p=_number("norm_p", data.get("norm_p", 2.0)),
-        tol_step=_number("tol_step", data.get("tol_step", 1e-8)),
-        tol_inner=_number("tol_inner", data.get("tol_inner", 1e-12)),
-        max_outer=_integer("max_outer", data.get("max_outer", 10_000)),
-        max_inner=_integer("max_inner", data.get("max_inner", 10_000)),
-        power_cap=_integer("power_cap", data.get("power_cap", 1_000)),
+        settings={key: check(key, data[key]) for key, check in _SETTINGS.items() if key in data},
         seed=None if data.get("seed") is None else _integer("seed", data["seed"]),
-        out=None if data.get("out") is None else str(data["out"]),
-        _single_scheme=single,
+        out=data.get("out"),
     )
     if cfg.seed is not None and cfg.seed < 0:
         raise _bad("seed", cfg.seed, "a non-negative integer")
+    if cfg.out is not None and not isinstance(cfg.out, str):
+        raise _bad("out", cfg.out, "a string")
     return cfg
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -8,7 +9,8 @@ import pytest
 from midpointfp.cli import _trace_csv, main
 from midpointfp.config import load_config, parse_config
 from midpointfp.errors import ConfigError
-from midpointfp.solver import Trace
+from midpointfp.solver import SolverConfig, Trace
+from midpointfp.space import NormSpec
 
 BENCHMARK = {
     "mapping": {"kind": "flip"},
@@ -36,6 +38,16 @@ class TestConfigParsing:
         cfg = parse_config(dict(BENCHMARK))
         again = parse_config(json.loads(cfg.to_json()))
         assert cfg == again
+        # only the keys the file set, and the scheme always as a list
+        assert cfg.to_dict() == {**BENCHMARK, "scheme": ["AGVIM"]}
+
+    def test_settings_left_out_take_solver_defaults(self):
+        # BENCHMARK sets none of the six solver settings
+        built = parse_config(dict(BENCHMARK)).build_solver_config()
+        defaults = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+        for name in ("tol_step", "tol_inner", "max_outer", "max_inner", "power_cap"):
+            assert getattr(built, name) == defaults[name], name
+        assert built.norm == NormSpec()
 
     def test_round_trip_with_all_fields(self):
         data = {
@@ -392,13 +404,16 @@ MALFORMED = {
     "seed negative": ({"seed": -3}, "seed"),
     "b not finite": ({"mapping": {**AFFINE, "b": [float("nan"), 0.0]}}, "b"),
     "scheme number": ({"scheme": 5}, "scheme"),
+    "out object": ({"out": {"a": 1}}, "out"),
+    "out number": ({"out": 5}, "out"),
 }
 
 
 @pytest.mark.parametrize("command", [["run"], ["verify-mapping", "--seed", "1"],
                                      ["validate-schedule"]], ids=lambda c: c[0])
 @pytest.mark.parametrize("case", MALFORMED, ids=list(MALFORMED))
-def test_malformed_value_is_config_error(tmp_path, capsys, command, case):
+def test_malformed_value_is_config_error(tmp_path, capsys, monkeypatch, command, case):
+    monkeypatch.chdir(tmp_path)  # a run that wrongly succeeds writes here
     override, key = MALFORMED[case]
     path = write_config(tmp_path, {**BENCHMARK, **override})
     assert main([command[0], "--config", path] + command[1:]) == 1
@@ -419,7 +434,8 @@ def test_builder_error_is_config_error(tmp_path, capsys):
 
 def test_integral_counts_accept_whole_floats():
     cfg = parse_config({**BENCHMARK, "max_outer": 20.0, "seed": 3})
-    assert cfg.max_outer == 20 and isinstance(cfg.max_outer, int)
+    max_outer = cfg.build_solver_config().max_outer
+    assert max_outer == 20 and isinstance(max_outer, int)
 
 
 @pytest.mark.parametrize("tols", [{"tol_step": float("nan")},
