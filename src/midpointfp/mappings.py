@@ -48,9 +48,11 @@ class Mapping:
     ``power`` is an optional closed form for T^n; when absent, powers are
     evaluated by n-fold application. ``sample_domain`` draws points from
     the region the envelope is declared on; when absent the verifier
-    samples a uniform box. ``affine_pair(n)``, when present, returns
-    (A_n, b_n) with T^n u = A_n u + b_n; the step solver then solves each
-    implicit step as a linear system.
+    samples a uniform box. ``affine``, present for a map built by
+    :func:`make_affine`, holds its powers as pairs: ``affine.pair(n)``
+    returns (A_n, b_n) with T^n u = A_n u + b_n, and ``affine.solve(p, s, r)``
+    solves (I - s A_p) y = r, which the step solver uses as each implicit
+    step's warm start.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -59,7 +61,7 @@ class Mapping:
     power: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
     sample_domain: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
     name: str = "mapping"
-    affine_pair: Optional[Callable[[int], tuple[np.ndarray, np.ndarray]]] = None
+    affine: Optional[_AffinePower] = None
 
     def __call__(self, u) -> np.ndarray:
         v = as_vector(u, dim=self.domain_dim)
@@ -193,18 +195,28 @@ def affine_power_pair(A: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray,
     return rA, rb
 
 
+# above this kappa_1(V) an implicit step is solved by LU instead (the
+# eigenbasis then amplifies rounding too much for one refinement step)
+_EIGEN_KAPPA_MAX = 1e3
+
+
 class _AffinePower:
-    """n-th powers of an affine map, holding only the last pair formed.
+    """n-th powers of an affine map, holding only the last pair formed,
+    and the solve of the implicit step's linear system.
 
     A run asks for n = 1, 2, 3, ... (possibly interleaved with n = 1), so
     T^n comes from T^(n-1) with one product; any other n falls back to
-    binary powering.
+    binary powering. :meth:`solve` works in A's eigenbasis
+    A = V diag(lam) V^-1, computed on its first call; lam^n is then kept
+    next to (A_n, b_n) the same way.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
         self.A = A
         self.b = b
         self._n, self._An, self._bn = 1, A, b
+        self._eig = None  # (lam, V, V^-1) once solve has run; False if unusable
+        self._lam_n = None  # lam ** self._n while _eig is set
 
     def pair(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         if n == 1:
@@ -213,14 +225,56 @@ class _AffinePower:
             if n == self._n + 1:
                 # T^n = T o T^(n-1)
                 self._An, self._bn = self.A @ self._An, self.A @ self._bn + self.b
+                if self._eig:
+                    self._lam_n = self._eig[0] * self._lam_n
             else:
                 self._An, self._bn = affine_power_pair(self.A, self.b, n)
+                if self._eig:
+                    self._lam_n = self._eig[0] ** n
             self._n = n
         return self._An, self._bn
 
     def __call__(self, n: int, u: np.ndarray) -> np.ndarray:
         An, bn = self.pair(n)
         return An @ u + bn
+
+    def solve(self, p: int, s: float, r: np.ndarray) -> np.ndarray:
+        """y with (I - s A_p) y = r.
+
+        In the eigenbasis, y0 = V ((V^-1 r) / (1 - s lam^p)), followed by one
+        refinement step whose residual r - (I - s A_p) y0 uses the A_p formed
+        by products (Higham, Accuracy and Stability of Numerical Algorithms,
+        ch. 12): about six d x d matrix-vector products. LU is used instead
+        when eig or inv fails, when kappa_1(V) > _EIGEN_KAPPA_MAX (Bauer-Fike:
+        V then amplifies rounding), or when a denominator 1 - s lam^p is 0 or
+        not finite. Raises np.linalg.LinAlgError when the LU system is singular.
+        """
+        Ap = self.pair(p)[0]
+        if self._eig is None:
+            self._eig = _eigenbasis(self.A)
+            if self._eig:
+                self._lam_n = self._eig[0] ** self._n
+        if self._eig:
+            lam, V, Vinv = self._eig
+            denom = 1.0 - s * (lam if p == 1 else self._lam_n)
+            if np.isfinite(denom).all() and denom.all():
+                y = (V @ ((Vinv @ r) / denom)).real
+                return y + (V @ ((Vinv @ (r - y + s * (Ap @ y))) / denom)).real
+        return np.linalg.solve(np.eye(r.size) - s * Ap, r)
+
+
+def _eigenbasis(A: np.ndarray):
+    """(lam, V, V^-1) with A = V diag(lam) V^-1, or False when eig or inv
+    fails or kappa_1(V) = ||V||_1 ||V^-1||_1 exceeds _EIGEN_KAPPA_MAX."""
+    try:
+        lam, V = np.linalg.eig(A)
+        Vinv = np.linalg.inv(V)
+    except np.linalg.LinAlgError:
+        return False
+    kappa = np.linalg.norm(V, 1) * np.linalg.norm(Vinv, 1)
+    if not kappa <= _EIGEN_KAPPA_MAX:  # also when NaN
+        return False
+    return lam, V, Vinv
 
 
 def make_affine(A, b, envelope: Callable[[int], float] | None = None) -> Mapping:
@@ -247,7 +301,7 @@ def make_affine(A, b, envelope: Callable[[int], float] | None = None) -> Mapping
         domain_dim=bv.size,
         power=power,
         name="affine",
-        affine_pair=power.pair,
+        affine=power,
     )
 
 

@@ -12,13 +12,16 @@ error bound q/(1-q) * ||y_m - y_{m-1}|| as the stopping rule. k_p and
 q_n come from :class:`SolverConfig` alone, and q_n < 1 is checked as
 step n is reached.
 
-For affine T (a mapping with ``affine_pair``) the step is the linear
-system (I - (cT/2) A_p) x = cf f(x_n) + cx x_n + cT (A_p x_n / 2 + b_p).
-It is solved once, and its solution becomes the Picard warm start, so
-the accepted iterate passes the same a-posteriori bound; the first
-Picard iterate checks that the step map contracts by q_n along the
-solve, which catches an envelope that understates T. The same system,
-with powers by binary powering, is kept as an independent oracle.
+For affine T (a mapping with ``affine``) the step is the linear system
+(I - (cT/2) A_p) x = cf f(x_n) + cx x_n + cT (A_p x_n / 2 + b_p).
+``affine.solve`` solves it once, in A's eigenbasis with one refinement
+step (O(d^2) per step) or by LU where the eigenbasis is ill-conditioned,
+and its solution becomes the Picard warm start, so the accepted iterate
+passes the same a-posteriori bound whatever the solve's accuracy; the
+first Picard iterate checks that the step map contracts by q_n along
+the solve, which catches an envelope that understates T. The same
+system, solved by LU with powers by binary powering, is kept as an
+independent oracle.
 
 :func:`run` returns a columnar :class:`Trace`: the iterates as one
 array plus one array per step statistic.
@@ -160,9 +163,9 @@ class SolverConfig:
         the step's, from the schedule unless the caller passes it."""
         if cT is None:
             cT = self.scheme.coefficients(self.schedule, n)[2]
-        p, r, pair = self.scheme.power(n), self.norm.p, self.mapping.affine_pair
-        if math.isinf(r) and pair is not None:  # NaN once A_p overflows
-            lip = float(np.linalg.norm(pair(p)[0], np.inf))
+        p, r, affine = self.scheme.power(n), self.norm.p, self.mapping.affine
+        if math.isinf(r) and affine is not None:  # NaN once A_p overflows
+            lip = float(np.linalg.norm(affine.pair(p)[0], np.inf))
             k = math.inf if math.isnan(lip) else max(self.schedule.k(p), lip)
         else:
             k = self.envelope(p, self.mapping.domain_dim ** abs(1.0 / r - 0.5))
@@ -189,7 +192,7 @@ def implicit_step(cfg: SolverConfig, n: int, x_n, collect_deltas: bool = False,
     Returns the accepted iterate together with the inner iteration count
     and the final a-posteriori bound; the accepted iterate is within
     tol_inner of the exact step solution whenever the contraction bound
-    is valid. For a mapping with an ``affine_pair`` whose first iterate
+    is valid. For a mapping with an ``affine`` power whose first iterate
     y_1 = G(x_n) does not meet tol_inner, the step's linear system is
     solved once and its solution y* replaces the warm start, so the
     accepted iterate is still a Picard iterate G(y*) under the same bound;
@@ -197,9 +200,11 @@ def implicit_step(cfg: SolverConfig, n: int, x_n, collect_deltas: bool = False,
     a Picard delta is non-finite or exceeds the first one, if the linear
     system is singular, or if ||y_1 - G(y*)|| > q_n ||x_n - y*|| + tol_inner
     (no q_n-contraction does any of these), and InnerBudgetError if
-    max_inner is hit first (the achieved bound is attached). ``x_n`` is
-    checked once; the loop runs on raw arrays. ``coefficients`` is step
-    n's (cf, cx, cT) when the caller has computed it already.
+    max_inner is hit first (the achieved bound is attached), and
+    InvalidInputError if a step without the operator term (cT = 0) comes
+    out non-finite. ``x_n`` is checked once; the loop and the contraction
+    run on raw arrays. ``coefficients`` is step n's (cf, cx, cT) when the
+    caller has computed it already.
     """
     x_n = as_vector(x_n, dim=cfg.mapping.domain_dim)
     cf, cx, cT = coefficients or cfg.scheme.coefficients(cfg.schedule, n)
@@ -212,17 +217,20 @@ def implicit_step(cfg: SolverConfig, n: int, x_n, collect_deltas: bool = False,
 
     base = cx * x_n
     if cf != 0.0:
-        base = base + cf * cfg.contraction(x_n)
+        base = base + cf * np.asarray(cfg.contraction.apply(x_n), dtype=float)
 
     if cT == 0.0:
-        # operator term absent: the step map is constant
+        # operator term absent: the step map is constant, and no Picard
+        # delta checks that it is finite
+        if not np.isfinite(base).all():
+            raise InvalidInputError(f"step {n} is not finite: the contraction gave NaN or Inf")
         return StepResult(x=base, inner_iters=1, q=q, k=k, bound=0.0,
                           deltas=[] if collect_deltas else None)
 
     power = power_operator(cfg.mapping, p, cap=cfg.power_cap)
     size = norm_kernel(cfg.norm)
     factor = q / (1.0 - q)
-    pair = cfg.mapping.affine_pair
+    affine = cfg.mapping.affine
     y, y1, first = x_n, None, None
     deltas = [] if collect_deltas else None
     m = 0
@@ -246,8 +254,8 @@ def implicit_step(cfg: SolverConfig, n: int, x_n, collect_deltas: bool = False,
         bound = factor * delta
         if bound <= cfg.tol_inner:
             return StepResult(x=y, inner_iters=m, q=q, k=k, bound=bound, deltas=deltas)
-        if pair is not None and y1 is None:
-            y1, y, m = y, _solve_affine_step(pair(p), cT, base, x_n, n, q), 0
+        if affine is not None and y1 is None:
+            y1, y, m = y, _solve_affine_step(affine, p, cT, base, x_n, n, q), 0
     raise InnerBudgetError(
         f"inner solver hit max_inner={cfg.max_inner} at n={n}; achieved bound {bound:.3e}",
         n=n, achieved_bound=bound, iterations=cfg.max_inner,
@@ -261,13 +269,12 @@ def _diverges(n: int, q: float, evidence: str) -> IllPosedError:
     )
 
 
-def _solve_affine_step(pair, cT: float, base: np.ndarray, x_n: np.ndarray, n: int,
-                       q: float) -> np.ndarray:
+def _solve_affine_step(affine, p: int, cT: float, base: np.ndarray, x_n: np.ndarray,
+                       n: int, q: float) -> np.ndarray:
     """Fixed point y* of y -> base + cT (A_p (x_n + y) / 2 + b_p)."""
-    Ap, bp = pair
-    M = np.eye(x_n.size) - 0.5 * cT * Ap
+    Ap, bp = affine.pair(p)
     try:
-        return np.linalg.solve(M, base + cT * (0.5 * (Ap @ x_n) + bp))
+        return affine.solve(p, 0.5 * cT, base + cT * (0.5 * (Ap @ x_n) + bp))
     except np.linalg.LinAlgError as exc:
         raise IllPosedError(f"singular implicit system at n={n}: {exc}", n=n, q=q) from exc
 

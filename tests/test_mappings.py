@@ -161,7 +161,9 @@ class TestAffine:
 
 
 class TestAffinePowerRequests:
-    """apply_power on an affine map agrees with binary powering in any request order."""
+    """apply_power on an affine map agrees with binary powering in any request
+    order, and so does the eigenbasis solve of (I - s A_n) y = r, whose
+    lam^n must keep in step with A_n."""
 
     @pytest.fixture
     def affine(self):
@@ -177,6 +179,13 @@ class TestAffinePowerRequests:
         An, bn = affine_power_pair(A, b, n)
         want = An @ u + bn
         assert np.linalg.norm(apply_power(T, n, u) - want) <= 1e-12 * np.linalg.norm(want)
+        # a run solves its step right after asking for T^n (power schemes)
+        # or T^n then T (GVIM: power residual, then the step)
+        for p, Ap in ((n, An), (1, A)):
+            y = T.affine.solve(p, 0.45, u)
+            want = np.linalg.solve(np.eye(len(u)) - 0.45 * Ap, u)
+            assert np.linalg.norm(y - want) <= 1e-13 * np.linalg.norm(want)
+        assert T.affine._eig  # the eigenbasis path, not LU
 
     def test_sequential(self, affine):
         for n in range(1, 51):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from midpointfp import solver
 from midpointfp.errors import IllPosedError, InnerBudgetError, InvalidInputError
 from midpointfp.mappings import (
+    Contraction,
     Mapping,
     make_affine,
     make_contraction_half,
@@ -29,8 +31,8 @@ from midpointfp.space import NormSpec, norm
 
 
 def picard_only(mapping):
-    """The mapping without its affine pair, so steps run plain Picard."""
-    return replace(mapping, affine_pair=None)
+    """The mapping without its affine powers, so steps run plain Picard."""
+    return replace(mapping, affine=None)
 
 
 def one_d_identity_cfg(**kw):
@@ -158,9 +160,14 @@ class TestImplicitStep:
                                                         envelope=lambda n: 1.0),
             schedule=sched, x1=[1.0, 1.0], contraction=make_contraction_half(),
         )
-        with pytest.raises(IllPosedError, match="singular") as err:
-            implicit_step(cfg, 1, [1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(IllPosedError, match="singular implicit system") as err:
+                implicit_step(cfg, 1, [1.0, 1.0])
         assert err.value.n == 1
+        # A = 4I has a perfect eigenbasis; the zero denominator 1 - s lam
+        # sends the step to LU, which finds the system singular
+        assert cfg.mapping.affine._eig
 
     def test_affine_fixed_point_start_passes_the_pair_check(self):
         # T is orthogonal about x*, so envelope 1 is exact, and once the
@@ -253,6 +260,21 @@ class TestImplicitStep:
         assert err.value.n == 2
         assert err.value.q == cfg.step_contraction_factor(2)
 
+    @pytest.mark.parametrize("schedule, error, message", [
+        # c_1 = 0: step 1 has no operator term, so no Picard delta sees the NaN
+        (paper_schedule(), InvalidInputError, "step 1 is not finite"),
+        (custom_schedule([[0.5, 0.0, 0.5, 1.0]]), IllPosedError, "diverges at n=1"),
+    ], ids=["cT = 0", "cT != 0"])
+    def test_nan_contraction_raises_a_typed_error(self, schedule, error, message):
+        # run calls the contraction on the checked x_n without checking again
+        nan = Contraction(apply=lambda u: np.full_like(u, np.nan), alpha=0.5, name="nan")
+        cfg = SolverConfig(scheme=SCHEMES["GVIM"], mapping=make_affine(0.5 * np.eye(3), np.ones(3)),
+                           schedule=schedule, x1=np.ones(3), contraction=nan, max_outer=1)
+        with pytest.raises(error, match=message):
+            run(cfg)
+        with pytest.raises(error, match=message):
+            implicit_step(cfg, 1, np.ones(3))
+
     def test_picard_deltas_contract(self):
         rng = np.random.default_rng(77)
         sched = power_schedule(1.0, 0.2)
@@ -330,6 +352,83 @@ class TestImplicitStep:
             assert res.bound <= cfg.tol_inner < res.deltas[0] * res.q / (1.0 - res.q)
             want = implicit_step_affine_oracle(A, b, cfg.scheme, sched, n, x_n, cfg.contraction)
             assert np.linalg.norm(res.x - want) <= cfg.tol_inner
+
+
+def _orthogonal_d60():
+    """An orthogonal Q with b = (I - Q) x*, so x* is fixed, and a start x1."""
+    rng = np.random.default_rng(7)
+    q, r = np.linalg.qr(rng.standard_normal((60, 60)))
+    q = q * np.sign(np.diag(r))
+    x_star = rng.standard_normal(60)
+    return q, x_star - q @ x_star, rng.standard_normal(60)
+
+
+def _rotation():
+    c = s = math.sqrt(0.5)
+    return np.array([[c, -s], [s, c]]), np.array([0.5, -1.0]), np.array([1.0, 0.3]), None
+
+
+def _symmetric():
+    rng = np.random.default_rng(12)
+    Q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    A = Q @ np.diag(rng.uniform(-0.95, 0.95, 8)) @ Q.T
+    return A, rng.standard_normal(8), rng.standard_normal(8), None
+
+
+def _jordan():
+    # sup_n ||J^n||_2 = 1.207, so the constant envelope 1.25 holds
+    return np.array([[0.5, 1.0], [0.0, 0.5]]), np.array([1.0, -1.0]), np.array([2.0, 1.0]), 1.25
+
+
+def _non_normal():
+    # close eigenvalues and large couplings: kappa_1(V) is about 2e6, and
+    # sup_n ||A^n||_2 = 1.41
+    A = np.diag(np.linspace(0.3, 0.34, 5)) + np.triu(0.4 * np.ones((5, 5)), 1)
+    return A, np.arange(5.0), np.ones(5), 1.5
+
+
+class TestAffineSolve:
+    """Each affine step is solved in A's eigenbasis, or by LU where the
+    eigenbasis is ill-conditioned; both agree with the LU oracle."""
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    @pytest.mark.parametrize("inputs, eigen, steps", [
+        (_rotation, True, 200),
+        (_symmetric, True, 200),
+        (lambda: (*_orthogonal_d60(), None), True, 40),
+        (_jordan, False, 200),
+        (_non_normal, False, 200),
+    ], ids=["rotation", "symmetric", "orthogonal d=60", "jordan", "non-normal"])
+    def test_steps_agree_with_the_oracle(self, inputs, eigen, steps, scheme):
+        A, b, x1, k = inputs()
+        cfg = SolverConfig(
+            scheme=SCHEMES[scheme],
+            mapping=make_affine(A, b, envelope=None if k is None else lambda n: k),
+            schedule=paper_schedule(), x1=x1, contraction=make_contraction_half(),
+            max_outer=steps, tol_step=0.0,
+        )
+        trace = run(cfg)
+        assert len(trace) == steps
+        assert np.all(trace.inner_iters == 1)
+        assert bool(cfg.mapping.affine._eig) == eigen
+        for n in range(1, steps + 1):
+            want = implicit_step_affine_oracle(A, b, cfg.scheme, cfg.schedule, n,
+                                               trace.x[n - 1], cfg.contraction)
+            assert np.linalg.norm(trace.x[n] - want) <= cfg.tol_inner, n
+
+    def test_refinement_keeps_the_residual_at_rounding_level(self):
+        # lam^p and the A_p formed by products drift apart by rounding as p
+        # grows; without the refinement step the relative residual reaches
+        # about 2e-12 by p = 2000 at d = 60
+        A, b, _ = _orthogonal_d60()
+        affine = make_affine(A, b).affine
+        rng = np.random.default_rng(5)
+        for p in range(1, 2001):
+            r, s = rng.standard_normal(60), 0.5 * (p - 1) / (p + 1)
+            y = affine.solve(p, s, r)
+            residual = r - (y - s * (affine.pair(p)[0] @ y))
+            assert np.linalg.norm(residual) <= 1e-14 * np.linalg.norm(r), p
+        assert affine._eig
 
 
 class TestRun:
