@@ -10,7 +10,6 @@ alpha < 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
@@ -18,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidInputError
-from .space import as_vector, norm, norm_kernel
+from .space import as_vector
 
 __all__ = [
     "Mapping",
@@ -53,6 +52,17 @@ class Mapping:
     returns (A_n, b_n) with T^n u = A_n u + b_n, and ``affine.solve(p, s, r)``
     solves (I - s A_p) y = r, which the step solver uses as each implicit
     step's warm start.
+
+    ``rowwise`` declares that ``apply`` and ``power`` also take a (B, d)
+    stack of points and return the (B, d) stack of their images, each row
+    bit for bit the 1-D call on that row; :func:`verify_envelope` then
+    evaluates each power once per side on the whole sample stack. The
+    flip and affine maps declare it. It is opt-in because a map written
+    for 1-D input can return wrong rows on a stack without failing
+    (``lambda u: Q @ u`` on a (d, d) stack computes Q U, not U Q^T), so an
+    undeclared map only ever receives 1-D points. Stacks go through
+    ``apply`` and ``power`` themselves, so whatever wraps those two fields
+    sees every evaluation.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -62,6 +72,7 @@ class Mapping:
     sample_domain: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
     name: str = "mapping"
     affine: Optional[_AffinePower] = None
+    rowwise: bool = False
 
     def __call__(self, u) -> np.ndarray:
         v = as_vector(u, dim=self.domain_dim)
@@ -125,15 +136,24 @@ def apply_power(mapping: Mapping, n: int, u, cap: int | None = None) -> np.ndarr
 
 def _flip_apply(u: np.ndarray) -> np.ndarray:
     # sign-flip outside the open mixed-sign region; axes flip too
+    if u.ndim == 2:
+        return _flip_rows(u)
     if u[0] * u[1] < 0.0:
         return u.copy()
     return -u
 
 
 def _flip_power(n: int, u: np.ndarray) -> np.ndarray:
+    if u.ndim == 2:
+        return u.copy() if n % 2 == 0 else _flip_rows(u)
     if u[0] * u[1] < 0.0:
         return u.copy()
     return u.copy() if n % 2 == 0 else -u
+
+
+def _flip_rows(U: np.ndarray) -> np.ndarray:
+    """T on each row of a (B, 2) stack: a branch mask per row."""
+    return np.where((U[:, 0] * U[:, 1] < 0.0)[:, None], U, -U)
 
 
 def _flip_sample(rng: np.random.Generator, count: int, radius: float = 2.0) -> np.ndarray:
@@ -162,6 +182,7 @@ def make_flip_map(envelope: Callable[[int], float] | None = None) -> Mapping:
         power=_flip_power,
         sample_domain=_flip_sample,
         name="flip",
+        rowwise=True,
     )
 
 
@@ -236,7 +257,7 @@ class _AffinePower:
 
     def __call__(self, n: int, u: np.ndarray) -> np.ndarray:
         An, bn = self.pair(n)
-        return An @ u + bn
+        return _affine_apply(An, bn, u)
 
     def solve(self, p: int, s: float, r: np.ndarray) -> np.ndarray:
         """y with (I - s A_p) y = r.
@@ -261,6 +282,14 @@ class _AffinePower:
                 y = (V @ ((Vinv @ r) / denom)).real
                 return y + (V @ ((Vinv @ (r - y + s * (Ap @ y))) / denom)).real
         return np.linalg.solve(np.eye(r.size) - s * Ap, r)
+
+
+def _affine_apply(A: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """A u + b for a point u, or for each row of a (B, d) stack u."""
+    if u.ndim == 1:
+        return A @ u + b
+    # one gemv per row, as A @ u makes; U @ A.T is a GEMM and rounds differently
+    return np.matmul(A, u[..., None])[..., 0] + b
 
 
 def _eigenbasis(A: np.ndarray):
@@ -296,12 +325,13 @@ def make_affine(A, b, envelope: Callable[[int], float] | None = None) -> Mapping
         envelope = lambda n, _base=base: _base ** n
     power = _AffinePower(A, bv)
     return Mapping(
-        apply=lambda u: A @ u + bv,
+        apply=partial(_affine_apply, A, bv),
         envelope=envelope,
         domain_dim=bv.size,
         power=power,
         name="affine",
         affine=power,
+        rowwise=True,
     )
 
 
@@ -324,6 +354,12 @@ def make_scaling_contraction(factor: float) -> Contraction:
 
 # ---------------------------------------------------------------------------
 # envelope verification
+
+
+def _row_norms(E: np.ndarray) -> np.ndarray:
+    """2-norm of each row of E, each bit for bit ``norm_kernel()`` of the row:
+    one dot product per row (np.einsum sums in another order)."""
+    return np.sqrt(np.matmul(E[:, None, :], E[:, :, None])[:, 0, 0])
 
 
 @dataclass(frozen=True)
@@ -362,10 +398,14 @@ def verify_envelope(
     declares one, else uniformly from [-radius, radius]^d; pairs closer
     than 1e-9 are discarded to avoid ratio blowup. Reports the maximum
     over samples and n <= n_max of ratio - k_n; passes iff <= ``tol``.
-    Each drawn stack of sample points is checked once and a closed-form
-    power is bound once per n: 2 * samples * n_max power evaluations. An
-    exceeded envelope yields a failing report; a malformed or non-finite
-    sample stack, or a NaN or Inf image T^n u, raises InvalidInputError.
+    Each drawn stack of sample points is checked once. Per n, the u side
+    and the v side of the pairs each take one stacked call, T^n on the
+    pairs or T on the previous images, when the mapping is ``rowwise``:
+    2 * n_max calls; otherwise every row is its own call, 2 * samples *
+    n_max in all. An exceeded envelope, also a distance that overflows to
+    inf, yields a failing report; a malformed or non-finite sample stack,
+    or a NaN or Inf entry in an image difference T^n u - T^n v, raises
+    InvalidInputError.
     """
     if n_max < 1 or samples < 1:
         raise InvalidInputError("n_max and samples must be >= 1")
@@ -393,36 +433,43 @@ def verify_envelope(
         guard += samples
     if len(us) < samples:
         raise InvalidInputError("could not draw enough well-separated sample pairs")
-    pairs = list(zip(us[:samples], vs[:samples]))
+    us, vs = us[:samples], vs[:samples]
 
-    size = norm_kernel()  # bit-identical to norm for the 2-norm
+    def evaluate(f, U):
+        if mapping.rowwise:
+            images = np.asarray(f(U), dtype=float)
+        else:
+            images = np.array([np.asarray(f(u), dtype=float) for u in U])
+        if images.shape != U.shape:
+            raise InvalidInputError(f"mapping {mapping.name!r} gave images of shape "
+                                    f"{images.shape} for points of shape {U.shape}")
+        return images
+
     max_excess = -np.inf
     worst_n = 1
-    worst_pair = pairs[0]
+    worst_pair = (us[0].copy(), vs[0].copy())
     per_power = {}
-    denoms = [size(u - v) for u, v in pairs]
-    images = list(pairs)  # (T^n u, T^n v) of each pair
+    denoms = _row_norms(us - vs)
+    tus, tvs = us, vs  # T^n of each side
     # n runs outermost so that each power is formed once, in the
     # sequential order closed-form powers are built in
     for n in range(1, n_max + 1):
-        k_n = env(n)
-        if mapping.power is not None:  # T^n of the pair
-            step, sources = partial(mapping.power, n), pairs
+        if mapping.power is not None:  # T^n of the pairs
+            step = partial(mapping.power, n)
+            tus, tvs = evaluate(step, us), evaluate(step, vs)
         else:  # T of (T^(n-1) u, T^(n-1) v)
-            step, sources = mapping.apply, images
-        for i, (u, v) in enumerate(sources):
-            tu, tv = np.asarray(step(u), dtype=float), np.asarray(step(v), dtype=float)
-            images[i] = (tu, tv)
-            dist = size(tu - tv)
-            if not math.isfinite(dist):
-                dist = norm(tu - tv)  # raises on a NaN or Inf image
-            excess = dist / denoms[i] - k_n
-            if excess > per_power.get(n, -np.inf):
-                per_power[n] = excess
-            if excess > max_excess:
-                max_excess = excess
-                worst_n = n
-                worst_pair = (pairs[i][0].copy(), pairs[i][1].copy())
+            tus, tvs = evaluate(mapping.apply, tus), evaluate(mapping.apply, tvs)
+        diffs = tus - tvs
+        if not np.isfinite(diffs).all():
+            raise InvalidInputError(f"an image difference T^{n} u - T^{n} v contains NaN or Inf")
+        excess = _row_norms(diffs) / denoms - env(n)
+        i = int(np.argmax(excess))  # the first pair attaining the maximum
+        if excess[i] > -np.inf:
+            per_power[n] = float(excess[i])
+        if excess[i] > max_excess:
+            max_excess = float(excess[i])
+            worst_n = n
+            worst_pair = (us[i].copy(), vs[i].copy())
     return EnvelopeReport(
         passed=bool(max_excess <= tol),
         max_excess=float(max_excess),

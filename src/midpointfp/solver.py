@@ -241,6 +241,9 @@ def implicit_step(cfg: SolverConfig, n: int, x_n, collect_deltas: bool = False,
         if first is None:
             first = delta
         if not (delta <= first and math.isfinite(delta)):
+            if not math.isfinite(delta):
+                raise IllPosedError(f"step {n} is not finite: Picard delta {delta:.3e} "
+                                    f"at iteration {m}", n=n, q=q)
             raise _diverges(n, q, f"Picard delta {delta:.3e} after {first:.3e} at iteration {m}")
         if m == 1 and y1 is not None:
             # y = y*: G must bring x_n and y* closer by the factor q_n

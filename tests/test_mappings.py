@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -331,6 +333,90 @@ def test_verify_envelope_matches_the_per_pair_loop(case, seed):
     assert report.per_power_excess == per_power
 
 
+def assert_bitwise(got, want):
+    """Equal bit for bit, so -0.0 differs from 0.0."""
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestStackedEvaluation:
+    """A rowwise map evaluates a (B, d) stack in one call, each row bit for
+    bit the 1-D call on that row."""
+
+    FLIP_ROWS = np.array([
+        [1.0, -1.0], [-0.25, 0.75], [2.0, 3.0], [-1.0, -1.5],  # mixed and same signs
+        [0.0, 1.0], [-2.0, 0.0], [0.0, 0.0],  # axis points, u1 u2 = 0
+        [-0.0, 1.0], [0.0, -0.0], [-0.0, -0.0], [1.5, -0.0],  # signed zeros
+        [1e-300, -1e-300], [1e-200, 1e-200],  # u1 u2 underflows to -0.0 and 0.0
+    ])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    def test_flip_power_matches_the_rows(self, n):
+        flip, U = make_flip_map(), self.FLIP_ROWS
+        assert_bitwise(flip.power(n, U), [flip.power(n, u) for u in U])
+
+    def test_flip_apply_matches_the_rows(self):
+        flip, U = make_flip_map(), self.FLIP_ROWS
+        assert_bitwise(flip.apply(U), [flip.apply(u) for u in U])
+
+    @pytest.mark.parametrize("d", [2, 5, 60])
+    def test_affine_power_matches_the_rows(self, d):
+        rng = np.random.default_rng(d)
+        A, b = rng.standard_normal((d, d)) / np.sqrt(d), rng.standard_normal(d)
+        T, U = make_affine(A, b), rng.uniform(-2.0, 2.0, size=(37, d))
+        assert_bitwise(T.apply(U), [A @ u + b for u in U])
+        for n in [1, 2, 3, 8, 5]:  # sequential powers, then binary powering
+            An, bn = T.affine.pair(n)
+            assert_bitwise(T.power(n, U), [An @ u + bn for u in U])
+
+    def test_only_the_library_maps_declare_stacks(self):
+        assert make_flip_map().rowwise and make_affine(np.eye(2), np.zeros(2)).rowwise
+        assert not Mapping(apply=lambda u: u, envelope=lambda n: 1.0, domain_dim=2).rowwise
+
+    @pytest.mark.parametrize("rowwise, calls", [(True, 2 * 6), (False, 2 * 40 * 6)])
+    def test_power_calls_per_check(self, rowwise, calls):
+        seen = []
+        flip = make_flip_map()
+
+        def power(n, u):
+            seen.append(u.shape)
+            return flip.power(n, u)
+
+        T = dataclasses.replace(flip, power=power, rowwise=rowwise)
+        assert verify_envelope(T, n_max=6, samples=40, seed=3).passed
+        assert len(seen) == calls
+        assert set(seen) == {(40, 2) if rowwise else (2,)}
+
+    @pytest.mark.parametrize("seed", [1, 8])
+    def test_one_dimensional_map_gets_rows_when_samples_equal_d(self, seed):
+        # Q @ U on a (3, 3) stack would not raise but give Q U, not U Q^T
+        Q = 1.1 * np.linalg.qr(np.random.default_rng(6).standard_normal((3, 3)))[0]
+
+        def apply(u):
+            if u.ndim != 1:
+                raise AssertionError("a 1-D map received a stack")
+            return Q @ u
+
+        T = Mapping(apply=apply, envelope=lambda n: 1.0, domain_dim=3)
+        report = verify_envelope(T, n_max=5, samples=3, seed=seed)
+        passed, max_excess, worst_n, worst_pair, per_power = reference_envelope(
+            T, n_max=5, samples=3, seed=seed)
+        assert report.passed == passed is False
+        assert report.max_excess == max_excess
+        assert report.worst_n == worst_n == 5
+        np.testing.assert_array_equal(report.worst_pair[0], worst_pair[0])
+        np.testing.assert_array_equal(report.worst_pair[1], worst_pair[1])
+        assert report.per_power_excess == per_power
+
+    def test_stack_of_the_wrong_shape_raises(self):
+        # declared rowwise, but maps every stack to one point
+        T = Mapping(apply=lambda u: u, envelope=lambda n: 1.0, domain_dim=2,
+                    power=lambda n, u: np.sum(u, axis=0), rowwise=True)
+        with pytest.raises(InvalidInputError, match=r"shape \(2,\) for points of shape \(20, 2\)"):
+            verify_envelope(T, n_max=2, samples=20, seed=1)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # arithmetic on the NaN/Inf images
 class TestVerifyEnvelopeBoundary:
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -362,3 +448,17 @@ class TestVerifyEnvelopeBoundary:
     def test_negative_seed_raises(self):
         with pytest.raises(InvalidInputError, match="seed"):
             verify_envelope(make_flip_map(), n_max=2, samples=20, seed=-1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the squared distances overflow
+@pytest.mark.parametrize("build", [
+    lambda: Mapping(apply=lambda u: u, envelope=lambda n: 1.0, domain_dim=2,
+                    power=lambda n, u: 1e200 * u),
+    lambda: make_scaling(1e200, 2, envelope=lambda n: 1.0),
+], ids=["per-row map", "affine"])
+def test_overflowing_distance_fails_the_report(build):
+    # images and their differences are finite, only their 2-norm overflows
+    report = verify_envelope(build(), n_max=1, samples=20, seed=1)
+    assert report.passed is False
+    assert report.max_excess == np.inf
+    assert report.worst_n == 1

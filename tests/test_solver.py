@@ -263,7 +263,7 @@ class TestImplicitStep:
     @pytest.mark.parametrize("schedule, error, message", [
         # c_1 = 0: step 1 has no operator term, so no Picard delta sees the NaN
         (paper_schedule(), InvalidInputError, "step 1 is not finite"),
-        (custom_schedule([[0.5, 0.0, 0.5, 1.0]]), IllPosedError, "diverges at n=1"),
+        (custom_schedule([[0.5, 0.0, 0.5, 1.0]]), IllPosedError, "step 1 is not finite"),
     ], ids=["cT = 0", "cT != 0"])
     def test_nan_contraction_raises_a_typed_error(self, schedule, error, message):
         # run calls the contraction on the checked x_n without checking again
