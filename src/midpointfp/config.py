@@ -45,7 +45,6 @@ from .mappings import (
     make_flip_map,
     make_scaling,
     make_scaling_contraction,
-    operator_norm_est,
 )
 from .schedules import Schedule, custom_schedule, paper_schedule, power_schedule
 from .solver import Scheme, SolverConfig, scheme_by_name
@@ -205,6 +204,7 @@ class ExperimentConfig:
             return make_scaling(0.5, dim, envelope=envelope or (lambda n: 1.0))
         raise ConfigError(f"unknown mapping kind {kind!r}", key="kind")
 
+    @_as_config_error
     def build_contraction(self) -> Contraction | None:
         spec = self.contraction
         if spec is None:
@@ -217,14 +217,15 @@ class ExperimentConfig:
         if kind == "affine":
             A = np.asarray(spec["A"], dtype=float)
             b = np.asarray(spec["b"], dtype=float)
-            alpha = operator_norm_est(A)
+            alpha = float(np.linalg.norm(A, 2))
             if not alpha < 1.0:
                 raise ConfigError(
                     f"affine contraction needs ||A||_2 < 1, got {alpha:.6f}", key="A"
                 )
-            return Contraction(apply=lambda u: A @ u + b, alpha=alpha, name="affine")
+            return Contraction(apply=lambda u: A @ u + b, alpha=alpha)
         raise ConfigError(f"unknown contraction kind {kind!r}", key="kind")
 
+    @_as_config_error
     def build_schedule(self) -> Schedule:
         spec = self.schedule
         family = spec["family"]

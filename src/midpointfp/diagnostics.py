@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError, MidpointError, RejectedSampleError
-from .mappings import Contraction, Mapping, make_flip_map
+from .mappings import SAMPLE_RADIUS, Contraction, Mapping, make_flip_map
 from .solver import SolverConfig, Trace, run
 from .space import NormSpec, as_vector, duality_map, inner, norm
 
@@ -23,7 +23,8 @@ __all__ = [
     "estimate_rate",
 ]
 
-DEFAULT_THRESHOLDS = (1e-2, 1e-4, 1e-6)
+# step-norm levels a comparison reports the first step n to reach
+THRESHOLDS = (1e-2, 1e-4, 1e-6)
 
 
 @dataclass(frozen=True)
@@ -82,17 +83,18 @@ def check_vi(
     )
 
 
-def sample_fixed_set_flip(count: int, seed: int, radius: float = 2.0) -> list:
+def sample_fixed_set_flip(count: int, seed: int) -> list:
     """The origin plus ``count - 1`` random points of the flip map's
-    fixed region {u : u1 u2 < 0}, each verified exactly fixed."""
+    fixed region {u : u1 u2 < 0}, each verified exactly fixed; each
+    coordinate's magnitude is drawn from [0.05, SAMPLE_RADIUS] (2)."""
     if count < 1:
         raise InvalidInputError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     flip = make_flip_map()
     out = [np.zeros(2)]
     while len(out) < count:
-        u1 = rng.uniform(0.05, radius)
-        u2 = -rng.uniform(0.05, radius)
+        u1 = rng.uniform(0.05, SAMPLE_RADIUS)
+        u2 = -rng.uniform(0.05, SAMPLE_RADIUS)
         if rng.integers(0, 2):
             u1, u2 = -u1, -u2
         u = np.array([u1, u2])
@@ -133,10 +135,10 @@ class SchemeRun:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Aligned residual histories for several schemes on one problem."""
+    """Aligned residual histories for several schemes on one problem, each
+    run's ``iters_to`` keyed by the step-norm levels of THRESHOLDS."""
 
     runs: list
-    thresholds: tuple
 
     def to_csv(self) -> str:
         """Columns: n, then one step_norm column per scheme (LF endings)."""
@@ -153,34 +155,32 @@ class ComparisonReport:
     def to_markdown(self) -> str:
         lines = [
             "| scheme | status | iterations | "
-            + " | ".join(f"n @ {t:g}" for t in self.thresholds)
+            + " | ".join(f"n @ {t:g}" for t in THRESHOLDS)
             + " | rate |",
-            "|---|---|---|" + "---|" * len(self.thresholds) + "---|",
+            "|---|---|---|" + "---|" * len(THRESHOLDS) + "---|",
         ]
         for r in self.runs:
             if r.failed:
-                cells = [r.scheme, f"failed: {r.error}", "-"] + ["-"] * len(self.thresholds) + ["-"]
+                cells = [r.scheme, f"failed: {r.error}", "-"] + ["-"] * len(THRESHOLDS) + ["-"]
             else:
                 status = "converged" if r.trace.converged else "max_outer"
                 hits = [str(r.iters_to[t]) if r.iters_to[t] is not None else "-"
-                        for t in self.thresholds]
+                        for t in THRESHOLDS]
                 rate = f"{r.rate:+.3f}" if r.rate is not None else "-"
                 cells = [r.scheme, status, str(len(r.trace))] + hits + [rate]
             lines.append("| " + " | ".join(cells) + " |")
         return "\n".join(lines) + "\n"
 
 
-def compare_schemes(
-    base_cfg: SolverConfig,
-    schemes,
-    thresholds=DEFAULT_THRESHOLDS,
-) -> ComparisonReport:
+def compare_schemes(base_cfg: SolverConfig, schemes) -> ComparisonReport:
     """Run each scheme on the shared configuration and align residuals.
 
     The mapping, contraction, initial point, tolerances, and the single
     schedule object are shared, so schedule values agree bitwise across
-    columns. A scheme that raises is reported failed while the others
-    complete. Runs are ordered by scheme name for deterministic output.
+    columns. Each run records the first step n whose step norm reaches
+    each level of THRESHOLDS (1e-2, 1e-4, 1e-6). A scheme that raises is
+    reported failed while the others complete. Runs are ordered by scheme
+    name for deterministic output.
     """
     schemes = list(schemes)
     if len(schemes) < 2:
@@ -190,11 +190,11 @@ def compare_schemes(
         try:
             trace = run(replace(base_cfg, scheme=scheme))
         except MidpointError as exc:
-            runs.append(SchemeRun(scheme.name, None, str(exc), {t: None for t in thresholds}, None))
+            runs.append(SchemeRun(scheme.name, None, str(exc), dict.fromkeys(THRESHOLDS), None))
             continue
         steps = trace.step_norm
         iters_to = {}
-        for t in thresholds:
+        for t in THRESHOLDS:
             hit = np.nonzero(steps <= t)[0]
             iters_to[t] = int(hit[0]) + 1 if hit.size else None
         try:
@@ -202,7 +202,7 @@ def compare_schemes(
         except InsufficientDataError:
             rate = None
         runs.append(SchemeRun(scheme.name, trace, None, iters_to, rate))
-    return ComparisonReport(runs=runs, thresholds=tuple(thresholds))
+    return ComparisonReport(runs=runs)
 
 
 def estimate_rate(residuals) -> float:

@@ -10,6 +10,7 @@ alpha < 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
@@ -30,11 +31,15 @@ __all__ = [
     "make_contraction_half",
     "make_scaling_contraction",
     "affine_power_pair",
-    "operator_norm_est",
     "apply_power",
     "power_operator",
     "verify_envelope",
 ]
+
+# half-width of the box the envelope check and the flip map's samplers draw from
+SAMPLE_RADIUS = 2.0
+# largest ratio - k_n that the envelope check passes
+ENVELOPE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -85,7 +90,6 @@ class Contraction:
 
     apply: Callable[[np.ndarray], np.ndarray]
     alpha: float
-    name: str = "contraction"
 
     def __post_init__(self):
         if not (0.0 <= self.alpha < 1.0):
@@ -144,11 +148,8 @@ def _flip_apply(u: np.ndarray) -> np.ndarray:
 
 
 def _flip_power(n: int, u: np.ndarray) -> np.ndarray:
-    if u.ndim == 2:
-        return u.copy() if n % 2 == 0 else _flip_rows(u)
-    if u[0] * u[1] < 0.0:
-        return u.copy()
-    return u.copy() if n % 2 == 0 else -u
+    # T is an involution: T^n is the identity for even n, T for odd n
+    return u.copy() if n % 2 == 0 else _flip_apply(u)
 
 
 def _flip_rows(U: np.ndarray) -> np.ndarray:
@@ -156,11 +157,11 @@ def _flip_rows(U: np.ndarray) -> np.ndarray:
     return np.where((U[:, 0] * U[:, 1] < 0.0)[:, None], U, -U)
 
 
-def _flip_sample(rng: np.random.Generator, count: int, radius: float = 2.0) -> np.ndarray:
+def _flip_sample(rng: np.random.Generator, count: int) -> np.ndarray:
     # points on the coordinate cross, where all powers act as +/- identity
     pts = np.zeros((count, 2))
     axes = rng.integers(0, 2, size=count)
-    vals = rng.uniform(-radius, radius, size=count)
+    vals = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, size=count)
     pts[np.arange(count), axes] = vals
     return pts
 
@@ -190,11 +191,6 @@ def flip_fixed(u) -> bool:
     """Membership test for the flip map's fixed-point set."""
     v = as_vector(u, dim=2)
     return bool(v[0] * v[1] < 0.0 or (v[0] == 0.0 and v[1] == 0.0))
-
-
-def operator_norm_est(A: np.ndarray) -> float:
-    """Spectral norm ||A||_2 of ``A``."""
-    return float(np.linalg.norm(np.asarray(A, dtype=float), 2))
 
 
 def affine_power_pair(A: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -321,7 +317,7 @@ def make_affine(A, b, envelope: Callable[[int], float] | None = None) -> Mapping
     if not np.all(np.isfinite(A)):
         raise InvalidInputError("A contains NaN or Inf")
     if envelope is None:
-        base = max(1.0, operator_norm_est(A))
+        base = max(1.0, float(np.linalg.norm(A, 2)))
         envelope = lambda n, _base=base: _base ** n
     power = _AffinePower(A, bv)
     return Mapping(
@@ -342,24 +338,38 @@ def make_scaling(factor: float, dim: int, envelope: Callable[[int], float] | Non
 
 def make_contraction_half() -> Contraction:
     """f(x) = x/2 with alpha = 1/2."""
-    return Contraction(apply=lambda u: 0.5 * u, alpha=0.5, name="half")
+    return Contraction(apply=lambda u: 0.5 * u, alpha=0.5)
 
 
 def make_scaling_contraction(factor: float) -> Contraction:
     """f(x) = factor * x; requires |factor| < 1."""
     if not abs(factor) < 1.0:
         raise InvalidInputError(f"scaling contraction needs |factor| < 1, got {factor}")
-    return Contraction(apply=lambda u: factor * u, alpha=abs(factor), name=f"scale({factor})")
+    return Contraction(apply=lambda u: factor * u, alpha=abs(factor))
 
 
 # ---------------------------------------------------------------------------
 # envelope verification
 
 
+def _declared_k(envelope: Callable[[int], float], n: int) -> float:
+    """The declared envelope value k_n = ``envelope(n)`` as a float: inf when
+    it overflows a float, InvalidInputError when it is NaN."""
+    try:
+        k = float(envelope(n))
+    except OverflowError:  # e.g. the default affine envelope 1.9 ** 1107
+        return math.inf
+    if math.isnan(k):
+        raise InvalidInputError(f"declared envelope value k_n is NaN at n={n}")
+    return k
+
+
 def _row_norms(E: np.ndarray) -> np.ndarray:
     """2-norm of each row of E, each bit for bit ``norm_kernel()`` of the row:
-    one dot product per row (np.einsum sums in another order)."""
-    return np.sqrt(np.matmul(E[:, None, :], E[:, :, None])[:, 0, 0])
+    one dot product per row (np.einsum sums in another order). A squared
+    norm beyond the float range gives inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.matmul(E[:, None, :], E[:, :, None])[:, 0, 0])
 
 
 @dataclass(frozen=True)
@@ -388,16 +398,17 @@ def verify_envelope(
     n_max: int,
     samples: int,
     seed: int,
-    radius: float = 2.0,
     envelope: Callable[[int], float] | None = None,
-    tol: float = 1e-10,
 ) -> EnvelopeReport:
     """Check ``||T^n u - T^n v||_2 <= k_n ||u - v||_2`` on random pairs.
 
-    Pairs are drawn from the mapping's own sampling domain when it
-    declares one, else uniformly from [-radius, radius]^d; pairs closer
-    than 1e-9 are discarded to avoid ratio blowup. Reports the maximum
-    over samples and n <= n_max of ratio - k_n; passes iff <= ``tol``.
+    k_n is ``envelope(n)``, by default the mapping's own; a k_n that
+    overflows a float reads as inf, and a NaN one raises InvalidInputError.
+    Pairs are drawn from the mapping's own sampling domain when it declares
+    one, else uniformly from [-SAMPLE_RADIUS, SAMPLE_RADIUS]^d (2); pairs
+    closer than 1e-9 are discarded to avoid ratio blowup. Reports the
+    maximum over samples and n <= n_max of ratio - k_n; passes iff
+    <= ENVELOPE_TOL (1e-10).
     Each drawn stack of sample points is checked once. Per n, the u side
     and the v side of the pairs each take one stacked call, T^n on the
     pairs or T on the previous images, when the mapping is ``rowwise``:
@@ -417,7 +428,7 @@ def verify_envelope(
 
     def draw():
         if mapping.sample_domain is None:
-            return rng.uniform(-radius, radius, size=(samples, d))
+            return rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, size=(samples, d))
         pts = np.asarray(mapping.sample_domain(rng, samples), dtype=float)
         if pts.shape != (samples, d) or not np.all(np.isfinite(pts)):
             raise InvalidInputError(f"sample points must be {samples} finite points in R^{d}, "
@@ -462,7 +473,7 @@ def verify_envelope(
         diffs = tus - tvs
         if not np.isfinite(diffs).all():
             raise InvalidInputError(f"an image difference T^{n} u - T^{n} v contains NaN or Inf")
-        excess = _row_norms(diffs) / denoms - env(n)
+        excess = _row_norms(diffs) / denoms - _declared_k(env, n)
         i = int(np.argmax(excess))  # the first pair attaining the maximum
         if excess[i] > -np.inf:
             per_power[n] = float(excess[i])
@@ -471,12 +482,12 @@ def verify_envelope(
             worst_n = n
             worst_pair = (us[i].copy(), vs[i].copy())
     return EnvelopeReport(
-        passed=bool(max_excess <= tol),
+        passed=bool(max_excess <= ENVELOPE_TOL),
         max_excess=float(max_excess),
         worst_n=worst_n,
         worst_pair=worst_pair,
         n_max=n_max,
         samples=samples,
-        tol=tol,
+        tol=ENVELOPE_TOL,
         per_power_excess=per_power,
     )

@@ -113,7 +113,6 @@ def custom_schedule(table) -> Schedule:
         c=lambda n: at(n, 2),
         k=lambda n: at(n, 3),
         family="custom",
-        params={"table": [list(r) for r in rows]},
     )
 
 

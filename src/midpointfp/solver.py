@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import IllPosedError, InnerBudgetError, InvalidInputError
-from .mappings import Contraction, Mapping, affine_power_pair, power_operator
+from .mappings import Contraction, Mapping, _declared_k, affine_power_pair, power_operator
 from .schedules import Schedule
 from .space import NormSpec, as_vector, norm_kernel
 
@@ -147,11 +147,10 @@ class SolverConfig:
     def envelope(self, p: int, rho: float = 1.0) -> float:
         """k_p as declared, in the 2-norm that :func:`verify_envelope` checks:
         the larger of the schedule's k_p and rho times the mapping's
-        envelope(p); inf when it overflows a float."""
-        try:
-            return max(self.schedule.k(p), rho * self.mapping.envelope(p))
-        except OverflowError:  # e.g. the default affine envelope 1.9 ** 1107
-            return math.inf
+        envelope(p). A value that overflows a float reads as inf, and a NaN
+        one raises InvalidInputError."""
+        return max(_declared_k(self.schedule.k, p),
+                   rho * _declared_k(self.mapping.envelope, p))
 
     def step_bound(self, n: int, cT: float | None = None) -> tuple[float, float]:
         """(q_n, k_p) for this scheme's step n: q_n = cT * k_p / 2, with k_p
@@ -160,19 +159,17 @@ class SolverConfig:
         exact ||A_p||_inf; otherwise the mapping's 2-norm envelope is scaled
         by rho = d^|1/r - 1/2| (p-norm equivalence, Higham, Accuracy and
         Stability of Numerical Algorithms, ch. 6; rho = 1 at r = 2). cT is
-        the step's, from the schedule unless the caller passes it."""
+        the step's, from the schedule unless the caller passes it. A step
+        without the operator term (cT = 0) has q_n = 0, whatever k_p is."""
         if cT is None:
             cT = self.scheme.coefficients(self.schedule, n)[2]
         p, r, affine = self.scheme.power(n), self.norm.p, self.mapping.affine
         if math.isinf(r) and affine is not None:  # NaN once A_p overflows
             lip = float(np.linalg.norm(affine.pair(p)[0], np.inf))
-            k = math.inf if math.isnan(lip) else max(self.schedule.k(p), lip)
+            k = math.inf if math.isnan(lip) else max(_declared_k(self.schedule.k, p), lip)
         else:
             k = self.envelope(p, self.mapping.domain_dim ** abs(1.0 / r - 0.5))
-        return 0.5 * cT * k, k
-
-    def step_contraction_factor(self, n: int) -> float:
-        return self.step_bound(n)[0]
+        return (0.5 * cT * k if cT != 0.0 else 0.0), k
 
 
 @dataclass(frozen=True)
@@ -337,7 +334,6 @@ class Trace:
     c: np.ndarray
     k: np.ndarray
     converged: bool
-    scheme: str
 
     @property
     def final(self) -> np.ndarray:
@@ -404,4 +400,4 @@ def run(cfg: SolverConfig) -> Trace:
             converged = True
             break
     return Trace(x=xs[: n + 1], inner_iters=iters[:n], **dict(zip(_COLUMNS, stats[:n].T)),
-                 converged=converged, scheme=cfg.scheme.name)
+                 converged=converged)

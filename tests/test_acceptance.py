@@ -90,7 +90,7 @@ def test_criterion_1_inner_solver_oracle_equivalence():
             contraction=make_scaling_contraction(float(rng.uniform(0.0, 0.6))),
             tol_inner=tol_inner,
         )
-        if cfg.step_contraction_factor(n) > 0.9:
+        if cfg.step_bound(n)[0] > 0.9:
             continue
         x_n = rng.standard_normal(d)
         got = implicit_step(cfg, n, x_n).x

@@ -148,7 +148,7 @@ class TestRunCommand:
             step_norm=np.array(special), res_map=np.array(special[::-1]),
             res_power=np.full(count, math.nan), inner_iters=np.array([1, 35, 10_000] + [2] * 5),
             q=np.array(special), a=np.array(special), b=np.zeros(count),
-            c=np.array(special[::-1]), k=np.ones(count), converged=False, scheme="AGVIM",
+            c=np.array(special[::-1]), k=np.ones(count), converged=False,
         )
         _trace_csv(tmp_path / "trace.csv", trace)
         with open(tmp_path / "want.csv", "w", newline="") as fh:
@@ -372,6 +372,28 @@ class TestVerifyMappingCommand:
         path = write_config(tmp_path, data)
         assert main(["verify-mapping", "--config", path, "--seed", "3", "--horizon", "3"]) == 0
 
+    def test_overflowing_auto_envelope_reads_as_inf(self, tmp_path, capsys):
+        # ||A||_2 = 10, so the auto envelope 10.0 ** n overflows from n = 309 on
+        data = {**BENCHMARK, "mapping": {"kind": "affine", "A": [[0.0, 10.0], [0.0, 0.0]],
+                                         "b": [0.0, 0.0]}}
+        path = write_config(tmp_path, data)
+        code = main(["verify-mapping", "--config", path, "--horizon", "400",
+                     "--samples", "5", "--seed", "1"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert "envelope check: pass" in out
+
+    def test_overflowing_distance_fails_without_a_warning(self, tmp_path, capsys):
+        # the squared distances overflow, which numpy warns about on stderr
+        data = {**BENCHMARK, "mapping": {"kind": "affine", "A": [[1e200, 0.0], [0.0, 1e200]],
+                                         "b": [0.0, 0.0]}}
+        path = write_config(tmp_path, data)
+        code = main(["verify-mapping", "--config", path, "--horizon", "1",
+                     "--samples", "20", "--seed", "1"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (3, "")
+        assert "envelope check: FAIL" in out
+
     def test_seed_required(self, tmp_path, capsys):
         path = write_config(tmp_path, BENCHMARK)
         assert main(["verify-mapping", "--config", path]) == 1
@@ -430,6 +452,16 @@ def test_builder_error_is_config_error(tmp_path, capsys):
                  ["compare", "--schemes", "VIM,AGVIM", "--out", str(tmp_path)]):
         assert main(argv + ["--config", path]) == 1
         assert capsys.readouterr().err.startswith("config error: A must be square"), argv[0]
+
+
+def test_every_builder_reports_a_config_error():
+    # as build_solver_config does, for a caller that builds the parts alone
+    cfg = parse_config({**BENCHMARK, "contraction": {"kind": "scale", "factor": 1.5}})
+    with pytest.raises(ConfigError, match="factor"):
+        cfg.build_contraction()
+    cfg = parse_config({**BENCHMARK, "schedule": {"family": "power", "s": -1.0}})
+    with pytest.raises(ConfigError, match="exponent must be positive"):
+        cfg.build_schedule()
 
 
 def test_integral_counts_accept_whole_floats():

@@ -14,7 +14,6 @@ from midpointfp.mappings import (
     make_flip_map,
     make_scaling,
     make_scaling_contraction,
-    operator_norm_est,
     verify_envelope,
 )
 from midpointfp.space import norm
@@ -149,17 +148,20 @@ class TestAffine:
         assert shrink.envelope(4) == 1.0  # clamped below at 1
 
     def test_operator_norm_estimate(self):
+        # the default envelope is max(1, ||A||_2)^n
         rng = np.random.default_rng(31)
         for _ in range(10):
             A = rng.standard_normal((3, 3))
-            est = operator_norm_est(A)
-            assert est == pytest.approx(np.linalg.norm(A, 2), rel=1e-6)
-
+            T = make_affine(A, np.zeros(3))
+            for n in (1, 3):
+                want = max(1.0, np.linalg.norm(A, 2)) ** n
+                assert T.envelope(n) == pytest.approx(want, rel=1e-6)
 
     def test_operator_norm_exact_where_power_iteration_stalls(self):
         # the all-ones vector lies in the kernel of this A, whose 2-norm is 2
-        A = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        assert operator_norm_est(A) == pytest.approx(2.0, rel=1e-12)
+        T = make_affine([[1.0, -1.0], [-1.0, 1.0]], [0.0, 0.0])
+        assert T.envelope(1) == pytest.approx(2.0, rel=1e-12)
+        assert T.envelope(3) == pytest.approx(8.0, rel=1e-12)
 
 
 class TestAffinePowerRequests:
@@ -450,7 +452,6 @@ class TestVerifyEnvelopeBoundary:
             verify_envelope(make_flip_map(), n_max=2, samples=20, seed=-1)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the squared distances overflow
 @pytest.mark.parametrize("build", [
     lambda: Mapping(apply=lambda u: u, envelope=lambda n: 1.0, domain_dim=2,
                     power=lambda n, u: 1e200 * u),
@@ -462,3 +463,9 @@ def test_overflowing_distance_fails_the_report(build):
     assert report.passed is False
     assert report.max_excess == np.inf
     assert report.worst_n == 1
+
+
+def test_nan_declared_envelope_raises():
+    # ratio - NaN is never above -inf, so an unchecked NaN k_n passes
+    with pytest.raises(InvalidInputError, match="NaN at n=1"):
+        verify_envelope(make_flip_map(envelope=lambda n: float("nan")), n_max=3, samples=10, seed=1)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,8 +36,8 @@ class TestBenchmarkFamily:
         s = paper_schedule()
         assert s.k(2) == 1.25
         cfg = agvim_flip(s)
-        assert cfg.step_contraction_factor(2) == pytest.approx(5.0 / 24.0, abs=1e-15)
-        assert cfg.step_contraction_factor(1) == 0.0
+        assert cfg.step_bound(2)[0] == pytest.approx(5.0 / 24.0, abs=1e-15)
+        assert cfg.step_bound(1)[0] == 0.0
 
     def test_simplex_over_horizon(self):
         s = paper_schedule()
@@ -52,7 +53,7 @@ class TestBenchmarkFamily:
         s = paper_schedule()
         cfg = agvim_flip(s)
         for n in range(1, 100_001, 97):
-            q = cfg.step_contraction_factor(n)
+            q = cfg.step_bound(n)[0]
             assert q < 1.0
             assert s.c(n) * s.k(n) <= 1.0 + 1e-12
 
@@ -155,6 +156,55 @@ class TestValidate:
         assert report.normal_structure_bound.status == "pass"
 
 
+class TestDeclaredEnvelopeValues:
+    """Every reader takes a declared k_n the same way: a value that
+    overflows a float is inf, and a NaN is an InvalidInputError naming n."""
+
+    @pytest.mark.parametrize("side", ["schedule", "mapping"])
+    def test_nan_is_an_input_error_in_every_reader(self, side):
+        # unchecked, a NaN makes q_n NaN on the schedule side, and max()
+        # drops it on the mapping side
+        nan = lambda n: math.nan
+        cfg = SolverConfig(scheme=SCHEMES["AGVIM"], mapping=make_flip_map(),
+                           schedule=paper_schedule(), x1=[0.5, 1.0],
+                           contraction=make_contraction_half())
+        if side == "schedule":
+            cfg = replace(cfg, schedule=replace(cfg.schedule, k=nan))
+        else:
+            cfg = replace(cfg, mapping=make_flip_map(envelope=nan))
+        with pytest.raises(InvalidInputError, match="NaN at n=2"):
+            cfg.step_bound(2)
+        with pytest.raises(InvalidInputError, match="NaN at n=1"):
+            run(cfg)
+        with pytest.raises(InvalidInputError, match="NaN at n=1"):
+            validate(cfg, 20)
+
+    def test_overflow_is_inf_in_the_max_norm_bound(self):
+        # at r = inf an affine map's k_p is max(schedule k_p, ||A_p||_inf);
+        # the schedule's 10.0 ** 400 overflows a float
+        cfg = SolverConfig(scheme=SCHEMES["AGVIM"],
+                           mapping=make_affine(0.5 * np.eye(2), [0.0, 0.0]),
+                           schedule=replace(paper_schedule(), k=lambda n: 10.0 ** n),
+                           x1=[0.5, 1.0], contraction=make_contraction_half(),
+                           norm=NormSpec(math.inf))
+        assert cfg.step_bound(400) == (math.inf, math.inf)
+
+    def test_step_without_operator_term_has_q_zero(self):
+        # VIM with a_n = 1 has cT = 1 - a_n = 0, so the step is f(x_n)
+        # whatever k_p is, and cT k_p / 2 would be 0 * inf = NaN
+        cfg = SolverConfig(
+            scheme=SCHEMES["VIM"],
+            mapping=make_affine(0.5 * np.eye(2), [0.0, 0.0], envelope=lambda n: math.inf),
+            schedule=custom_schedule([[1.0, 0.0, 0.0, 1.0]] * 20), x1=[1.0, 1.0],
+            contraction=make_contraction_half(), max_outer=3, tol_step=0.0,
+        )
+        trace = run(cfg)
+        assert list(trace.q) == [0.0] * 3
+        assert list(trace.k) == [math.inf] * 3
+        report = validate(cfg, horizon=20)
+        assert (report.wellposed.status, report.wellposed.value) == ("pass", 0.0)
+
+
 class TestValidateAgreesWithRun:
     """validate reads the q_n that run checks: mapping, scheme and norm."""
 
@@ -208,5 +258,5 @@ class TestValidateAgreesWithRun:
             assert report.passed
             assert report.condition_iii.status == "pass"
             assert report.normal_structure_bound.value == 1.5
-            assert report.wellposed.value == max(cfg.step_contraction_factor(n)
+            assert report.wellposed.value == max(cfg.step_bound(n)[0]
                                                  for n in range(1, 1001))

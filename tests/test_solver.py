@@ -135,7 +135,7 @@ class TestImplicitStep:
         with pytest.raises(IllPosedError, match="diverges") as err:
             run(cfg)
         assert err.value.n == 3
-        assert err.value.q == cfg.step_contraction_factor(3)
+        assert err.value.q == cfg.step_bound(3)[0]
 
     def test_understated_envelope_caught_by_the_affine_solve(self):
         # the solve finds the exact step solution whatever the envelope,
@@ -149,7 +149,7 @@ class TestImplicitStep:
         with pytest.raises(IllPosedError, match="diverges") as err:
             run(cfg)
         assert err.value.n == 2
-        assert err.value.q == cfg.step_contraction_factor(2)
+        assert err.value.q == cfg.step_bound(2)[0]
 
     def test_singular_affine_system_raises_illposed(self):
         # (I - (cT/2) A) is singular for A = 2I/cT; the declared envelope
@@ -199,7 +199,7 @@ class TestImplicitStep:
             scheme=SCHEMES["AGVIM"], mapping=make_affine(A, [0.0, 0.0]),
             schedule=paper_schedule(), x1=[1.0, 1.0], contraction=make_contraction_half(),
         )
-        assert cfg.step_contraction_factor(2) == 0.5 * cfg.schedule.c(2) * 1.9 ** 2
+        assert cfg.step_bound(2)[0] == 0.5 * cfg.schedule.c(2) * 1.9 ** 2
         x2 = implicit_step(cfg, 1, cfg.x1).x
         got = implicit_step(cfg, 2, x2).x
         want = implicit_step_affine_oracle(A, [0.0, 0.0], cfg.scheme, cfg.schedule, 2, x2,
@@ -258,7 +258,7 @@ class TestImplicitStep:
         with pytest.raises(IllPosedError) as err:
             implicit_step(cfg, 2, [1.0, 1.0])
         assert err.value.n == 2
-        assert err.value.q == cfg.step_contraction_factor(2)
+        assert err.value.q == cfg.step_bound(2)[0]
 
     @pytest.mark.parametrize("schedule, error, message", [
         # c_1 = 0: step 1 has no operator term, so no Picard delta sees the NaN
@@ -267,7 +267,7 @@ class TestImplicitStep:
     ], ids=["cT = 0", "cT != 0"])
     def test_nan_contraction_raises_a_typed_error(self, schedule, error, message):
         # run calls the contraction on the checked x_n without checking again
-        nan = Contraction(apply=lambda u: np.full_like(u, np.nan), alpha=0.5, name="nan")
+        nan = Contraction(apply=lambda u: np.full_like(u, np.nan), alpha=0.5)
         cfg = SolverConfig(scheme=SCHEMES["GVIM"], mapping=make_affine(0.5 * np.eye(3), np.ones(3)),
                            schedule=schedule, x1=np.ones(3), contraction=nan, max_outer=1)
         with pytest.raises(error, match=message):
