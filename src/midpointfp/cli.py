@@ -12,6 +12,7 @@ verbosity.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -246,7 +247,11 @@ def _setup_logging():
         logging.basicConfig()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and reused after it.
+    Each command ``c`` runs the module's ``cmd_c`` (dashes as
+    underscores), looked up by name when it is called."""
     parser = argparse.ArgumentParser(
         prog="midpointfp",
         description="Implicit-midpoint fixed-point iteration experiments",
@@ -256,30 +261,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one configured experiment, write the trace CSV")
     p.add_argument("--config", required=True, help="JSON config path")
     p.add_argument("--out", default=None, help="output directory")
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("validate-schedule", help="check schedule conditions over a horizon")
     p.add_argument("--config", required=True)
     p.add_argument("--horizon", type=int, default=1000)
-    p.set_defaults(func=cmd_validate_schedule)
 
     p = sub.add_parser("compare", help="run several schemes on one problem")
     p.add_argument("--config", required=True)
     p.add_argument("--schemes", default=None, help="comma-separated scheme names")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("reproduce-table1",
                        help="rerun the built-in benchmark experiment (3 starts, 20 rows)")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_reproduce_table1)
 
     p = sub.add_parser("verify-mapping", help="sampling check of a mapping's envelope")
     p.add_argument("--config", required=True)
     p.add_argument("--horizon", type=int, default=20, help="largest power checked")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_verify_mapping)
 
     return parser
 
@@ -289,7 +289,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     log.info("command: %s", args.command)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
     except (MidpointError, OSError) as exc:

@@ -174,12 +174,17 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class StepResult:
+    """One solved step. ``power_x`` is T^p x_n, the operator term of the
+    first Picard iterate (None on a step with cT = 0, which evaluates no
+    power)."""
+
     x: np.ndarray
     inner_iters: int
     q: float
     k: float
     bound: float
     deltas: Optional[list] = None
+    power_x: Optional[np.ndarray] = None
 
 
 def implicit_step(cfg: SolverConfig, n: int, x_n, collect_deltas: bool = False,
@@ -227,39 +232,54 @@ def implicit_step(cfg: SolverConfig, n: int, x_n, collect_deltas: bool = False,
     power = power_operator(cfg.mapping, p, cap=cfg.power_cap)
     size = norm_kernel(cfg.norm)
     factor = q / (1.0 - q)
-    affine = cfg.mapping.affine
-    y, y1, first = x_n, None, None
-    deltas = [] if collect_deltas else None
-    m = 0
-    while m < cfg.max_inner:
+    tol, max_inner = cfg.tol_inner, cfg.max_inner
+    # the first iterate's midpoint is x_n itself: 0.5 * (x_n + x_n) == x_n
+    power_x = power(x_n)
+    y = base + cT * power_x
+    first = size(y - x_n)
+    if not math.isfinite(first):
+        raise _bad_delta(n, q, first, first, 1)
+    # every later delta must be <= first, which NaN and inf fail too
+    deltas = [first] if collect_deltas else None
+    bound = factor * first
+    m = 1
+    if bound > tol and cfg.mapping.affine is not None:
+        # restart from the solve's y*: G must bring x_n and y* closer by q_n
+        y1, y = y, _solve_affine_step(cfg.mapping.affine, p, cT, base, power_x, n, q)
+        y_new = base + cT * power(0.5 * (x_n + y))
+        delta = size(y_new - y)
+        if not delta <= first:
+            raise _bad_delta(n, q, delta, first, 1)
+        gap, dist = size(y1 - y_new), size(x_n - y)
+        if not gap <= q * dist + tol:
+            raise _diverges(n, q, f"||G(x_n) - G(y*)|| = {gap:.3e} for "
+                                  f"||x_n - y*|| = {dist:.3e}")
+        if deltas is not None:
+            deltas.append(delta)
+        y, bound = y_new, factor * delta
+    while bound > tol:
+        if m == max_inner:
+            raise InnerBudgetError(
+                f"inner solver hit max_inner={max_inner} at n={n}; achieved bound {bound:.3e}",
+                n=n, achieved_bound=bound, iterations=max_inner,
+            )
         m += 1
         y_new = base + cT * power(0.5 * (x_n + y))
         delta = size(y_new - y)
-        if first is None:
-            first = delta
-        if not (delta <= first and math.isfinite(delta)):
-            if not math.isfinite(delta):
-                raise IllPosedError(f"step {n} is not finite: Picard delta {delta:.3e} "
-                                    f"at iteration {m}", n=n, q=q)
-            raise _diverges(n, q, f"Picard delta {delta:.3e} after {first:.3e} at iteration {m}")
-        if m == 1 and y1 is not None:
-            # y = y*: G must bring x_n and y* closer by the factor q_n
-            gap, dist = size(y1 - y_new), size(x_n - y)
-            if not gap <= q * dist + cfg.tol_inner:
-                raise _diverges(n, q, f"||G(x_n) - G(y*)|| = {gap:.3e} for "
-                                      f"||x_n - y*|| = {dist:.3e}")
+        if not delta <= first:
+            raise _bad_delta(n, q, delta, first, m)
         if deltas is not None:
             deltas.append(delta)
-        y = y_new
-        bound = factor * delta
-        if bound <= cfg.tol_inner:
-            return StepResult(x=y, inner_iters=m, q=q, k=k, bound=bound, deltas=deltas)
-        if affine is not None and y1 is None:
-            y1, y, m = y, _solve_affine_step(affine, p, cT, base, x_n, n, q), 0
-    raise InnerBudgetError(
-        f"inner solver hit max_inner={cfg.max_inner} at n={n}; achieved bound {bound:.3e}",
-        n=n, achieved_bound=bound, iterations=cfg.max_inner,
-    )
+        y, bound = y_new, factor * delta
+    return StepResult(x=y, inner_iters=m, q=q, k=k, bound=bound, deltas=deltas,
+                      power_x=power_x)
+
+
+def _bad_delta(n: int, q: float, delta: float, first: float, m: int) -> IllPosedError:
+    if not math.isfinite(delta):
+        return IllPosedError(f"step {n} is not finite: Picard delta {delta:.3e} "
+                             f"at iteration {m}", n=n, q=q)
+    return _diverges(n, q, f"Picard delta {delta:.3e} after {first:.3e} at iteration {m}")
 
 
 def _diverges(n: int, q: float, evidence: str) -> IllPosedError:
@@ -269,12 +289,14 @@ def _diverges(n: int, q: float, evidence: str) -> IllPosedError:
     )
 
 
-def _solve_affine_step(affine, p: int, cT: float, base: np.ndarray, x_n: np.ndarray,
+def _solve_affine_step(affine, p: int, cT: float, base: np.ndarray, power_x: np.ndarray,
                        n: int, q: float) -> np.ndarray:
-    """Fixed point y* of y -> base + cT (A_p (x_n + y) / 2 + b_p)."""
-    Ap, bp = affine.pair(p)
+    """Fixed point y* of y -> base + cT (A_p (x_n + y) / 2 + b_p), with
+    power_x = T^p x_n = A_p x_n + b_p, so that the right-hand side
+    base + cT (A_p x_n / 2 + b_p) is base + cT (power_x + b_p) / 2."""
+    bp = affine.pair(p)[1]
     try:
-        return affine.solve(p, 0.5 * cT, base + cT * (0.5 * (Ap @ x_n) + bp))
+        return affine.solve(p, 0.5 * cT, base + cT * (0.5 * (power_x + bp)))
     except np.linalg.LinAlgError as exc:
         raise IllPosedError(f"singular implicit system at n={n}: {exc}", n=n, q=q) from exc
 
@@ -374,6 +396,7 @@ def run(cfg: SolverConfig) -> Trace:
     size = norm_kernel(cfg.norm)
     apply = cfg.mapping.apply
     sched = cfg.schedule
+    use_power = cfg.scheme.use_power
     x = xs[0] = cfg.x1
     converged = False
     for n in range(1, total + 1):
@@ -381,10 +404,13 @@ def run(cfg: SolverConfig) -> Trace:
         coef = cfg.scheme.coefficients_from(*abc)
         step = implicit_step(cfg, n, x, coefficients=coef)  # checks x_n, then q_n < 1
         res_map = size(x - apply(x))
-        try:
-            res_power = size(x - power_operator(cfg.mapping, n, cfg.power_cap)(x))
-        except InvalidInputError:  # n-fold power beyond the cap
-            res_power = math.nan
+        if use_power and step.power_x is not None:  # T^n x_n, evaluated by the step
+            res_power = size(x - step.power_x)
+        else:
+            try:
+                res_power = size(x - power_operator(cfg.mapping, n, cfg.power_cap)(x))
+            except InvalidInputError:  # n-fold power beyond the cap
+                res_power = math.nan
         step_norm = size(step.x - x)
         if n > rows:  # buffers full: double them
             rows = min(2 * rows, total)

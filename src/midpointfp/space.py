@@ -50,7 +50,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise InvalidInputError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InvalidInputError("vector contains NaN or Inf")
     if dim is not None and v.size != dim:
         raise InvalidInputError(f"dimension mismatch: expected {dim}, got {v.size}")

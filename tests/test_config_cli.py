@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from midpointfp import cli
 from midpointfp.cli import _trace_csv, main
 from midpointfp.config import load_config, parse_config
 from midpointfp.errors import ConfigError
@@ -535,3 +536,40 @@ def test_each_call_sets_its_own_log_level(tmp_path, monkeypatch, caplog):
         caplog.clear()
         assert main(argv) == 0
         assert ("command: verify-mapping" in caplog.messages) is logged, level
+
+
+class TestParserReuse:
+    """One parser serves every main call of a process."""
+
+    def test_flags_do_not_carry_over(self, tmp_path):
+        path = write_config(tmp_path, {**BENCHMARK, "scheme": ["VIM", "GVIM", "AGVIM"],
+                                       "max_outer": 10})
+        assert main(["compare", "--config", path, "--schemes", "VIM,GVIM",
+                     "--out", str(tmp_path / "two")]) == 0
+        assert main(["compare", "--config", path, "--out", str(tmp_path / "all")]) == 0
+        assert read_csv(tmp_path / "two" / "compare.csv")[0] == [
+            "n", "step_norm_GVIM", "step_norm_VIM"]
+        assert read_csv(tmp_path / "all" / "compare.csv")[0] == [
+            "n", "step_norm_AGVIM", "step_norm_GVIM", "step_norm_VIM"]
+
+    def test_commands_are_looked_up_at_call_time(self, tmp_path, monkeypatch):
+        argv = ["validate-schedule", "--config", write_config(tmp_path, BENCHMARK),
+                "--horizon", "100"]
+        assert main(argv) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_validate_schedule", lambda args: seen.append(args) or 7)
+        assert main(argv) == 7
+        assert seen[0].horizon == 100
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("argv, code", [(["no-such-command"], 2), (["--help"], 0),
+                                            (["run", "--help"], 0), (["run"], 2)])
+    def test_a_parser_exit_leaves_the_next_call_working(self, tmp_path, capsys, argv, code):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == code
+        capsys.readouterr()
+        argv = ["verify-mapping", "--config", write_config(tmp_path, BENCHMARK),
+                "--seed", "1", "--horizon", "2", "--samples", "2"]
+        assert main(argv) == 0
+        assert "envelope check: pass" in capsys.readouterr().out

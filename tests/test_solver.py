@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -11,6 +12,7 @@ from midpointfp import solver
 from midpointfp.errors import IllPosedError, InnerBudgetError, InvalidInputError
 from midpointfp.mappings import (
     Contraction,
+    apply_power,
     Mapping,
     make_affine,
     make_contraction_half,
@@ -354,6 +356,83 @@ class TestImplicitStep:
             assert np.linalg.norm(res.x - want) <= cfg.tol_inner
 
 
+def scripted_cfg(outputs, **kw):
+    """GVIM step 1 with G(y) = 0.5 * P at x_n = 0, where P runs through
+    ``outputs`` one power evaluation at a time, whatever the argument."""
+    values = iter(outputs)
+    scripted = Mapping(apply=lambda u: u, envelope=lambda n: 1.0, domain_dim=1,
+                       power=lambda n, u: np.full_like(u, next(values)))
+    return SolverConfig(scheme=SCHEMES["GVIM"], mapping=scripted,
+                        schedule=custom_schedule([[0.5, 0.0, 0.5, 1.0]]), x1=[0.0],
+                        contraction=make_scaling_contraction(0.5), **kw)
+
+
+class TestPicardLoop:
+    """The failure paths and the delta record of the inner loop."""
+
+    @pytest.mark.parametrize("outputs, message", [
+        ([math.nan], "step 1 is not finite: Picard delta nan at iteration 1"),
+        ([math.inf], "step 1 is not finite: Picard delta inf at iteration 1"),
+        ([4.0, math.nan], "step 1 is not finite: Picard delta nan at iteration 2"),
+        # deltas 2, 1, 3: the third exceeds the first, not only the second
+        ([4.0, 2.0, 8.0], "diverges at n=1: Picard delta 3.000e+00 after 2.000e+00 "
+                          "at iteration 3"),
+    ], ids=["nan first", "inf first", "nan second", "grows at 3"])
+    def test_bad_delta_names_its_iteration(self, outputs, message):
+        with pytest.raises(IllPosedError, match=re.escape(message)) as err:
+            implicit_step(scripted_cfg(outputs), 1, [0.0])
+        assert (err.value.n, err.value.q) == (1, 0.25)
+
+    def test_a_delta_equal_to_the_first_passes(self):
+        # deltas 2, 2, 0
+        res = implicit_step(scripted_cfg([4.0, 8.0, 8.0]), 1, [0.0], collect_deltas=True)
+        assert res.deltas == [2.0, 2.0, 0.0]
+        assert res.x[0] == 4.0 and res.inner_iters == 3
+
+    def test_affine_budget_counts_from_the_solve(self):
+        # a solve that lands 1e-3 off y* leaves G(y*) short of tol_inner: with
+        # max_inner = 1 the step evaluates G at x_n and at y*, then raises
+        # with the bound of the iterate after the solve
+        T = make_affine([[0.5]], [0.0])
+
+        class OffSolve:
+            pair = T.affine.pair
+
+            def solve(self, p, s, r):
+                return T.affine.solve(p, s, r) + 1e-3
+
+        calls = []
+
+        def power(n, u):
+            calls.append(u.copy())
+            return T.power(n, u)
+
+        cfg = SolverConfig(scheme=SCHEMES["GVIM"], mapping=replace(T, power=power, affine=OffSolve()),
+                           schedule=custom_schedule([[0.5, 0.0, 0.5, 1.0]]), x1=[1.0],
+                           contraction=make_scaling_contraction(0.5), max_inner=1)
+        with pytest.raises(InnerBudgetError) as err:
+            implicit_step(cfg, 1, [1.0])
+        assert len(calls) == 2
+        # G(y) = 0.375 + 0.125 y, y* = 3/7: the bound is (1/3) * 0.875 * 1e-3
+        assert err.value.achieved_bound == pytest.approx(0.875e-3 / 3.0, rel=1e-9)
+        assert err.value.iterations == 1
+        assert calls[1][0] == pytest.approx(0.5 * (1.0 + 3.0 / 7.0 + 1e-3), rel=1e-12)
+
+    def test_collected_deltas(self):
+        # G(y) = 0.5 + 0.25 y from x_n = 1: dyadic iterates, deltas 4^-m,
+        # accepted once (1/3) 4^-m <= 1e-12
+        res = implicit_step(one_d_identity_cfg(), 1, [1.0], collect_deltas=True)
+        assert res.deltas == [0.25 ** m for m in range(1, 21)]
+        assert res.inner_iters == 20
+        assert implicit_step(one_d_identity_cfg(), 1, [1.0]).deltas is None
+        # on the affine path the list holds the first delta, then the deltas from y*
+        cfg = replace(one_d_identity_cfg(), mapping=make_affine([[1.0]], [0.0]))
+        res = implicit_step(cfg, 1, [1.0], collect_deltas=True)
+        assert res.inner_iters == 1
+        assert res.deltas[0] == 0.25 and len(res.deltas) == 2
+        assert res.deltas[1] <= 3.0 * cfg.tol_inner
+
+
 def _orthogonal_d60():
     """An orthogonal Q with b = (I - Q) x*, so x* is fixed, and a start x1."""
     rng = np.random.default_rng(7)
@@ -589,6 +668,67 @@ class TestRun:
             tracemalloc.stop()
         assert len(trace) == 1000
         assert peak < 1_000_000
+
+
+def rotate_into_ball(apply_calls):
+    """T = P_B o R, a rotation by 0.3 followed by projection onto the unit
+    ball: nonexpansive, with no closed-form power. Each apply appends to
+    ``apply_calls``."""
+    c, s = math.cos(0.3), math.sin(0.3)
+    R = np.array([[c, -s], [s, c]])
+
+    def apply(u):
+        apply_calls.append(1)
+        v = R @ u
+        return v / max(1.0, math.sqrt(v.dot(v)))
+
+    return Mapping(apply=apply, envelope=lambda n: 1.0, domain_dim=2)
+
+
+class TestPowerReuse:
+    """On p = n schemes, res_power reuses the step's T^n x_n."""
+
+    @staticmethod
+    def res_power_direct(cfg, trace):
+        return [norm(x - apply_power(cfg.mapping, n, x), cfg.norm)
+                for n, x in enumerate(trace.x[:-1], start=1)]
+
+    @pytest.mark.parametrize("scheme", ["AGVIM", "AVIM63"])
+    @pytest.mark.parametrize("x1", [[0.0, 1.0 / 3.0], [0.5, 1.0], [-2.0, 1.0]])
+    def test_flip_res_power_is_bit_identical(self, scheme, x1):
+        cfg = benchmark_cfg(x1, scheme, max_outer=40)
+        trace = run(cfg)
+        assert trace.res_power.tolist() == self.res_power_direct(cfg, trace)
+
+    @staticmethod
+    def foldonly_cfg(calls):
+        return SolverConfig(scheme=SCHEMES["AGVIM"], mapping=rotate_into_ball(calls),
+                            schedule=paper_schedule(), x1=[2.0, 1.0],
+                            contraction=make_contraction_half(), max_outer=12, tol_step=0.0)
+
+    def test_foldonly_map_saves_n_evaluations_per_step(self, monkeypatch):
+        calls = []
+        cfg = self.foldonly_cfg(calls)
+        at_step = []  # map evaluations made before each step
+
+        def counted_step(*args, **kwargs):
+            at_step.append(len(calls))
+            return implicit_step(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "implicit_step", counted_step)
+        trace = run(cfg)
+        per_step = np.diff(at_step + [len(calls)])
+        assert len(trace) == 12
+        for n, (evals, inner, c) in enumerate(zip(per_step, trace.inner_iters, trace.c), start=1):
+            # n per Picard iterate and 1 for res_T; a step without the
+            # operator term (c_1 = 0) evaluates no power, so res_Tn folds n
+            assert evals == (n * inner + 1 if c != 0.0 else n + 1), n
+        assert trace.c[0] == 0.0 and (trace.c[1:] != 0.0).all()
+
+    def test_foldonly_res_power_is_bit_identical(self):
+        cfg = self.foldonly_cfg([])
+        trace = run(cfg)
+        assert trace.res_power.tolist() == self.res_power_direct(cfg, trace)
 
 
 class TestSchemeAlgebra:
