@@ -12,11 +12,14 @@ verbosity.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import logging
 import os
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -40,27 +43,147 @@ _TABLE1_ROWS = 20
 _TABLE1_VI_SEED = 2020
 
 
+def _header_line(names) -> str:
+    return ",".join(["n", *names]) + "\n"
+
+
+def _row_format(width: int) -> str:
+    """The format of a CSV row of ``width`` cells: every cell is a "%.17g"
+    float, which writes integer columns (n, inner_iters) as int() would."""
+    return ",".join(["%.17g"] * width) + "\n"
+
+
+def _table(columns, start: int = 0) -> np.ndarray:
+    """Rows ``start`` on of ``columns`` (1-d, or 2-d for several) after an
+    ``n`` column, n = start + 1, ..., as one float64 array."""
+    return np.column_stack((np.arange(start + 1, len(columns[0]) + 1),
+                            *(c[start:] for c in columns)))
+
+
 def _write_csv(path: Path, header, columns):
-    """Write ``columns`` (1-d, or 2-d for several) after an ``n = 1..N``
-    column, under ``n`` and ``header``. Every cell is a "%.17g" float,
-    which writes integer columns (n, inner_iters) as int() would."""
-    table = np.column_stack((np.arange(1, len(columns[0]) + 1), *columns))
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    """Write ``columns`` under ``n`` and ``header``, one _row_format row per n."""
+    table = _table(columns)
+    row = _row_format(table.shape[1])
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(["n", *header]) + "\n")
+        fh.write(_header_line(header))
         # one row's Python floats at a time, so the table is not held twice
         fh.writelines(row % tuple(cells.tolist()) for cells in table)
 
 
+def _trace_header(dim: int) -> list:
+    return ([f"x{i}" for i in range(dim)]
+            + ["step_norm", "res_T", "res_Tn", "inner_iters", "q_n", "a_n", "b_n", "c_n", "k_n"])
+
+
+def _trace_columns(trace: Trace) -> tuple:
+    return (trace.x[:len(trace)], trace.step_norm, trace.res_map, trace.res_power,
+            trace.inner_iters, trace.q, trace.a, trace.b, trace.c, trace.k)
+
+
 def _trace_csv(path: Path, trace: Trace):
-    header = (
-        [f"x{i}" for i in range(trace.final.size)]
-        + ["step_norm", "res_T", "res_Tn", "inner_iters", "q_n", "a_n", "b_n", "c_n", "k_n"]
-    )
-    _write_csv(path, header, (
-        trace.x[:len(trace)], trace.step_norm, trace.res_map, trace.res_power,
-        trace.inner_iters, trace.q, trace.a, trace.b, trace.c, trace.k,
-    ))
+    _write_csv(path, _trace_header(trace.final.size), _trace_columns(trace))
+
+
+# a run's trace.csv is written by a helper process once the run has made
+# this many cells and goes on, if the process may use 2 CPUs
+WRITER_CELLS = 4096
+_WRITER = Path(__file__).with_name("_csv_writer.py")
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+class _TraceWriter:
+    """Writes a run's trace.csv, as ``run``'s block consumer.
+
+    Once the run has made WRITER_CELLS cells and goes on, and if the
+    process may use 2 CPUs, it starts the stdlib-only writer script and
+    sends it every finished row as raw float64 values, so that the rows
+    are formatted on the other CPU while the run goes on; ``finish`` then
+    waits for it and renames its ``.part`` file to ``path``. A shorter
+    run, or one on a single CPU, is written by ``_trace_csv`` in
+    ``finish``. The bytes are the same either way. ``abort`` kills and
+    reaps a helper that is still running and removes its partial file.
+    """
+
+    def __init__(self, path: Path, cfg: SolverConfig):
+        self.path = path
+        self.part = path.with_name(path.name + ".part")
+        self.header = _trace_header(cfg.mapping.domain_dim)
+        self.max_outer = cfg.max_outer
+        self.parallel = _usable_cpus() >= 2
+        self.proc = None
+        self.rows = 0
+
+    def __call__(self, trace: Trace, start: int):
+        if self.proc is None:
+            if not self._start(trace):
+                return
+            start = 0
+        table = _table(_trace_columns(trace), start)
+        try:
+            self.proc.stdin.write(table.tobytes())
+            self.proc.stdin.flush()
+        except BrokenPipeError:
+            self._reap()  # raises the helper's own error, if it gave one
+            raise
+        self.rows += len(table)
+
+    def _start(self, trace: Trace) -> bool:
+        """Start the helper if the run is long enough and goes on."""
+        n, width = len(trace), len(self.header) + 1
+        if not (self.parallel and n * width >= WRITER_CELLS
+                and n < self.max_outer and not trace.converged):
+            return False
+        try:
+            self.proc = subprocess.Popen(
+                [sys.executable, "-I", "-S", str(_WRITER), str(self.part), str(width),
+                 _header_line(self.header), _row_format(width)],
+                stdin=subprocess.PIPE, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        except OSError as exc:  # no helper: write after the run instead
+            log.debug("trace writer not started: %s", exc)
+            self.parallel = False
+            return False
+        log.debug("trace writer started at n=%d (%d cells)", n, n * width)
+        return True
+
+    def _reap(self):
+        """Close the pipe, wait for the helper, and raise OSError if it failed."""
+        began = time.perf_counter()
+        with contextlib.suppress(BrokenPipeError):
+            self.proc.stdin.close()
+        # stderr stays open until the helper is reaped, so that abort can
+        # reap it after an interrupt anywhere in here
+        err = self.proc.stderr.read().decode(errors="replace").strip()
+        status = self.proc.wait()
+        self.proc.stderr.close()
+        log.debug("trace writer reaped: %d rows, exit status %d, parent waited %.1f ms",
+                  self.rows, status, 1e3 * (time.perf_counter() - began))
+        if status != 0:
+            raise OSError(f"trace writer for {self.path} exited with status {status}: {err}")
+
+    def finish(self, trace: Trace):
+        if self.proc is None:
+            _trace_csv(self.path, trace)
+            return
+        self._reap()
+        os.replace(self.part, self.path)
+        self.proc = None
+
+    def abort(self):
+        if self.proc is None:
+            return
+        if self.proc.returncode is None:
+            self.proc.kill()
+            with contextlib.suppress(OSError):
+                self._reap()
+        # cleanup on the way out of an error, which it must not replace
+        with contextlib.suppress(OSError):
+            self.part.unlink(missing_ok=True)
 
 
 def _out_dir(cfg_out, flag_out) -> Path:
@@ -73,9 +196,13 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config)
     solver_cfg = cfg.build_solver_config()
     out = _out_dir(cfg.out, args.out)
-    trace = run(solver_cfg)
     path = out / "trace.csv"
-    _trace_csv(path, trace)
+    writer = _TraceWriter(path, solver_cfg)
+    try:
+        trace = run(solver_cfg, writer)
+        writer.finish(trace)
+    finally:
+        writer.abort()  # a helper still running when the run failed
     status = "converged" if trace.converged else "max_outer reached"
     count = len(trace)
     print(

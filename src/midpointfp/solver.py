@@ -31,12 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import IllPosedError, InnerBudgetError, InvalidInputError
-from .mappings import Contraction, Mapping, _declared_k, affine_power_pair, power_operator
+from .mappings import (
+    Contraction, Mapping, _declared_k, _row_norms, affine_power_pair, power_operator,
+)
 from .schedules import Schedule
 from .space import NormSpec, as_vector, norm_kernel
 
@@ -369,6 +371,8 @@ _COLUMNS = ("step_norm", "res_map", "res_power", "q", "a", "b", "c", "k")
 # rows allocated upfront; the buffers double when full, so a huge
 # max_outer costs no memory until the run uses it
 _FIRST_ROWS = 4096
+# rows are finished, and passed on, in blocks of this many
+BLOCK_ROWS = 64
 
 
 def _grown(a: np.ndarray, rows: int) -> np.ndarray:
@@ -377,7 +381,17 @@ def _grown(a: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
-def run(cfg: SolverConfig) -> Trace:
+def _residuals(mapping: Mapping, size, r: float, X: np.ndarray) -> np.ndarray:
+    """||x - T x|| of each row x of X: one stacked ``apply`` for a
+    ``rowwise`` map (bit for bit the per-row values), else one per row."""
+    if not mapping.rowwise:
+        return np.array([size(x - mapping.apply(x)) for x in X])
+    E = X - mapping.apply(X)
+    return _row_norms(E) if r == 2.0 else np.array([size(e) for e in E])
+
+
+def run(cfg: SolverConfig,
+        on_block: Optional[Callable[[Trace, int], None]] = None) -> Trace:
     """Iterate the configured scheme from x1.
 
     Stops when ||x_{n+1} - x_n|| <= tol_step or after max_outer steps; on
@@ -387,6 +401,11 @@ def run(cfg: SolverConfig) -> Trace:
     step n is solved, so a run that stops earlier returns normally.
     :func:`~midpointfp.schedules.validate` checks the same q_n over a
     whole horizon upfront.
+
+    Rows are finished in blocks of :data:`BLOCK_ROWS` steps (res_map is
+    filled per block), and after each block, the last one possibly
+    shorter, ``on_block(trace, start)`` gets the trace so far, whose rows
+    from ``start`` on are the new ones.
     """
     total = cfg.max_outer
     rows = min(total, _FIRST_ROWS)
@@ -399,11 +418,16 @@ def run(cfg: SolverConfig) -> Trace:
     use_power = cfg.scheme.use_power
     x = xs[0] = cfg.x1
     converged = False
+    start = 0
+
+    def trace(n: int) -> Trace:
+        return Trace(x=xs[: n + 1], inner_iters=iters[:n], **dict(zip(_COLUMNS, stats[:n].T)),
+                     converged=converged)
+
     for n in range(1, total + 1):
         abc = sched.a(n), sched.b(n), sched.c(n)
         coef = cfg.scheme.coefficients_from(*abc)
         step = implicit_step(cfg, n, x, coefficients=coef)  # checks x_n, then q_n < 1
-        res_map = size(x - apply(x))
         if use_power and step.power_x is not None:  # T^n x_n, evaluated by the step
             res_power = size(x - step.power_x)
         else:
@@ -415,15 +439,20 @@ def run(cfg: SolverConfig) -> Trace:
         if n > rows:  # buffers full: double them
             rows = min(2 * rows, total)
             xs, stats, iters = _grown(xs, rows + 1), _grown(stats, rows), _grown(iters, rows)
-        stats[n - 1] = (step_norm, res_map, res_power, step.q, *abc, step.k)
+        # res_map (column 1) is filled when the block is finished
+        stats[n - 1] = (step_norm, math.nan, res_power, step.q, *abc, step.k)
         iters[n - 1] = step.inner_iters
-        x = xs[n] = step.x
         # a step without the operator term (cT = 0) can stand still off the
         # fixed set, so it stops the run only at a point T also fixes
-        if step_norm <= cfg.tol_step and (
-            res_map <= cfg.tol_step or coef[2] != 0.0
-        ):
-            converged = True
+        converged = step_norm <= cfg.tol_step and (
+            coef[2] != 0.0 or size(x - apply(x)) <= cfg.tol_step
+        )
+        x = xs[n] = step.x
+        if converged or n % BLOCK_ROWS == 0 or n == total:
+            stats[start:n, 1] = _residuals(cfg.mapping, size, cfg.norm.p, xs[start:n])
+            if on_block is not None:
+                on_block(trace(n), start)
+            start = n
+        if converged:
             break
-    return Trace(x=xs[: n + 1], inner_iters=iters[:n], **dict(zip(_COLUMNS, stats[:n].T)),
-                 converged=converged)
+    return trace(n)

@@ -719,16 +719,74 @@ class TestPowerReuse:
         trace = run(cfg)
         per_step = np.diff(at_step + [len(calls)])
         assert len(trace) == 12
+        # res_T takes 1 evaluation per row, all made when the run's one
+        # block is finished, after the last step
+        per_step[-1] -= len(trace)
         for n, (evals, inner, c) in enumerate(zip(per_step, trace.inner_iters, trace.c), start=1):
-            # n per Picard iterate and 1 for res_T; a step without the
-            # operator term (c_1 = 0) evaluates no power, so res_Tn folds n
-            assert evals == (n * inner + 1 if c != 0.0 else n + 1), n
+            # n per Picard iterate; a step without the operator term
+            # (c_1 = 0) evaluates no power, so res_Tn folds n
+            assert evals == (n * inner if c != 0.0 else n), n
         assert trace.c[0] == 0.0 and (trace.c[1:] != 0.0).all()
 
     def test_foldonly_res_power_is_bit_identical(self):
         cfg = self.foldonly_cfg([])
         trace = run(cfg)
         assert trace.res_power.tolist() == self.res_power_direct(cfg, trace)
+
+
+class TestBlocks:
+    """run finishes rows in blocks of BLOCK_ROWS: res_T is filled per block."""
+
+    @staticmethod
+    def affine5():
+        rng = np.random.default_rng(5)
+        Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        x_star = rng.standard_normal(5)  # a fixed point keeps the iterates bounded
+        return make_affine(Q, x_star - Q @ x_star), rng.standard_normal(5)
+
+    @pytest.mark.parametrize("kind", ["flip", "affine", "not rowwise"])
+    @pytest.mark.parametrize("r", [2.0, math.inf, 3.0])
+    def test_res_map_is_bit_identical_per_row(self, kind, r):
+        if kind == "flip":
+            mapping, x1 = make_flip_map(), [-2.0, 1.0]
+        elif kind == "affine":
+            mapping, x1 = self.affine5()
+        else:
+            mapping, x1 = rotate_into_ball([]), [2.0, 1.0]
+        # c_n = 1/4 keeps q_n below 1 at every r
+        cfg = SolverConfig(scheme=SCHEMES["GVIM"], mapping=mapping,
+                           schedule=custom_schedule([[0.5, 0.25, 0.25, 1.0]] * 150), x1=x1,
+                           contraction=make_contraction_half(), max_outer=150, tol_step=0.0,
+                           norm=NormSpec(r))
+        trace = run(cfg)
+        assert len(trace) > solver.BLOCK_ROWS
+        assert trace.res_map.tolist() == [norm(x - mapping(x), cfg.norm) for x in trace.x[:-1]]
+
+    def test_a_rowwise_map_is_applied_once_per_block(self):
+        mapping, x1 = self.affine5()
+        shapes = []
+        apply = mapping.apply
+        counted = replace(mapping, apply=lambda u: shapes.append(u.shape) or apply(u))
+        cfg = SolverConfig(scheme=SCHEMES["AGVIM"], mapping=counted, schedule=paper_schedule(),
+                           x1=x1, contraction=make_contraction_half(), max_outer=150,
+                           tol_step=0.0)
+        run(cfg)
+        assert shapes == [(64, 5), (64, 5), (22, 5)]
+
+    def test_each_block_is_passed_on_once_finished(self):
+        blocks = []
+        cfg = benchmark_cfg([-2.0, 1.0], max_outer=150)
+        trace = run(cfg, lambda t, start: blocks.append(
+            (start, len(t), t.converged, t.res_map[start:].copy(), t.x[start:].copy())))
+        assert [b[:3] for b in blocks] == [(0, 64, False), (64, 128, False), (128, 150, False)]
+        np.testing.assert_array_equal(np.concatenate([b[3] for b in blocks]), trace.res_map)
+        np.testing.assert_array_equal(np.concatenate([b[4][:-1] for b in blocks]), trace.x[:-1])
+
+    def test_the_converged_block_is_passed_on(self):
+        blocks = []
+        trace = run(benchmark_cfg([0.5, 1.0]), lambda t, start: blocks.append((start, len(t),
+                                                                             t.converged)))
+        assert trace.converged and blocks == [(0, len(trace), True)]
 
 
 class TestSchemeAlgebra:
