@@ -117,7 +117,7 @@ class _TraceWriter:
         self.max_outer = cfg.max_outer
         self.parallel = _usable_cpus() >= 2
         self.proc = None
-        self.rows = 0
+        self.rows, self.longest = 0, 0.0  # the longest block write, in s
 
     def __call__(self, trace: Trace, start: int):
         if self.proc is None:
@@ -125,12 +125,14 @@ class _TraceWriter:
                 return
             start = 0
         table = _table(_trace_columns(trace), start)
+        began = time.perf_counter()
         try:
             self.proc.stdin.write(table.tobytes())
             self.proc.stdin.flush()
         except BrokenPipeError:
             self._reap()  # raises the helper's own error, if it gave one
             raise
+        self.longest = max(self.longest, time.perf_counter() - began)
         self.rows += len(table)
 
     def _start(self, trace: Trace) -> bool:
@@ -148,6 +150,9 @@ class _TraceWriter:
             log.debug("trace writer not started: %s", exc)
             self.parallel = False
             return False
+        with contextlib.suppress(ImportError, AttributeError, OSError):
+            import fcntl  # a 1 MiB pipe (Linux): no block write waits for the helper's start
+            fcntl.fcntl(self.proc.stdin.fileno(), fcntl.F_SETPIPE_SZ, 1 << 20)
         log.debug("trace writer started at n=%d (%d cells)", n, n * width)
         return True
 
@@ -161,8 +166,9 @@ class _TraceWriter:
         err = self.proc.stderr.read().decode(errors="replace").strip()
         status = self.proc.wait()
         self.proc.stderr.close()
-        log.debug("trace writer reaped: %d rows, exit status %d, parent waited %.1f ms",
-                  self.rows, status, 1e3 * (time.perf_counter() - began))
+        log.debug("trace writer reaped: %d rows, exit status %d, parent waited %.1f ms, "
+                  "longest block write %.1f ms", self.rows, status,
+                  1e3 * (time.perf_counter() - began), 1e3 * self.longest)
         if status != 0:
             raise OSError(f"trace writer for {self.path} exited with status {status}: {err}")
 

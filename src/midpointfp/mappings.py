@@ -55,8 +55,8 @@ class Mapping:
     samples a uniform box. ``affine``, present for a map built by
     :func:`make_affine`, holds its powers as pairs: ``affine.pair(n)``
     returns (A_n, b_n) with T^n u = A_n u + b_n, and ``affine.solve(p, s, r)``
-    solves (I - s A_p) y = r, which the step solver uses as each implicit
-    step's warm start.
+    solves (I - s A_p) y = r, which the step solver uses for the
+    correction from x_n to each implicit step's warm start.
 
     ``rowwise`` declares that ``apply`` and ``power`` also take a (B, d)
     stack of points and return the (B, d) stack of their images, each row
@@ -213,8 +213,10 @@ def affine_power_pair(A: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray,
 
 
 # above this kappa_1(V) an implicit step is solved by LU instead (the
-# eigenbasis then amplifies rounding too much for one refinement step)
+# eigenbasis then amplifies rounding too much)
 _EIGEN_KAPPA_MAX = 1e3
+# largest |s| max|lam^p| of an eigenbasis solve: every 1 - s lam_j^p is >= 2^-20
+_EIGEN_SCALE_MAX = 1.0 - 2.0 ** -20
 
 
 class _AffinePower:
@@ -224,16 +226,16 @@ class _AffinePower:
     A run asks for n = 1, 2, 3, ... (possibly interleaved with n = 1), so
     T^n comes from T^(n-1) with one product; any other n falls back to
     binary powering. :meth:`solve` works in A's eigenbasis
-    A = V diag(lam) V^-1, computed on its first call; lam^n is then kept
-    next to (A_n, b_n) the same way.
+    A = V diag(lam) V^-1, computed on its first call; lam^n and
+    rho^n = max|lam|^n are then kept next to (A_n, b_n) the same way.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
         self.A = A
         self.b = b
         self._n, self._An, self._bn = 1, A, b
-        self._eig = None  # (lam, V, V^-1) once solve has run; False if unusable
-        self._lam_n = None  # lam ** self._n while _eig is set
+        self._eig = None  # (lam, V, V^-1, rho) once solve has run; False if unusable
+        self._lam_n = self._rho_n = None  # lam ** self._n, max|lam ** self._n| while _eig is set
 
     def pair(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         if n == 1:
@@ -244,10 +246,11 @@ class _AffinePower:
                 self._An, self._bn = self.A @ self._An, self.A @ self._bn + self.b
                 if self._eig:
                     self._lam_n = self._eig[0] * self._lam_n
+                    self._rho_n = self._eig[3] * self._rho_n
             else:
                 self._An, self._bn = affine_power_pair(self.A, self.b, n)
                 if self._eig:
-                    self._lam_n = self._eig[0] ** n
+                    self._lam_n, self._rho_n = _eig_power(self._eig[0], n)
             self._n = n
         return self._An, self._bn
 
@@ -258,25 +261,25 @@ class _AffinePower:
     def solve(self, p: int, s: float, r: np.ndarray) -> np.ndarray:
         """y with (I - s A_p) y = r.
 
-        In the eigenbasis, y0 = V ((V^-1 r) / (1 - s lam^p)), followed by one
-        refinement step whose residual r - (I - s A_p) y0 uses the A_p formed
-        by products (Higham, Accuracy and Stability of Numerical Algorithms,
-        ch. 12): about six d x d matrix-vector products. LU is used instead
-        when eig or inv fails, when kappa_1(V) > _EIGEN_KAPPA_MAX (Bauer-Fike:
-        V then amplifies rounding), or when a denominator 1 - s lam^p is 0 or
-        not finite. Raises np.linalg.LinAlgError when the LU system is singular.
+        In the eigenbasis, y = V ((V^-1 r) / (1 - s lam^p)): two complex d x d
+        products, whose error scales with ||r|| and the drift of lam^p from
+        the A_p formed by products (about p eps), so the step solver passes
+        its residual at x_n as r. LU is used instead when eig or inv fails,
+        when kappa_1(V) > _EIGEN_KAPPA_MAX (Bauer-Fike: V then amplifies
+        rounding), or when |s| max|lam^p| > _EIGEN_SCALE_MAX. Raises
+        np.linalg.LinAlgError when the LU system is singular.
         """
         Ap = self.pair(p)[0]
         if self._eig is None:
             self._eig = _eigenbasis(self.A)
             if self._eig:
-                self._lam_n = self._eig[0] ** self._n
+                self._lam_n, self._rho_n = _eig_power(self._eig[0], self._n)
         if self._eig:
-            lam, V, Vinv = self._eig
-            denom = 1.0 - s * (lam if p == 1 else self._lam_n)
-            if np.isfinite(denom).all() and denom.all():
-                y = (V @ ((Vinv @ r) / denom)).real
-                return y + (V @ ((Vinv @ (r - y + s * (Ap @ y))) / denom)).real
+            lam, V, Vinv, rho = self._eig
+            if p != 1:
+                lam, rho = self._lam_n, self._rho_n
+            if abs(s) * rho <= _EIGEN_SCALE_MAX:  # NaN fails too
+                return (V @ ((Vinv @ r) / (1.0 - s * lam))).real
         return np.linalg.solve(np.eye(r.size) - s * Ap, r)
 
 
@@ -288,9 +291,14 @@ def _affine_apply(A: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.matmul(A, u[..., None])[..., 0] + b
 
 
+def _eig_power(lam: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    lam_n = lam ** n
+    return lam_n, float(np.abs(lam_n).max())  # inf or NaN once lam_n overflows
+
+
 def _eigenbasis(A: np.ndarray):
-    """(lam, V, V^-1) with A = V diag(lam) V^-1, or False when eig or inv
-    fails or kappa_1(V) = ||V||_1 ||V^-1||_1 exceeds _EIGEN_KAPPA_MAX."""
+    """(lam, V, V^-1, max|lam|) with A = V diag(lam) V^-1, or False when eig
+    or inv fails or kappa_1(V) = ||V||_1 ||V^-1||_1 exceeds _EIGEN_KAPPA_MAX."""
     try:
         lam, V = np.linalg.eig(A)
         Vinv = np.linalg.inv(V)
@@ -299,7 +307,7 @@ def _eigenbasis(A: np.ndarray):
     kappa = np.linalg.norm(V, 1) * np.linalg.norm(Vinv, 1)
     if not kappa <= _EIGEN_KAPPA_MAX:  # also when NaN
         return False
-    return lam, V, Vinv
+    return lam, V, Vinv, float(np.abs(lam).max())
 
 
 def make_affine(A, b, envelope: Callable[[int], float] | None = None) -> Mapping:

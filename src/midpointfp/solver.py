@@ -14,14 +14,15 @@ step n is reached.
 
 For affine T (a mapping with ``affine``) the step is the linear system
 (I - (cT/2) A_p) x = cf f(x_n) + cx x_n + cT (A_p x_n / 2 + b_p).
-``affine.solve`` solves it once, in A's eigenbasis with one refinement
-step (O(d^2) per step) or by LU where the eigenbasis is ill-conditioned,
-and its solution becomes the Picard warm start, so the accepted iterate
-passes the same a-posteriori bound whatever the solve's accuracy; the
-first Picard iterate checks that the step map contracts by q_n along
-the solve, which catches an envelope that understates T. The same
-system, solved by LU with powers by binary powering, is kept as an
-independent oracle.
+``affine.solve`` solves it once, for the correction from x_n whose
+right-hand side is the first Picard iterate's residual G(x_n) - x_n, in
+A's eigenbasis (O(d^2) per step) or by LU where the eigenbasis is
+ill-conditioned; x_n plus that correction becomes the Picard warm start,
+so the accepted iterate passes the same a-posteriori bound whatever the
+solve's accuracy; the first Picard iterate checks that the step map
+contracts by q_n along the solve, which catches an envelope that
+understates T. The same system, solved by LU with powers by binary
+powering, is kept as an independent oracle.
 
 :func:`run` returns a columnar :class:`Trace`: the iterates as one
 array plus one array per step statistic.
@@ -246,8 +247,12 @@ def implicit_step(cfg: SolverConfig, n: int, x_n, collect_deltas: bool = False,
     bound = factor * first
     m = 1
     if bound > tol and cfg.mapping.affine is not None:
-        # restart from the solve's y*: G must bring x_n and y* closer by q_n
-        y1, y = y, _solve_affine_step(cfg.mapping.affine, p, cT, base, power_x, n, q)
+        # restart from y* = x_n + e, with (I - (cT/2) A_p) e = G(x_n) - x_n (the
+        # system's residual at x_n): G must bring x_n and y* closer by q_n
+        try:
+            y1, y = y, x_n + cfg.mapping.affine.solve(p, 0.5 * cT, y - x_n)
+        except np.linalg.LinAlgError as exc:
+            raise IllPosedError(f"singular implicit system at n={n}: {exc}", n=n, q=q) from exc
         y_new = base + cT * power(0.5 * (x_n + y))
         delta = size(y_new - y)
         if not delta <= first:
@@ -289,18 +294,6 @@ def _diverges(n: int, q: float, evidence: str) -> IllPosedError:
         f"implicit step diverges at n={n}: {evidence}, so q_n = {q:.6f} understates "
         f"the operator's Lipschitz constant", n=n, q=q,
     )
-
-
-def _solve_affine_step(affine, p: int, cT: float, base: np.ndarray, power_x: np.ndarray,
-                       n: int, q: float) -> np.ndarray:
-    """Fixed point y* of y -> base + cT (A_p (x_n + y) / 2 + b_p), with
-    power_x = T^p x_n = A_p x_n + b_p, so that the right-hand side
-    base + cT (A_p x_n / 2 + b_p) is base + cT (power_x + b_p) / 2."""
-    bp = affine.pair(p)[1]
-    try:
-        return affine.solve(p, 0.5 * cT, base + cT * (0.5 * (power_x + bp)))
-    except np.linalg.LinAlgError as exc:
-        raise IllPosedError(f"singular implicit system at n={n}: {exc}", n=n, q=q) from exc
 
 
 def implicit_step_affine_oracle(

@@ -495,19 +495,79 @@ class TestAffineSolve:
                                                trace.x[n - 1], cfg.contraction)
             assert np.linalg.norm(trace.x[n] - want) <= cfg.tol_inner, n
 
-    def test_refinement_keeps_the_residual_at_rounding_level(self):
+    @staticmethod
+    def orthogonal_d60_agvim(steps):
+        A, b, x1 = _orthogonal_d60()
+        return SolverConfig(
+            scheme=SCHEMES["AGVIM"], mapping=make_affine(A, b), schedule=paper_schedule(),
+            x1=x1, contraction=make_contraction_half(), max_outer=steps, tol_step=0.0,
+        )
+
+    def test_defect_correction_keeps_the_residual_at_rounding_level(self):
         # lam^p and the A_p formed by products drift apart by rounding as p
-        # grows; without the refinement step the relative residual reaches
-        # about 2e-12 by p = 2000 at d = 60
-        A, b, _ = _orthogonal_d60()
-        affine = make_affine(A, b).affine
-        rng = np.random.default_rng(5)
+        # grows; a solve for the whole right-hand side r reaches a relative
+        # residual of about 2e-12 by p = 2000 at d = 60, while the step's
+        # y* = x_n + solve(G(x_n) - x_n) stays at rounding level
+        cfg = self.orthogonal_d60_agvim(2000)
+        xs = run(cfg).x
+        affine = make_affine(cfg.mapping.affine.A, cfg.mapping.affine.b).affine
         for p in range(1, 2001):
-            r, s = rng.standard_normal(60), 0.5 * (p - 1) / (p + 1)
-            y = affine.solve(p, s, r)
-            residual = r - (y - s * (affine.pair(p)[0] @ y))
+            x_n = xs[p - 1]
+            cf, cx, cT = cfg.scheme.coefficients(cfg.schedule, p)
+            Ap, bp = affine.pair(p)
+            base = cf * cfg.contraction(x_n) + cx * x_n
+            r = base + cT * (0.5 * (Ap @ x_n) + bp)
+            y = x_n + affine.solve(p, 0.5 * cT, base + cT * (Ap @ x_n + bp) - x_n)
+            residual = r - (y - 0.5 * cT * (Ap @ y))
             assert np.linalg.norm(residual) <= 1e-14 * np.linalg.norm(r), p
         assert affine._eig
+
+    def test_orthogonal_d60_runs_2000_steps_in_the_eigenbasis(self, monkeypatch):
+        # |s| max|lam^p| <= q_n < 1 on every step, so the scalar guard never
+        # sends a step to LU, and every step takes one inner iteration
+        cfg = self.orthogonal_d60_agvim(2000)
+
+        def no_lu(*args):
+            raise AssertionError("LU solve on a well-posed step")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "solve", no_lu)
+            trace = run(cfg)
+        assert len(trace) == 2000
+        assert np.all(trace.inner_iters == 1)
+        # A^n by products and by binary powering drift apart by rounding,
+        # which moves the exact step solution by about 1e-15 n here (1.8e-12
+        # at n = 2000, solved either way): the independent oracle is checked
+        # up to n = 500, and every step against an LU solve of the run's A_p
+        A, b, _ = _orthogonal_d60()
+        affine = make_affine(A, b).affine
+        for n in range(1, 2001):
+            x_n = trace.x[n - 1]
+            if n <= 500:
+                want = implicit_step_affine_oracle(A, b, cfg.scheme, cfg.schedule, n,
+                                                   x_n, cfg.contraction)
+                assert np.linalg.norm(trace.x[n] - want) <= cfg.tol_inner, n
+            cf, cx, cT = cfg.scheme.coefficients(cfg.schedule, n)
+            Ap, bp = affine.pair(n)
+            r = cf * cfg.contraction(x_n) + cx * x_n + cT * (0.5 * (Ap @ x_n) + bp)
+            want = np.linalg.solve(np.eye(60) - 0.5 * cT * Ap, r)
+            assert np.linalg.norm(trace.x[n] - want) <= cfg.tol_inner, n
+
+    def test_zero_denominator_raises_illposed(self):
+        # 1 - s lam^p = 1 - 0.5 * 2 = 0 exactly: s max|lam| = 1 fails the
+        # guard, and LU finds the system singular
+        cfg = SolverConfig(
+            scheme=SCHEMES["GVIM"], mapping=make_affine(np.diag([2.0, 0.5]), [0.0, 0.0],
+                                                        envelope=lambda n: 1.0),
+            schedule=custom_schedule([[0.0, 0.0, 1.0, 1.0]]), x1=[1.0, 1.0],
+            contraction=make_contraction_half(),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(IllPosedError, match="singular implicit system") as err:
+                implicit_step(cfg, 1, [1.0, 1.0])
+        assert (err.value.n, err.value.q) == (1, 0.5)
+        assert cfg.mapping.affine._eig
 
 
 class TestRun:

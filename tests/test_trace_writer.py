@@ -5,6 +5,7 @@ running."""
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 
@@ -201,8 +202,8 @@ def test_debug_log_shows_the_helper(tmp_path, helpers, monkeypatch, caplog):
     lines = [m for m in caplog.messages if m.startswith("trace writer")]
     assert len(lines) == 2
     assert lines[0] == "trace writer started at n=64 (4480 cells)"
-    assert lines[1].startswith("trace writer reaped: 2000 rows, exit status 0, parent waited ")
-    assert lines[1].endswith(" ms")
+    assert re.fullmatch(r"trace writer reaped: 2000 rows, exit status 0, parent waited "
+                        r"\d+\.\d ms, longest block write \d+\.\d ms", lines[1])
 
 
 def test_setup_imports_neither_the_cli_nor_the_writer(tmp_path):
