@@ -5,8 +5,7 @@ Schema (unknown keys are rejected at every level)::
 
     {
       "mapping":     {"kind": "flip"}
-                   | {"kind": "affine", "A": [[...]], "b": [...]}
-                   | {"kind": "contraction_half"},
+                   | {"kind": "affine", "A": [[...]], "b": [...]},
       "contraction": {"kind": "half"}
                    | {"kind": "scale", "factor": 0.3}
                    | {"kind": "affine", "A": [[...]], "b": [...]},
@@ -43,7 +42,6 @@ from .mappings import (
     make_affine,
     make_contraction_half,
     make_flip_map,
-    make_scaling,
     make_scaling_contraction,
 )
 from .schedules import Schedule, custom_schedule, paper_schedule, power_schedule
@@ -53,7 +51,7 @@ from .space import NormSpec
 __all__ = ["ExperimentConfig", "load_config", "parse_config"]
 
 _SECTIONS = {  # section: (the key naming its variant, {variant: {key: required}})
-    "mapping": ("kind", {"flip": {"envelope": False}, "contraction_half": {"envelope": False},
+    "mapping": ("kind", {"flip": {"envelope": False},
                          "affine": {"A": True, "b": True, "envelope": False}}),
     "contraction": ("kind", {"half": {}, "scale": {"factor": True},
                              "affine": {"A": True, "b": True}}),
@@ -199,9 +197,6 @@ class ExperimentConfig:
             return make_affine(np.asarray(spec["A"], dtype=float),
                                np.asarray(spec["b"], dtype=float),
                                envelope=envelope)
-        if kind == "contraction_half":
-            dim = len(self.x1)
-            return make_scaling(0.5, dim, envelope=envelope or (lambda n: 1.0))
         raise ConfigError(f"unknown mapping kind {kind!r}", key="kind")
 
     @_as_config_error

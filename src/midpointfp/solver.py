@@ -14,15 +14,16 @@ step n is reached.
 
 For affine T (a mapping with ``affine``) the step is the linear system
 (I - (cT/2) A_p) x = cf f(x_n) + cx x_n + cT (A_p x_n / 2 + b_p).
-``affine.solve`` solves it once, for the correction from x_n whose
-right-hand side is the first Picard iterate's residual G(x_n) - x_n, in
-A's eigenbasis (O(d^2) per step) or by LU where the eigenbasis is
-ill-conditioned; x_n plus that correction becomes the Picard warm start,
-so the accepted iterate passes the same a-posteriori bound whatever the
-solve's accuracy; the first Picard iterate checks that the step map
-contracts by q_n along the solve, which catches an envelope that
-understates T. The same system, solved by LU with powers by binary
-powering, is kept as an independent oracle.
+When the first Picard iterate misses the bound, ``affine.solve`` solves
+it once, for the correction from x_n whose right-hand side is that
+iterate's residual G(x_n) - x_n, in A's eigenbasis (O(d^2) per step) or
+by LU where the eigenbasis is ill-conditioned. The solve only moves the
+warm start to x_n plus that correction: the one Picard loop runs from
+there, so the accepted iterate passes the same a-posteriori bound
+whatever the solve's accuracy, and the loop's first pass checks that
+the step map contracts by q_n along the solve, which catches an
+envelope that understates T. The same system, solved by LU with powers
+by binary powering, is kept as an independent oracle.
 
 :func:`run` returns a columnar :class:`Trace`: the iterates as one
 array plus one array per step statistic.
@@ -199,17 +200,17 @@ def implicit_step(cfg: SolverConfig, n: int, x_n, collect_deltas: bool = False,
     tol_inner of the exact step solution whenever the contraction bound
     is valid. For a mapping with an ``affine`` power whose first iterate
     y_1 = G(x_n) does not meet tol_inner, the step's linear system is
-    solved once and its solution y* replaces the warm start, so the
-    accepted iterate is still a Picard iterate G(y*) under the same bound;
-    inner_iters then counts from y*. Raises IllPosedError if q_n >= 1, if
-    a Picard delta is non-finite or exceeds the first one, if the linear
-    system is singular, or if ||y_1 - G(y*)|| > q_n ||x_n - y*|| + tol_inner
-    (no q_n-contraction does any of these), and InnerBudgetError if
-    max_inner is hit first (the achieved bound is attached), and
-    InvalidInputError if a step without the operator term (cT = 0) comes
-    out non-finite. ``x_n`` is checked once; the loop and the contraction
-    run on raw arrays. ``coefficients`` is step n's (cf, cx, cT) when the
-    caller has computed it already.
+    solved once and its solution y* only replaces the warm start: the
+    same loop runs from y*, inner_iters counts from there, and the first
+    pass also checks the pair (y_1, G(y*)). Raises IllPosedError if
+    q_n >= 1, if a Picard delta is non-finite or exceeds the first one,
+    if the linear system is singular, or if ||y_1 - G(y*)|| > q_n
+    ||x_n - y*|| + tol_inner (no q_n-contraction does any of these), and
+    InnerBudgetError if max_inner is hit first (the achieved bound is
+    attached), and InvalidInputError if a step without the operator term
+    (cT = 0) comes out non-finite. ``x_n`` is checked once; the loop and
+    the contraction run on raw arrays. ``coefficients`` is step n's
+    (cf, cx, cT) when the caller has computed it already.
     """
     x_n = as_vector(x_n, dim=cfg.mapping.domain_dim)
     cf, cx, cT = coefficients or cfg.scheme.coefficients(cfg.schedule, n)
@@ -245,25 +246,16 @@ def implicit_step(cfg: SolverConfig, n: int, x_n, collect_deltas: bool = False,
     # every later delta must be <= first, which NaN and inf fail too
     deltas = [first] if collect_deltas else None
     bound = factor * first
-    m = 1
+    m, y1 = 1, None
     if bound > tol and cfg.mapping.affine is not None:
         # restart from y* = x_n + e, with (I - (cT/2) A_p) e = G(x_n) - x_n (the
-        # system's residual at x_n): G must bring x_n and y* closer by q_n
+        # system's residual at x_n); the loop counts from y* and first checks
+        # that G brings x_n and y* closer by q_n
         try:
             y1, y = y, x_n + cfg.mapping.affine.solve(p, 0.5 * cT, y - x_n)
         except np.linalg.LinAlgError as exc:
             raise IllPosedError(f"singular implicit system at n={n}: {exc}", n=n, q=q) from exc
-        y_new = base + cT * power(0.5 * (x_n + y))
-        delta = size(y_new - y)
-        if not delta <= first:
-            raise _bad_delta(n, q, delta, first, 1)
-        gap, dist = size(y1 - y_new), size(x_n - y)
-        if not gap <= q * dist + tol:
-            raise _diverges(n, q, f"||G(x_n) - G(y*)|| = {gap:.3e} for "
-                                  f"||x_n - y*|| = {dist:.3e}")
-        if deltas is not None:
-            deltas.append(delta)
-        y, bound = y_new, factor * delta
+        m, bound = 0, math.inf
     while bound > tol:
         if m == max_inner:
             raise InnerBudgetError(
@@ -275,6 +267,12 @@ def implicit_step(cfg: SolverConfig, n: int, x_n, collect_deltas: bool = False,
         delta = size(y_new - y)
         if not delta <= first:
             raise _bad_delta(n, q, delta, first, m)
+        if y1 is not None:  # G(y*): the pair check, once
+            gap, dist = size(y1 - y_new), size(x_n - y)
+            if not gap <= q * dist + tol:
+                raise _diverges(n, q, f"||G(x_n) - G(y*)|| = {gap:.3e} for "
+                                      f"||x_n - y*|| = {dist:.3e}")
+            y1 = None
         if deltas is not None:
             deltas.append(delta)
         y, bound = y_new, factor * delta

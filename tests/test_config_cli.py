@@ -163,6 +163,26 @@ class TestRunCommand:
                                 + [int(it)] + [format(float(v), ".17g") for v in rest])
         assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
+    def test_contraction_half_mapping_kind_is_rejected(self, tmp_path, capsys):
+        # 1/2 I is spelled as an affine map (next test); the old kind is unknown
+        path = write_config(tmp_path, {**BENCHMARK, "mapping": {"kind": "contraction_half"}})
+        assert main(["run", "--config", path, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "kind" in err
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_affine_half_identity_runs_vim_to_zero(self, tmp_path, capsys):
+        # the README's spelling of 1/2 I: its auto envelope max(1, 1/2)^n is 1
+        data = {**BENCHMARK, "scheme": "VIM", "x1": [1.0, -2.0], "schedule": {"family": "power"},
+                "mapping": {"kind": "affine", "A": [[0.5, 0], [0, 0.5]], "b": [0, 0]}}
+        path = write_config(tmp_path, data)
+        assert main(["run", "--config", path, "--out", str(tmp_path)]) == 0
+        assert "converged" in capsys.readouterr().out
+        header, rows = read_csv(tmp_path / "trace.csv")
+        table = np.array(rows, dtype=float)
+        assert np.all(table[:, header.index("k_n")] == 1.0)
+        assert np.linalg.norm(table[-1, 1:3]) <= 1e-7
+
     def test_illposed_config_exits_one_citing_n(self, tmp_path, capsys):
         data = dict(BENCHMARK)
         data["schedule"] = {"family": "custom", "table": [[0.1, 0.0, 0.9, 4.0]] * 5}

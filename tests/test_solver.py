@@ -418,6 +418,36 @@ class TestPicardLoop:
         assert err.value.iterations == 1
         assert calls[1][0] == pytest.approx(0.5 * (1.0 + 3.0 / 7.0 + 1e-3), rel=1e-12)
 
+    def test_affine_restart_hands_off_to_the_loop(self):
+        # a solve 1e-11 off y* leaves G(y*) short of tol_inner once: the loop
+        # takes one more Picard iteration from G(y*) and accepts the next
+        T = make_affine([[0.5]], [0.0])
+
+        class OffSolve:
+            pair = T.affine.pair
+
+            def solve(self, p, s, r):
+                return T.affine.solve(p, s, r) + 1e-11
+
+        calls = []
+
+        def power(n, u):
+            calls.append(u.copy())
+            return T.power(n, u)
+
+        cfg = SolverConfig(scheme=SCHEMES["GVIM"], mapping=replace(T, power=power, affine=OffSolve()),
+                           schedule=custom_schedule([[0.5, 0.0, 0.5, 1.0]]), x1=[1.0],
+                           contraction=make_scaling_contraction(0.5), max_inner=2)
+        res = implicit_step(cfg, 1, [1.0], collect_deltas=True)
+        assert res.inner_iters == 2 and len(calls) == 3
+        # G(y) = 0.375 + 0.125 y from x_n = 1: the first delta is 0.5, then
+        # each delta from y* + e is 0.875 e and shrinks by 0.125
+        assert len(res.deltas) == 3 and res.deltas[0] == 0.5
+        assert res.deltas[1] == pytest.approx(0.875e-11, rel=1e-4)
+        assert res.deltas[2] == pytest.approx(0.125 * 0.875e-11, rel=1e-3)
+        assert res.bound == res.q / (1.0 - res.q) * res.deltas[2] <= cfg.tol_inner
+        assert res.x[0] == pytest.approx(3.0 / 7.0, abs=cfg.tol_inner)
+
     def test_collected_deltas(self):
         # G(y) = 0.5 + 0.25 y from x_n = 1: dyadic iterates, deltas 4^-m,
         # accepted once (1/3) 4^-m <= 1e-12
