@@ -28,6 +28,7 @@ from .mappings import (
     apply_power,
     flip_fixed,
     make_affine,
+    make_affine_contraction,
     make_contraction_half,
     make_flip_map,
     make_scaling,

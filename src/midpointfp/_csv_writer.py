@@ -9,7 +9,8 @@ prints one line to standard error and exits 1.
 
 It uses the standard library only. ``midpointfp.cli`` starts it as a
 separate process, so that a long run's trace.csv is formatted on another
-CPU while the run goes on, and never imports it.
+CPU while the run goes on, and formats every other CSV file with its
+:func:`write_rows`.
 """
 
 import struct
@@ -18,13 +19,18 @@ import sys
 READ_ROWS = 64  # rows per read; the sender sends whole rows
 
 
+def write_rows(out, row: str, width: int, data) -> None:
+    """Write each ``width`` native float64 values of the buffer ``data``
+    (bytes, or a C-contiguous float64 array: no copy) as ``row % values``."""
+    out.writelines(row % cells for cells in struct.iter_unpack(f"{width}d", data))
+
+
 def main(path: str, width: str, header: str, row: str) -> None:
-    rows = struct.Struct(f"{int(width)}d")
-    stdin = sys.stdin.buffer
+    width = int(width)
     with open(path, "w", newline="") as out:
         out.write(header)
-        while data := stdin.read(READ_ROWS * rows.size):
-            out.writelines(row % cells for cells in rows.iter_unpack(data))
+        while data := sys.stdin.buffer.read(READ_ROWS * 8 * width):
+            write_rows(out, row, width, data)
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _csv_writer
 from .config import load_config
 from .diagnostics import check_vi, compare_schemes, sample_fixed_set_flip
 from .errors import ConfigError, MidpointError
@@ -55,19 +56,19 @@ def _row_format(width: int) -> str:
 
 def _table(columns, start: int = 0) -> np.ndarray:
     """Rows ``start`` on of ``columns`` (1-d, or 2-d for several) after an
-    ``n`` column, n = start + 1, ..., as one float64 array."""
-    return np.column_stack((np.arange(start + 1, len(columns[0]) + 1),
-                            *(c[start:] for c in columns)))
+    ``n`` column, n = start + 1, ..., as one C-ordered float64 array (a
+    copy only if the columns are not laid out in rows)."""
+    return np.ascontiguousarray(np.column_stack((np.arange(start + 1, len(columns[0]) + 1),
+                                                 *(c[start:] for c in columns))))
 
 
 def _write_csv(path: Path, header, columns):
-    """Write ``columns`` under ``n`` and ``header``, one _row_format row per n."""
+    """Write ``columns`` under ``n`` and ``header``, one _row_format row per
+    n, by the trace writer helper's own loop."""
     table = _table(columns)
-    row = _row_format(table.shape[1])
     with open(path, "w", newline="") as fh:
         fh.write(_header_line(header))
-        # one row's Python floats at a time, so the table is not held twice
-        fh.writelines(row % tuple(cells.tolist()) for cells in table)
+        _csv_writer.write_rows(fh, _row_format(table.shape[1]), table.shape[1], table)
 
 
 def _trace_header(dim: int) -> list:
@@ -104,10 +105,11 @@ class _TraceWriter:
     process may use 2 CPUs, it starts the stdlib-only writer script and
     sends it every finished row as raw float64 values, so that the rows
     are formatted on the other CPU while the run goes on; ``finish`` then
-    waits for it and renames its ``.part`` file to ``path``. A shorter
-    run, or one on a single CPU, is written by ``_trace_csv`` in
-    ``finish``. The bytes are the same either way. ``abort`` kills and
-    reaps a helper that is still running and removes its partial file.
+    waits for it. A shorter run, or one on a single CPU, is written by
+    ``_trace_csv`` in ``finish``. Either way the rows go to a ``.part``
+    file, which ``finish`` renames to ``path``, and the bytes are the
+    same. ``abort`` kills and reaps a helper that is still running and
+    removes the partial file.
     """
 
     def __init__(self, path: Path, cfg: SolverConfig):
@@ -174,16 +176,14 @@ class _TraceWriter:
 
     def finish(self, trace: Trace):
         if self.proc is None:
-            _trace_csv(self.path, trace)
-            return
-        self._reap()
+            _trace_csv(self.part, trace)
+        else:
+            self._reap()
+            self.proc = None
         os.replace(self.part, self.path)
-        self.proc = None
 
     def abort(self):
-        if self.proc is None:
-            return
-        if self.proc.returncode is None:
+        if self.proc is not None and self.proc.returncode is None:
             self.proc.kill()
             with contextlib.suppress(OSError):
                 self._reap()

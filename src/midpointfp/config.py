@@ -1,17 +1,13 @@
 """JSON experiment configuration: strict parsing, a round-trip that parses
 back to an equal config, and builders for the solver objects.
 
-Schema (unknown keys are rejected at every level)::
+Schema (unknown keys are rejected at every level; ``_SECTIONS`` declares
+each section's variants, their keys and their builders)::
 
     {
-      "mapping":     {"kind": "flip"}
-                   | {"kind": "affine", "A": [[...]], "b": [...]},
-      "contraction": {"kind": "half"}
-                   | {"kind": "scale", "factor": 0.3}
-                   | {"kind": "affine", "A": [[...]], "b": [...]},
-      "schedule":    {"family": "paper"}
-                   | {"family": "power", "s": 1.0, "b_const": 0.0}
-                   | {"family": "custom", "table": [[a, b, c, k], ...]},
+      "mapping":     {"kind": ..., <the kind's keys>},
+      "contraction": {"kind": ..., <the kind's keys>},     # optional
+      "schedule":    {"family": ..., <the family's keys>},
       "scheme":      "AGVIM" or ["VIM", "GVIM", ...],
       "x1":          [..],
       "norm_p":      p,            # optional solver settings: a key left
@@ -33,13 +29,12 @@ import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError, InvalidInputError, MidpointError
 from .mappings import (
     Contraction,
     Mapping,
     make_affine,
+    make_affine_contraction,
     make_contraction_half,
     make_flip_map,
     make_scaling_contraction,
@@ -50,13 +45,31 @@ from .space import NormSpec
 
 __all__ = ["ExperimentConfig", "load_config", "parse_config"]
 
-_SECTIONS = {  # section: (the key naming its variant, {variant: {key: required}})
-    "mapping": ("kind", {"flip": {"envelope": False},
-                         "affine": {"A": True, "b": True, "envelope": False}}),
-    "contraction": ("kind", {"half": {}, "scale": {"factor": True},
-                             "affine": {"A": True, "b": True}}),
-    "schedule": ("family", {"paper": {}, "power": {"s": False, "b_const": False},
-                            "custom": {"table": True}}),
+# a mapping's "envelope" names: the map's own default, or k_n = 1
+_ENVELOPES = {"auto": None, "unit": lambda n: 1.0}
+
+# section: (the key naming its variant, {variant: ({key: required}, builder)}).
+# A builder takes the section's dict; its factory is a module global, read
+# when the builder runs, so that a replaced factory takes effect.
+_SECTIONS = {
+    "mapping": ("kind", {
+        "flip": ({"envelope": False},
+                 lambda s: make_flip_map(envelope=_ENVELOPES.get(s.get("envelope")))),
+        "affine": ({"A": True, "b": True, "envelope": False},
+                   lambda s: make_affine(s["A"], s["b"],
+                                         envelope=_ENVELOPES.get(s.get("envelope")))),
+    }),
+    "contraction": ("kind", {
+        "half": ({}, lambda s: make_contraction_half()),
+        "scale": ({"factor": True}, lambda s: make_scaling_contraction(float(s["factor"]))),
+        "affine": ({"A": True, "b": True}, lambda s: make_affine_contraction(s["A"], s["b"])),
+    }),
+    "schedule": ("family", {
+        "paper": ({}, lambda s: paper_schedule()),
+        "power": ({"s": False, "b_const": False},
+                  lambda s: power_schedule(float(s.get("s", 1.0)), float(s.get("b_const", 0.0)))),
+        "custom": ({"table": True}, lambda s: custom_schedule(s["table"])),
+    }),
 }
 
 
@@ -113,8 +126,8 @@ def _numbers(key: str, value, depth: int = 1) -> list:
 
 
 def _envelope(key: str, value):
-    if value not in (None, "auto", "unit"):
-        raise ConfigError("mapping envelope must be 'auto' or 'unit'", key=key)
+    if value not in (None, *_ENVELOPES):
+        raise ConfigError(f"mapping envelope must be {' or '.join(map(repr, _ENVELOPES))}", key=key)
 
 
 _matrix = functools.partial(_numbers, depth=2)
@@ -136,7 +149,7 @@ def _section(data: dict, name: str) -> dict:
     variant = _require(name, section, variant_key)
     if not isinstance(variant, str) or variant not in variants:
         raise ConfigError(f"unknown {name} {variant_key} {variant!r}", key=variant_key)
-    keys = variants[variant]
+    keys = variants[variant][0]
     _check_keys(name, section, {variant_key, *keys})
     for key, required in keys.items():
         if required or key in section:
@@ -172,8 +185,6 @@ class ExperimentConfig:
     seed: int | None = None
     out: str | None = None
 
-    # -- construction -------------------------------------------------
-
     def to_dict(self) -> dict:
         d = asdict(self)  # a deep copy
         d.update(d.pop("settings"), scheme=list(self.scheme), x1=list(self.x1))
@@ -182,55 +193,21 @@ class ExperimentConfig:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    # -- builders ------------------------------------------------------
-
     @_as_config_error
+    def _build(self, section: str):
+        """The section's object, made by its variant's builder in _SECTIONS."""
+        spec = getattr(self, section)
+        key, variants = _SECTIONS[section]
+        return None if spec is None else variants[spec[key]][1](spec)
+
     def build_mapping(self) -> Mapping:
-        spec = self.mapping
-        kind = spec["kind"]
-        envelope = None
-        if spec.get("envelope") == "unit":
-            envelope = lambda n: 1.0
-        if kind == "flip":
-            return make_flip_map(envelope=envelope)
-        if kind == "affine":
-            return make_affine(np.asarray(spec["A"], dtype=float),
-                               np.asarray(spec["b"], dtype=float),
-                               envelope=envelope)
-        raise ConfigError(f"unknown mapping kind {kind!r}", key="kind")
+        return self._build("mapping")
 
-    @_as_config_error
     def build_contraction(self) -> Contraction | None:
-        spec = self.contraction
-        if spec is None:
-            return None
-        kind = spec["kind"]
-        if kind == "half":
-            return make_contraction_half()
-        if kind == "scale":
-            return make_scaling_contraction(float(spec["factor"]))
-        if kind == "affine":
-            A = np.asarray(spec["A"], dtype=float)
-            b = np.asarray(spec["b"], dtype=float)
-            alpha = float(np.linalg.norm(A, 2))
-            if not alpha < 1.0:
-                raise ConfigError(
-                    f"affine contraction needs ||A||_2 < 1, got {alpha:.6f}", key="A"
-                )
-            return Contraction(apply=lambda u: A @ u + b, alpha=alpha)
-        raise ConfigError(f"unknown contraction kind {kind!r}", key="kind")
+        return self._build("contraction")
 
-    @_as_config_error
     def build_schedule(self) -> Schedule:
-        spec = self.schedule
-        family = spec["family"]
-        if family == "paper":
-            return paper_schedule()
-        if family == "power":
-            return power_schedule(float(spec.get("s", 1.0)), float(spec.get("b_const", 0.0)))
-        if family == "custom":
-            return custom_schedule(spec["table"])
-        raise ConfigError(f"unknown schedule family {family!r}", key="family")
+        return self._build("schedule")
 
     def schemes(self) -> list[Scheme]:
         return [scheme_by_name(name) for name in self.scheme]
@@ -244,7 +221,7 @@ class ExperimentConfig:
             scheme=scheme if scheme is not None else self.schemes()[0],
             mapping=self.build_mapping(),
             schedule=self.build_schedule(),
-            x1=np.asarray(self.x1, dtype=float),
+            x1=self.x1,
             contraction=self.build_contraction(),
             **settings,
         )
@@ -255,9 +232,9 @@ def parse_config(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("top-level config must be a JSON object")
     _check_keys("config", data, {*_SECTIONS, *_SETTINGS, "scheme", "x1", "seed", "out"})
-    mapping = _section(data, "mapping")
-    contraction = None if data.get("contraction") is None else _section(data, "contraction")
-    schedule = _section(data, "schedule")
+    # every section is required, but the contraction may be left out or null
+    sections = {name: _section(data, name) for name in _SECTIONS
+                if name != "contraction" or data.get(name) is not None}
 
     names = _require("config", data, "scheme")
     if isinstance(names, str):
@@ -270,9 +247,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError(str(exc), key="scheme") from exc
 
     cfg = ExperimentConfig(
-        mapping=mapping,
-        contraction=contraction,
-        schedule=schedule,
+        **sections,
         scheme=schemes,
         x1=tuple(_numbers("x1", _require("config", data, "x1"))),
         settings={key: check(key, data[key]) for key, check in _SETTINGS.items() if key in data},

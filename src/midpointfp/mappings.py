@@ -29,6 +29,7 @@ __all__ = [
     "make_affine",
     "make_scaling",
     "make_contraction_half",
+    "make_affine_contraction",
     "make_scaling_contraction",
     "affine_power_pair",
     "apply_power",
@@ -310,12 +311,8 @@ def _eigenbasis(A: np.ndarray):
     return lam, V, Vinv, float(np.abs(lam).max())
 
 
-def make_affine(A, b, envelope: Callable[[int], float] | None = None) -> Mapping:
-    """u -> A u + b with closed-form powers and their affine pairs.
-
-    Default envelope is max(1, ||A||_2)^n; pass ``envelope`` to declare
-    a sharper sequence.
-    """
+def _affine_parts(A, b) -> tuple[np.ndarray, np.ndarray]:
+    """A, b of u -> A u + b as floats: A square and finite, b a vector of A's size."""
     A = np.asarray(A, dtype=float)
     bv = as_vector(b)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -324,6 +321,16 @@ def make_affine(A, b, envelope: Callable[[int], float] | None = None) -> Mapping
         raise InvalidInputError(f"dimension mismatch: A is {A.shape}, b has {bv.size}")
     if not np.all(np.isfinite(A)):
         raise InvalidInputError("A contains NaN or Inf")
+    return A, bv
+
+
+def make_affine(A, b, envelope: Callable[[int], float] | None = None) -> Mapping:
+    """u -> A u + b with closed-form powers and their affine pairs.
+
+    Default envelope is max(1, ||A||_2)^n; pass ``envelope`` to declare
+    a sharper sequence.
+    """
+    A, bv = _affine_parts(A, b)
     if envelope is None:
         base = max(1.0, float(np.linalg.norm(A, 2)))
         envelope = lambda n, _base=base: _base ** n
@@ -347,6 +354,15 @@ def make_scaling(factor: float, dim: int, envelope: Callable[[int], float] | Non
 def make_contraction_half() -> Contraction:
     """f(x) = x/2 with alpha = 1/2."""
     return Contraction(apply=lambda u: 0.5 * u, alpha=0.5)
+
+
+def make_affine_contraction(A, b) -> Contraction:
+    """f(u) = A u + b, checked as by :func:`make_affine`; alpha = ||A||_2 < 1."""
+    A, bv = _affine_parts(A, b)
+    alpha = float(np.linalg.norm(A, 2))
+    if not alpha < 1.0:
+        raise InvalidInputError(f"affine contraction needs ||A||_2 < 1, got {alpha:.6f}")
+    return Contraction(apply=partial(_affine_apply, A, bv), alpha=alpha)
 
 
 def make_scaling_contraction(factor: float) -> Contraction:

@@ -11,7 +11,7 @@ a geometric bound on sup k_n, with k_n and q_n read from the run's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .errors import InvalidInputError
@@ -40,8 +40,8 @@ class Schedule:
     """Immutable bundle of the sequences a, b, c, k (1-indexed callables).
 
     ``family`` tags a registered parametric family ("paper", "power",
-    "custom"); ``params`` keeps the defining constants so divergence of
-    the series sum(a_n) can be classified symbolically. ``k`` is an
+    "custom"); ``sum_a`` is the family's (status, reason) verdict on
+    condition (ii), sum(a_n) = inf, or None ("unknown"). ``k`` is an
     envelope declared in the 2-norm; a run uses the larger of it and the
     mapping's envelope (:meth:`SolverConfig.envelope`).
     """
@@ -51,7 +51,7 @@ class Schedule:
     c: Callable[[int], float]
     k: Callable[[int], float]
     family: str = "custom"
-    params: dict = field(default_factory=dict)
+    sum_a: tuple[str, str] | None = None
 
 
 def paper_schedule(k: Callable[[int], float] | None = None) -> Schedule:
@@ -67,7 +67,7 @@ def paper_schedule(k: Callable[[int], float] | None = None) -> Schedule:
         c=lambda n: (n - 1) / (n + 1),
         k=kf,
         family="paper",
-        params={},
+        sum_a=("pass", "harmonic family diverges; partial sum reported"),
     )
 
 
@@ -90,7 +90,8 @@ def power_schedule(s: float, b_const: float = 0.0,
         c=lambda n: 1.0 - a(n) - b(n),
         k=kf,
         family="power",
-        params={"s": s, "b_const": b_const},
+        sum_a=("pass", f"power family with s={float(s)} <= 1 diverges") if s <= 1.0
+        else ("fail", f"power family with s={float(s)} > 1 converges"),
     )
 
 
@@ -186,9 +187,9 @@ def validate(cfg: SolverConfig, horizon: int) -> ValidationReport:
     ``run`` checks, in the run's norm.
     Tail-limit conditions are checked on the second half of the horizon,
     since the underlying requirements only bind for sufficiently large n.
-    Divergence of sum(a_n) is classified symbolically for registered
-    families and reported "unknown" (with the partial sum as evidence)
-    otherwise, so that a false pass is never reported. The
+    Divergence of sum(a_n) is the schedule's own symbolic verdict
+    (``Schedule.sum_a``) and "unknown" (with the partial sum as evidence)
+    where it has none, so that a false pass is never reported. The
     normal-structure bound produces a warning, not a failure.
     """
     if horizon < 10:
@@ -217,20 +218,11 @@ def validate(cfg: SolverConfig, horizon: int) -> ValidationReport:
         cond_i = CheckResult("fail", a_end, horizon,
                              f"a({horizon}) = {a_end:.3e} exceeds trend threshold {threshold:.3e}")
 
-    # (ii) divergence of sum(a_n): symbolic per family, else unknown.
+    # (ii) divergence of sum(a_n): the family's own verdict, else unknown.
     partial = math.fsum(a)
-    if sched.family == "paper":
-        cond_ii = CheckResult("pass", partial, horizon,
-                              "harmonic family diverges; partial sum reported")
-    elif sched.family == "power":
-        s = float(sched.params.get("s", math.nan))
-        if s <= 1.0:
-            cond_ii = CheckResult("pass", partial, horizon, f"power family with s={s} <= 1 diverges")
-        else:
-            cond_ii = CheckResult("fail", partial, horizon, f"power family with s={s} > 1 converges")
-    else:
-        cond_ii = CheckResult("unknown", partial, horizon,
-                              f"series not classified; partial sum at horizon = {partial:.6g}")
+    status, reason = sched.sum_a or (
+        "unknown", f"series not classified; partial sum at horizon = {partial:.6g}")
+    cond_ii = CheckResult(status, partial, horizon, reason)
 
     # (iii) (k_n^2 - 1)/a_n -> 0 on the tail.
     ratio = [(kk * kk - 1.0) / aa for kk, aa in zip(k, a)]

@@ -145,7 +145,14 @@ class SolverConfig:
             raise InvalidInputError(
                 f"tol_inner ({self.tol_inner}) must be smaller than tol_step ({self.tol_step})"
             )
-        if self.scheme.viscosity and self.contraction is None:
+        if self.contraction is not None:  # its image of x1 shows its dimension
+            try:
+                shape = np.shape(self.contraction.apply(self.x1))
+            except ValueError:  # e.g. a matrix of another size
+                shape = None
+            if shape != self.x1.shape:  # a non-finite image is the step's error
+                raise InvalidInputError(f"contraction must map x1 to a vector in R^{self.x1.size}")
+        elif self.scheme.viscosity:
             raise InvalidInputError(f"scheme {self.scheme.name} needs a contraction")
 
     def envelope(self, p: int, rho: float = 1.0) -> float:

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -473,6 +474,33 @@ def test_builder_error_is_config_error(tmp_path, capsys):
                  ["compare", "--schemes", "VIM,AGVIM", "--out", str(tmp_path)]):
         assert main(argv + ["--config", path]) == 1
         assert capsys.readouterr().err.startswith("config error: A must be square"), argv[0]
+
+
+# affine anchors that do not fit the flip map's R^2; the first two ended
+# `run` in a traceback, the last ran with f(u) = (u0/2, u0/2) broadcast,
+# and validate-schedule passed the first and the last
+MISFIT_ANCHORS = {
+    "3x3": ({"A": [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]], "b": [0.0, 0.0, 0.0]},
+            "contraction must map x1 to a vector in R^2"),
+    "2x2, b of 3": ({"A": [[0.5, 0.0], [0.0, 0.5]], "b": [0.0, 0.0, 0.0]},
+                    "dimension mismatch: A is (2, 2), b has 3"),
+    "1x2": ({"A": [[0.5, 0.0]], "b": [0.0]}, "A must be square, got shape (1, 2)"),
+}
+
+
+@pytest.mark.parametrize("command", [["run"], ["validate-schedule"],
+                                     ["compare", "--schemes", "VIM,AGVIM"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("anchor", MISFIT_ANCHORS, ids=list(MISFIT_ANCHORS))
+def test_an_anchor_that_does_not_fit_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                       command, anchor):
+    monkeypatch.chdir(tmp_path)  # a run that wrongly goes on writes here
+    spec, message = MISFIT_ANCHORS[anchor]
+    path = write_config(tmp_path, {**BENCHMARK, "x1": [0.5, 1.0],
+                                   "contraction": {"kind": "affine", **spec}})
+    assert main([command[0], "--config", path] + command[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n"
+    assert captured.out == "" and os.listdir(tmp_path) == ["config.json"]
 
 
 def test_every_builder_reports_a_config_error():

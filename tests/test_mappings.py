@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from midpointfp.mappings import (
     apply_power,
     flip_fixed,
     make_affine,
+    make_affine_contraction,
     make_contraction_half,
     make_flip_map,
     make_scaling,
@@ -93,6 +96,24 @@ class TestContraction:
                 continue
             num = np.linalg.norm(f(x) - f(y))
             assert num <= 0.5 * np.linalg.norm(x - y) + 1e-12
+
+    def test_affine_contraction(self):
+        A, b = np.array([[0.3, 0.4], [0.0, 0.2]]), np.array([1.0, -1.0])
+        f = make_affine_contraction(A, b)
+        assert f.alpha == np.linalg.norm(A, 2)
+        np.testing.assert_array_equal(f([2.0, 3.0]), A @ [2.0, 3.0] + b)
+        with pytest.raises(InvalidInputError, match="needs"):
+            make_affine_contraction(2.0 * A, b)
+
+    @pytest.mark.parametrize("A, b, message", [
+        ([[0.5, 0.0]], [0.0], "A must be square, got shape (1, 2)"),
+        ([[0.5, 0.0], [0.0, 0.5]], [0.0, 0.0, 0.0], "dimension mismatch: A is (2, 2), b has 3"),
+        ([[0.5, 0.0], [0.0, math.nan]], [0.0, 0.0], "A contains NaN or Inf"),
+    ])
+    def test_affine_contraction_is_checked_as_the_affine_map(self, A, b, message):
+        for make in (make_affine, make_affine_contraction):
+            with pytest.raises(InvalidInputError, match=re.escape(message)):
+                make(A, b)
 
     def test_scaling_contraction_range(self):
         with pytest.raises(InvalidInputError):

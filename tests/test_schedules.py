@@ -7,6 +7,7 @@ import pytest
 from midpointfp.errors import IllPosedError, InvalidInputError
 from midpointfp.mappings import make_affine, make_contraction_half, make_flip_map
 from midpointfp.schedules import (
+    Schedule,
     custom_schedule,
     paper_schedule,
     power_schedule,
@@ -131,6 +132,40 @@ class TestValidate:
         report = validate(agvim_flip(sched), horizon=200)
         assert report.condition_i.status == "fail"
         assert report.condition_ii.status == "unknown"
+
+    def test_a_n_that_rises_on_the_tail_fails_i(self):
+        # a_n = 1/n up to n = 14, then it rises: the tail n = 10..20 is not monotone
+        a = [1.0 / n if n < 15 else 0.05 * n for n in range(1, 21)]
+        sched = custom_schedule([[an, 0.0, 1.0 - an, 1.0] for an in a])
+        row = validate(agvim_flip(sched), horizon=20).condition_i
+        assert (row.status, row.value, row.at_n, row.detail) == (
+            "fail", 0.75, 15, "a_n increases at n=15")
+
+    # condition (ii) row of each family (status, detail) at horizon 100; the
+    # value is the partial sum, and a table has no symbolic verdict
+    SUM_A_ROWS = {
+        "paper": (paper_schedule(), "pass", "harmonic family diverges; partial sum reported"),
+        "power 0.5": (power_schedule(0.5, 0.3), "pass", "power family with s=0.5 <= 1 diverges"),
+        "power 1": (power_schedule(1, 0.3), "pass", "power family with s=1.0 <= 1 diverges"),
+        "power 2": (power_schedule(2.0, 0.3), "fail", "power family with s=2.0 > 1 converges"),
+        "custom": (custom_schedule([[1.0 / n, 0.0, 1.0 - 1.0 / n, 1.0] for n in range(1, 101)]),
+                   "unknown", "series not classified; partial sum at horizon = 5.18738"),
+    }
+
+    @pytest.mark.parametrize("family", SUM_A_ROWS, ids=list(SUM_A_ROWS))
+    def test_condition_ii_row_of_each_family(self, family):
+        sched, status, detail = self.SUM_A_ROWS[family]
+        label, *row = validate(agvim_flip(sched), horizon=100).rows()[1]
+        assert label == "condition (ii): sum a_n = inf"
+        assert row == [status, math.fsum(sched.a(n) for n in range(1, 101)), 100, detail]
+
+    def test_a_schedule_without_a_verdict_reads_unknown(self):
+        # tagged "power" but built without power_schedule, so nothing decides (ii)
+        s = power_schedule(2.0)
+        sched = Schedule(a=s.a, b=s.b, c=s.c, k=s.k, family="power")
+        row = validate(agvim_flip(sched), horizon=100).condition_ii
+        assert row.status == "unknown"
+        assert row.detail.startswith("series not classified")
 
     def test_custom_simplex_violation_names_n(self):
         rows = [[0.5, 0.25, 0.25, 1.0]] * 20

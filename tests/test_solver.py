@@ -959,6 +959,38 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             benchmark_cfg([1.0, 2.0, 3.0])
 
+    # anchors whose image of x1 is not a vector of R^2: a 3-d affine map (a
+    # traceback at the first step), a 1-vector that broadcasts, a scalar;
+    # a non-finite image is the step's typed error (test above)
+    MISFIT_ANCHORS = {
+        "3-d affine": lambda u: 0.5 * np.eye(3) @ u + np.zeros(3),
+        "1-vector": lambda u: np.array([[0.5, 0.0]]) @ u + np.zeros(1),
+        "scalar": lambda u: 0.5 * u[0],
+    }
+
+    @staticmethod
+    def flip_cfg(contraction, scheme="AGVIM"):
+        return SolverConfig(scheme=SCHEMES[scheme], mapping=make_flip_map(),
+                            schedule=paper_schedule(), x1=[0.5, 1.0], contraction=contraction)
+
+    @pytest.mark.parametrize("anchor", MISFIT_ANCHORS, ids=list(MISFIT_ANCHORS))
+    def test_an_anchor_that_does_not_fit_is_refused_before_any_step(self, monkeypatch, anchor):
+        monkeypatch.setattr(solver, "implicit_step", no_step)
+        f = Contraction(self.MISFIT_ANCHORS[anchor], 0.5)
+        with pytest.raises(InvalidInputError,
+                           match=re.escape("contraction must map x1 to a vector in R^2")):
+            run(self.flip_cfg(f))
+
+    def test_a_3d_affine_anchor_is_refused(self):
+        from midpointfp.mappings import make_affine_contraction
+        with pytest.raises(InvalidInputError, match=re.escape("in R^2")):
+            self.flip_cfg(make_affine_contraction(0.5 * np.eye(3), np.zeros(3)))
+
+    def test_the_anchor_is_evaluated_once_at_x1(self):
+        seen = []
+        self.flip_cfg(Contraction(lambda u: seen.append(u.copy()) or 0.5 * u, 0.5), "IMR")
+        assert len(seen) == 1 and np.array_equal(seen[0], [0.5, 1.0])
+
     def test_budget_guards(self):
         with pytest.raises(InvalidInputError):
             one_d_identity_cfg(max_inner=0)
@@ -972,3 +1004,7 @@ class TestConfigValidation:
         # NaN would silently switch the stop rule or the Picard bound off
         with pytest.raises(InvalidInputError, match="tolerances"):
             one_d_identity_cfg(tol_step=tol_step, tol_inner=tol_inner)
+
+
+def no_step(*args, **kwargs):
+    raise AssertionError("a step was taken")

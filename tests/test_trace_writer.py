@@ -160,6 +160,32 @@ class TestFailures:
         assert os.listdir(out) == ["trace.csv"]
         assert (out / "trace.csv").read_text() == "old\n"
 
+    def test_a_serial_write_that_fails_leaves_the_old_trace(self, tmp_path, monkeypatch, capsys):
+        # one CPU: trace.csv is written after the run, and the third row fails
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(subprocess, "Popen", no_popen)
+        row_format = cli._row_format
+
+        class FailingRow(str):
+            rows = 0
+
+            def __mod__(self, cells):
+                FailingRow.rows += 1
+                if FailingRow.rows == 3:
+                    raise OSError("No space left on device")
+                return str.__mod__(self, cells)
+
+        monkeypatch.setattr(cli, "_row_format", lambda width: FailingRow(row_format(width)))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "trace.csv").write_text("old\n")
+        config = write_config(tmp_path, flip_config([0.5, 1.0]))
+        assert main(["run", "--config", config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: No space left on device\n"
+        assert FailingRow.rows == 3
+        assert os.listdir(out) == ["trace.csv"]
+        assert (out / "trace.csv").read_text() == "old\n"
+
     def test_keyboard_interrupt_reaps_the_helper(self, tmp_path, helpers, monkeypatch):
         step = solver.implicit_step
 
