@@ -31,7 +31,6 @@ from .mappings import (
     make_affine_contraction,
     make_contraction_half,
     make_flip_map,
-    make_scaling,
     make_scaling_contraction,
     verify_envelope,
 )

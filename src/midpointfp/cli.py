@@ -2,11 +2,11 @@
 
 Commands: run, validate-schedule, compare, reproduce-table1,
 verify-mapping. Exit codes: 0 success, 1 error/schema violation,
-2 no convergence (run) or partial failure (compare), 3 failed
-validation/verification. ``main`` is the one error boundary: a config
-problem prints ``config error: ...`` on stderr, any other error
-``error: ...``, and both exit 1. MIDPOINT_LOG=off|info|debug controls
-verbosity.
+2 no convergence (run), partial failure (compare) or a usage error
+caught by the argument parser, 3 failed validation/verification.
+``main`` is the one error boundary: a config problem prints
+``config error: ...`` on stderr, any other error ``error: ...``, and
+both exit 1. MIDPOINT_LOG=off|info|debug controls verbosity.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .diagnostics import check_vi, compare_schemes, sample_fixed_set_flip
 from .errors import ConfigError, MidpointError
 from .mappings import make_contraction_half, make_flip_map, verify_envelope
 from .schedules import paper_schedule, validate
-from .solver import SCHEMES, SolverConfig, Trace, run, scheme_by_name
+from .solver import SCHEMES, SolverConfig, Trace, run
 from .space import NormSpec, norm
 
 log = logging.getLogger("midpointfp")
@@ -238,15 +238,7 @@ def cmd_validate_schedule(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
-    names = [s.strip() for s in args.schemes.split(",")] if args.schemes else list(cfg.scheme)
-    schemes = [scheme_by_name(n) for n in names]
-    deduped = []
-    for s in schemes:
-        if s in deduped:
-            print(f"warning: duplicate scheme {s.name} ignored", file=sys.stderr)
-        else:
-            deduped.append(s)
-    report = compare_schemes(cfg.build_solver_config(scheme=deduped[0]), deduped)
+    report = compare_schemes(cfg.build_solver_config(), cfg.schemes())
     out = _out_dir(cfg.out, args.out)
     (out / "compare.csv").write_text(report.to_csv())
     md = report.to_markdown()
@@ -361,11 +353,7 @@ def cmd_reproduce_table1(args) -> int:
 def cmd_verify_mapping(args) -> int:
     cfg = load_config(args.config)
     mapping = cfg.build_mapping()
-    seed = args.seed if args.seed is not None else cfg.seed
-    if seed is None:
-        raise ConfigError("randomized verification requires an explicit seed "
-                          "(--seed or config key 'seed')", key="seed")
-    report = verify_envelope(mapping, n_max=args.horizon, samples=args.samples, seed=seed)
+    report = verify_envelope(mapping, n_max=args.horizon, samples=args.samples, seed=args.seed)
     print(f"mapping {mapping.name!r}: {report}")
     return 0 if report.passed else 3
 
@@ -401,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="run several schemes on one problem")
     p.add_argument("--config", required=True)
-    p.add_argument("--schemes", default=None, help="comma-separated scheme names")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("reproduce-table1",
@@ -412,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--horizon", type=int, default=20, help="largest power checked")
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, required=True)
 
     return parser
 

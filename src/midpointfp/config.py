@@ -8,15 +8,13 @@ each section's variants, their keys and their builders)::
       "mapping":     {"kind": ..., <the kind's keys>},
       "contraction": {"kind": ..., <the kind's keys>},     # optional
       "schedule":    {"family": ..., <the family's keys>},
-      "scheme":      "AGVIM" or ["VIM", "GVIM", ...],
+      "scheme":      "AGVIM" or ["VIM", "GVIM", ...],   # no name twice
       "x1":          [..],
       "norm_p":      p,            # optional solver settings: a key left
       "tol_step":    tol,          # out takes SolverConfig's default, and
       "tol_inner":   tol,          # norm_p becomes norm=NormSpec(p)
       "max_outer":   count,
       "max_inner":   count,
-      "power_cap":   count,
-      "seed":        1,            # required by randomized commands
       "out":         "results"     # optional output directory
     }
 """
@@ -137,7 +135,7 @@ _CHECKS = {"A": _matrix, "b": _numbers, "table": _matrix, "factor": _number,
 # the solver settings a config file may set, and how each value is checked;
 # a setting the file leaves out takes SolverConfig's default
 _SETTINGS = {"norm_p": _number, "tol_step": _number, "tol_inner": _number,
-             "max_outer": _integer, "max_inner": _integer, "power_cap": _integer}
+             "max_outer": _integer, "max_inner": _integer}
 
 
 def _section(data: dict, name: str) -> dict:
@@ -182,7 +180,6 @@ class ExperimentConfig:
     x1: tuple
     contraction: dict | None = None
     settings: dict = field(default_factory=dict)  # the _SETTINGS keys the file sets
-    seed: int | None = None
     out: str | None = None
 
     def to_dict(self) -> dict:
@@ -231,7 +228,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     """Validate a decoded JSON object and freeze it as an ExperimentConfig."""
     if not isinstance(data, dict):
         raise ConfigError("top-level config must be a JSON object")
-    _check_keys("config", data, {*_SECTIONS, *_SETTINGS, "scheme", "x1", "seed", "out"})
+    _check_keys("config", data, {*_SECTIONS, *_SETTINGS, "scheme", "x1", "out"})
     # every section is required, but the contraction may be left out or null
     sections = {name: _section(data, name) for name in _SECTIONS
                 if name != "contraction" or data.get(name) is not None}
@@ -245,17 +242,17 @@ def parse_config(data: dict) -> ExperimentConfig:
         schemes = tuple(scheme_by_name(n).name for n in names)
     except InvalidInputError as exc:
         raise ConfigError(str(exc), key="scheme") from exc
+    repeated = sorted({name for name in schemes if schemes.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"'scheme' names {', '.join(repeated)} more than once", key="scheme")
 
     cfg = ExperimentConfig(
         **sections,
         scheme=schemes,
         x1=tuple(_numbers("x1", _require("config", data, "x1"))),
         settings={key: check(key, data[key]) for key, check in _SETTINGS.items() if key in data},
-        seed=None if data.get("seed") is None else _integer("seed", data["seed"]),
         out=data.get("out"),
     )
-    if cfg.seed is not None and cfg.seed < 0:
-        raise _bad("seed", cfg.seed, "a non-negative integer")
     if cfg.out is not None and not isinstance(cfg.out, str):
         raise _bad("out", cfg.out, "a string")
     return cfg

@@ -27,7 +27,6 @@ __all__ = [
     "make_flip_map",
     "flip_fixed",
     "make_affine",
-    "make_scaling",
     "make_contraction_half",
     "make_affine_contraction",
     "make_scaling_contraction",
@@ -346,11 +345,6 @@ def make_affine(A, b, envelope: Callable[[int], float] | None = None) -> Mapping
     )
 
 
-def make_scaling(factor: float, dim: int, envelope: Callable[[int], float] | None = None) -> Mapping:
-    """u -> factor * u (envelope defaults to max(1,|factor|)^n)."""
-    return make_affine(factor * np.eye(dim), np.zeros(dim), envelope=envelope)
-
-
 def make_contraction_half() -> Contraction:
     """f(x) = x/2 with alpha = 1/2."""
     return Contraction(apply=lambda u: 0.5 * u, alpha=0.5)
@@ -417,17 +411,11 @@ class EnvelopeReport:
         )
 
 
-def verify_envelope(
-    mapping: Mapping,
-    n_max: int,
-    samples: int,
-    seed: int,
-    envelope: Callable[[int], float] | None = None,
-) -> EnvelopeReport:
+def verify_envelope(mapping: Mapping, n_max: int, samples: int, seed: int) -> EnvelopeReport:
     """Check ``||T^n u - T^n v||_2 <= k_n ||u - v||_2`` on random pairs.
 
-    k_n is ``envelope(n)``, by default the mapping's own; a k_n that
-    overflows a float reads as inf, and a NaN one raises InvalidInputError.
+    k_n is the mapping's ``envelope(n)``; a k_n that overflows a float
+    reads as inf, and a NaN one raises InvalidInputError.
     Pairs are drawn from the mapping's own sampling domain when it declares
     one, else uniformly from [-SAMPLE_RADIUS, SAMPLE_RADIUS]^d (2); pairs
     closer than 1e-9 are discarded to avoid ratio blowup. Reports the
@@ -446,7 +434,6 @@ def verify_envelope(
         raise InvalidInputError("n_max and samples must be >= 1")
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
-    env = envelope if envelope is not None else mapping.envelope
     rng = np.random.default_rng(seed)
     d = mapping.domain_dim
 
@@ -497,7 +484,7 @@ def verify_envelope(
         diffs = tus - tvs
         if not np.isfinite(diffs).all():
             raise InvalidInputError(f"an image difference T^{n} u - T^{n} v contains NaN or Inf")
-        excess = _row_norms(diffs) / denoms - _declared_k(env, n)
+        excess = _row_norms(diffs) / denoms - _declared_k(mapping.envelope, n)
         i = int(np.argmax(excess))  # the first pair attaining the maximum
         if excess[i] > -np.inf:
             per_power[n] = float(excess[i])

@@ -116,7 +116,8 @@ class SolverConfig:
     max_outer steps, or stops on an exactly stationary iterate); with a
     positive tol_step, tol_inner must be strictly smaller so the inner
     error cannot pollute the outer stopping decision. ``power_cap``
-    bounds n-fold power evaluation for mappings without a closed form.
+    bounds n-fold power evaluation for mappings without a closed form
+    (built in code: every config mapping kind has one).
     """
 
     scheme: Scheme

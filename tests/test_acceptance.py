@@ -17,7 +17,6 @@ from midpointfp.mappings import (
     make_affine,
     make_contraction_half,
     make_flip_map,
-    make_scaling,
     make_scaling_contraction,
     verify_envelope,
 )
@@ -277,11 +276,11 @@ def test_criterion_7_duality_map_identities():
 
 def test_criterion_8_envelope_checks():
     """Envelope verification passes for the benchmark map, fails for doubling."""
-    flip = make_flip_map()
-    rep_default = verify_envelope(flip, n_max=10, samples=300, seed=12)
-    rep_unit = verify_envelope(flip, n_max=10, samples=300, seed=12, envelope=lambda n: 1.0)
-    doubling = make_scaling(2.0, 2)
-    rep_fail = verify_envelope(doubling, n_max=3, samples=100, seed=12, envelope=lambda n: 1.0)
+    rep_default = verify_envelope(make_flip_map(), n_max=10, samples=300, seed=12)
+    rep_unit = verify_envelope(make_flip_map(envelope=lambda n: 1.0), n_max=10, samples=300,
+                               seed=12)
+    doubling = make_affine(2.0 * np.eye(2), [0.0, 0.0], envelope=lambda n: 1.0)
+    rep_fail = verify_envelope(doubling, n_max=3, samples=100, seed=12)
     ok = rep_default.passed and rep_unit.passed and not rep_fail.passed
     _report("8 asymptotic-nonexpansiveness check", ok,
             f"flip excess {rep_default.max_excess:.1e} / {rep_unit.max_excess:.1e}, "

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from midpointfp import cli
+from midpointfp import cli, config
 from midpointfp.cli import _trace_csv, main
 from midpointfp.config import load_config, parse_config
 from midpointfp.errors import ConfigError
@@ -44,10 +44,10 @@ class TestConfigParsing:
         assert cfg.to_dict() == {**BENCHMARK, "scheme": ["AGVIM"]}
 
     def test_settings_left_out_take_solver_defaults(self):
-        # BENCHMARK sets none of the six solver settings
+        # BENCHMARK sets none of the five solver settings
         built = parse_config(dict(BENCHMARK)).build_solver_config()
         defaults = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
-        for name in ("tol_step", "tol_inner", "max_outer", "max_inner", "power_cap"):
+        for name in ("tol_step", "tol_inner", "max_outer", "max_inner"):
             assert getattr(built, name) == defaults[name], name
         assert built.norm == NormSpec()
 
@@ -63,8 +63,6 @@ class TestConfigParsing:
             "tol_inner": 1e-11,
             "max_outer": 4,
             "max_inner": 500,
-            "power_cap": 64,
-            "seed": 9,
             "out": "results",
         }
         cfg = parse_config(data)
@@ -295,14 +293,6 @@ class TestCompareCommand:
         assert len(rows) == 30
         assert (tmp_path / "compare.md").exists()
 
-    def test_duplicates_deduped_with_warning(self, tmp_path, capsys):
-        data = {**BENCHMARK, "max_outer": 10}
-        path = write_config(tmp_path, data)
-        code = main(["compare", "--config", path, "--schemes", "VIM,VIM,GVIM",
-                     "--out", str(tmp_path)])
-        assert code == 0
-        assert "duplicate" in capsys.readouterr().err
-
     def test_partial_failure_exits_two(self, tmp_path, capsys):
         data = {
             "mapping": {"kind": "affine", "A": [[1.3, 0.0], [0.0, 1.3]], "b": [0.0, 0.0]},
@@ -321,8 +311,9 @@ class TestCompareCommand:
         assert "failed" in capsys.readouterr().err
 
     def test_single_scheme_rejected(self, tmp_path, capsys):
-        path = write_config(tmp_path, {**BENCHMARK, "max_outer": 10})
-        assert main(["compare", "--config", path, "--schemes", "VIM"]) == 1
+        path = write_config(tmp_path, {**BENCHMARK, "scheme": ["VIM"], "max_outer": 10})
+        assert main(["compare", "--config", path]) == 1
+        assert capsys.readouterr().err == "error: need at least two schemes to compare\n"
 
 
 class TestReproduceCommand:
@@ -417,13 +408,28 @@ class TestVerifyMappingCommand:
         assert "envelope check: FAIL" in out
 
     def test_seed_required(self, tmp_path, capsys):
+        # a usage error of the argument parser, as a missing --config is
         path = write_config(tmp_path, BENCHMARK)
-        assert main(["verify-mapping", "--config", path]) == 1
-        assert "seed" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            main(["verify-mapping", "--config", path])
+        assert err.value.code == 2
+        assert "the following arguments are required: --seed" in capsys.readouterr().err
 
-    def test_seed_from_config(self, tmp_path):
-        path = write_config(tmp_path, {**BENCHMARK, "seed": 11})
-        assert main(["verify-mapping", "--config", path]) == 0
+
+# a valid value for each key a mapping kind requires
+MAPPING_VALUES = {"A": [[0.5, 0.0], [0.0, 0.5]], "b": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize("kind", sorted(config._SECTIONS["mapping"][1]))
+def test_every_config_mapping_has_a_closed_form_power(kind):
+    # why a config has no power_cap key: SolverConfig.power_cap only bounds
+    # the n-fold powers of a mapping without a closed form
+    keys = config._SECTIONS["mapping"][1][kind][0]
+    section = {"kind": kind, **{k: MAPPING_VALUES[k] for k, required in keys.items() if required}}
+    mapping = parse_config({**BENCHMARK, "mapping": section}).build_mapping()
+    assert mapping.power is not None, (
+        f"mapping kind {kind!r} has no closed-form power: give the config a power_cap "
+        "setting again, so that a file can bound its n-fold powers")
 
 
 def test_config_file_loader(tmp_path):
@@ -443,6 +449,7 @@ MALFORMED = {
     "table cell": ({"schedule": {"family": "custom", "table": [["x", 0.0, 0.5, 1.0]]}}, "table"),
     "max_outer fraction": ({"max_outer": 2.7}, "max_outer"),
     "max_inner bool": ({"max_inner": True}, "max_inner"),
+    # keys a config no longer takes are rejected by name, whatever their value
     "power_cap fraction": ({"power_cap": 1.5}, "power_cap"),
     "seed bool": ({"seed": False}, "seed"),
     "seed negative": ({"seed": -3}, "seed"),
@@ -467,11 +474,24 @@ def test_malformed_value_is_config_error(tmp_path, capsys, monkeypatch, command,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["run"], ["compare"], ["validate-schedule"]],
+                         ids=lambda c: c[0])
+def test_repeated_scheme_is_a_config_error(tmp_path, capsys, monkeypatch, command):
+    # the config's scheme list is the one way to name schemes, and names each once
+    monkeypatch.chdir(tmp_path)  # a run that wrongly succeeds writes here
+    path = write_config(tmp_path, {**BENCHMARK, "scheme": ["VIM", "VIM", "GVIM"]})
+    assert main(command + ["--config", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and os.listdir(tmp_path) == ["config.json"]
+    assert err == "config error: 'scheme' names VIM more than once\n"
+
+
 def test_builder_error_is_config_error(tmp_path, capsys):
     # shape errors surface when the mapping is built, in every command
-    path = write_config(tmp_path, {**BENCHMARK, "mapping": {**AFFINE, "A": [[0.5, 0.0, 0.0]]}})
+    path = write_config(tmp_path, {**BENCHMARK, "mapping": {**AFFINE, "A": [[0.5, 0.0, 0.0]]},
+                                   "scheme": ["VIM", "AGVIM"]})
     for argv in (["verify-mapping", "--seed", "1"], ["run", "--out", str(tmp_path)],
-                 ["compare", "--schemes", "VIM,AGVIM", "--out", str(tmp_path)]):
+                 ["compare", "--out", str(tmp_path)]):
         assert main(argv + ["--config", path]) == 1
         assert capsys.readouterr().err.startswith("config error: A must be square"), argv[0]
 
@@ -488,14 +508,14 @@ MISFIT_ANCHORS = {
 }
 
 
-@pytest.mark.parametrize("command", [["run"], ["validate-schedule"],
-                                     ["compare", "--schemes", "VIM,AGVIM"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("command", [["run"], ["validate-schedule"], ["compare"]],
+                         ids=lambda c: c[0])
 @pytest.mark.parametrize("anchor", MISFIT_ANCHORS, ids=list(MISFIT_ANCHORS))
 def test_an_anchor_that_does_not_fit_is_a_config_error(tmp_path, capsys, monkeypatch,
                                                        command, anchor):
     monkeypatch.chdir(tmp_path)  # a run that wrongly goes on writes here
     spec, message = MISFIT_ANCHORS[anchor]
-    path = write_config(tmp_path, {**BENCHMARK, "x1": [0.5, 1.0],
+    path = write_config(tmp_path, {**BENCHMARK, "x1": [0.5, 1.0], "scheme": ["VIM", "AGVIM"],
                                    "contraction": {"kind": "affine", **spec}})
     assert main([command[0], "--config", path] + command[1:]) == 1
     captured = capsys.readouterr()
@@ -514,7 +534,7 @@ def test_every_builder_reports_a_config_error():
 
 
 def test_integral_counts_accept_whole_floats():
-    cfg = parse_config({**BENCHMARK, "max_outer": 20.0, "seed": 3})
+    cfg = parse_config({**BENCHMARK, "max_outer": 20.0})
     max_outer = cfg.build_solver_config().max_outer
     assert max_outer == 20 and isinstance(max_outer, int)
 
@@ -539,26 +559,23 @@ ERRORS = {
                          "error: validation horizon must be >= 10, got 5"),
     "no samples": (BENCHMARK, ["verify-mapping", "--seed", "1", "--samples", "0"],
                    "error: n_max and samples must be >= 1"),
-    "no seed": (BENCHMARK, ["verify-mapping"],
-                "config error: randomized verification requires an explicit seed "
-                "(--seed or config key 'seed')"),
     "negative seed flag": (BENCHMARK, ["verify-mapping", "--seed", "-1"], "error: seed must be >= 0"),
     "kind not a name": ({**BENCHMARK, "mapping": {"kind": ["flip"]}}, ["run", "--out", "{tmp}"],
                         "config error: unknown mapping kind ['flip']"),
-    "negative config seed": ({**BENCHMARK, "seed": -3}, ["verify-mapping"],
-                             "config error: bad value for 'seed'"),
-    "unknown scheme": (BENCHMARK, ["compare", "--schemes", "VIM,BOGUS"],
-                       "error: unknown scheme 'BOGUS'"),
-    "one distinct scheme": (BENCHMARK, ["compare", "--schemes", "VIM,VIM"],
-                            "warning: duplicate scheme VIM ignored\n"
-                            "error: need at least two schemes to compare"),
+    # the seed is set by --seed alone
+    "negative config seed": ({**BENCHMARK, "seed": -3}, ["verify-mapping", "--seed", "1"],
+                             "config error: unknown key 'seed' in config"),
+    "unknown scheme": ({**BENCHMARK, "scheme": ["VIM", "BOGUS"]}, ["compare"],
+                       "config error: unknown scheme 'BOGUS'"),
+    "one distinct scheme": ({**BENCHMARK, "scheme": ["VIM", "vim"]}, ["compare"],
+                            "config error: 'scheme' names VIM more than once"),
     "ill-posed table": (ILL_POSED, ["run", "--out", "{tmp}"],
                         "error: implicit step not a contraction at n=1"),
     "past the table": (SHORT_TABLE, ["run", "--out", "{tmp}"],
                        "error: custom schedule defined for n in [1, 2], requested n=3"),
     "run out is a file": (BENCHMARK, ["run", "--out", "{tmp}/file/sub"], "error: "),
-    "compare out is a file": (BENCHMARK, ["compare", "--schemes", "VIM,AGVIM",
-                                          "--out", "{tmp}/file/sub"], "error: "),
+    "compare out is a file": ({**BENCHMARK, "scheme": ["VIM", "AGVIM"]},
+                              ["compare", "--out", "{tmp}/file/sub"], "error: "),
     "reproduce out is a file": (None, ["reproduce-table1", "--out", "{tmp}/file/sub"], "error: "),
 }
 
@@ -589,16 +606,13 @@ def test_each_call_sets_its_own_log_level(tmp_path, monkeypatch, caplog):
 class TestParserReuse:
     """One parser serves every main call of a process."""
 
-    def test_flags_do_not_carry_over(self, tmp_path):
-        path = write_config(tmp_path, {**BENCHMARK, "scheme": ["VIM", "GVIM", "AGVIM"],
-                                       "max_outer": 10})
-        assert main(["compare", "--config", path, "--schemes", "VIM,GVIM",
-                     "--out", str(tmp_path / "two")]) == 0
-        assert main(["compare", "--config", path, "--out", str(tmp_path / "all")]) == 0
-        assert read_csv(tmp_path / "two" / "compare.csv")[0] == [
-            "n", "step_norm_GVIM", "step_norm_VIM"]
-        assert read_csv(tmp_path / "all" / "compare.csv")[0] == [
-            "n", "step_norm_AGVIM", "step_norm_GVIM", "step_norm_VIM"]
+    def test_flags_do_not_carry_over(self, tmp_path, capsys):
+        argv = ["validate-schedule", "--config", write_config(tmp_path, BENCHMARK)]
+        assert main(argv + ["--horizon", "50"]) == 0
+        assert main(argv) == 0
+        headers = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("scheme ")]
+        assert [line.rsplit(", ", 1)[1] for line in headers] == ["horizon 50", "horizon 1000"]
 
     def test_commands_are_looked_up_at_call_time(self, tmp_path, monkeypatch):
         argv = ["validate-schedule", "--config", write_config(tmp_path, BENCHMARK),

@@ -15,7 +15,6 @@ from midpointfp.mappings import (
     make_affine_contraction,
     make_contraction_half,
     make_flip_map,
-    make_scaling,
     make_scaling_contraction,
     verify_envelope,
 )
@@ -162,10 +161,10 @@ class TestAffine:
                 assert np.linalg.norm(apply_power(T, n, u) - w) <= 1e-12
 
     def test_default_envelope_uses_operator_norm(self):
-        T = make_scaling(2.0, 2)
+        T = make_affine(2.0 * np.eye(2), [0.0, 0.0])
         assert T.envelope(1) == pytest.approx(2.0, rel=1e-9)
         assert T.envelope(3) == pytest.approx(8.0, rel=1e-9)
-        shrink = make_scaling(0.5, 2)
+        shrink = make_affine(0.5 * np.eye(2), [0.0, 0.0])
         assert shrink.envelope(4) == 1.0  # clamped below at 1
 
     def test_operator_norm_estimate(self):
@@ -252,20 +251,20 @@ class TestVerifyEnvelope:
 
     def test_flip_passes_unit_envelope(self):
         # the powers are exact isometries on the sampling domain
-        report = verify_envelope(make_flip_map(), n_max=10, samples=200, seed=1,
-                                 envelope=lambda n: 1.0)
+        report = verify_envelope(make_flip_map(envelope=lambda n: 1.0), n_max=10, samples=200,
+                                 seed=1)
         assert report.passed
         assert abs(report.max_excess) <= 1e-12
 
     def test_doubling_fails_unit_envelope(self):
-        T = make_scaling(2.0, 2)
-        report = verify_envelope(T, n_max=1, samples=100, seed=4, envelope=lambda n: 1.0)
+        T = make_affine(2.0 * np.eye(2), [0.0, 0.0], envelope=lambda n: 1.0)
+        report = verify_envelope(T, n_max=1, samples=100, seed=4)
         assert not report.passed
         assert report.max_excess == pytest.approx(1.0, abs=1e-9)
 
     def test_failure_is_reported_not_raised(self):
-        T = make_scaling(2.0, 2)
-        report = verify_envelope(T, n_max=3, samples=50, seed=4, envelope=lambda n: 1.0)
+        T = make_affine(2.0 * np.eye(2), [0.0, 0.0], envelope=lambda n: 1.0)
+        report = verify_envelope(T, n_max=3, samples=50, seed=4)
         assert not report.passed
         assert report.worst_n == 3
         assert "FAIL" in str(report)
@@ -277,10 +276,9 @@ class TestVerifyEnvelope:
             verify_envelope(make_flip_map(), n_max=1, samples=0, seed=1)
 
 
-def reference_envelope(mapping, n_max, samples, seed, radius=2.0, envelope=None):
+def reference_envelope(mapping, n_max, samples, seed, radius=2.0):
     """The per-pair loop verify_envelope replaced: apply_power and the
     checked norm on every pair and power. Returns the report's fields."""
-    env = envelope if envelope is not None else mapping.envelope
     rng = np.random.default_rng(seed)
     d = mapping.domain_dim
 
@@ -304,7 +302,7 @@ def reference_envelope(mapping, n_max, samples, seed, radius=2.0, envelope=None)
     denoms = [norm(u - v) for u, v in pairs]
     images = list(pairs)
     for n in range(1, n_max + 1):
-        k_n = env(n)
+        k_n = mapping.envelope(n)
         for i, (u, v) in enumerate(pairs):
             if mapping.power is not None:
                 tu, tv = apply_power(mapping, n, u), apply_power(mapping, n, v)
@@ -332,22 +330,22 @@ def _affine5():
 
 
 ENVELOPE_CASES = {
-    "flip default envelope": (make_flip_map, None),
-    "flip unit envelope": (make_flip_map, lambda n: 1.0),
-    "affine d=5": (_affine5, None),
-    "tanh, n-fold": (_tanh_map, None),
+    "flip default envelope": make_flip_map,
+    "flip unit envelope": lambda: make_flip_map(envelope=lambda n: 1.0),
+    "affine d=5": _affine5,
+    "tanh, n-fold": _tanh_map,
     # doubles along e1 only, so the worst pair is the one closest to e1
-    "doubling": (lambda: make_affine(np.diag([2.0, 0.5]), [1.0, -1.0]), lambda n: 1.0),
+    "doubling": lambda: make_affine(np.diag([2.0, 0.5]), [1.0, -1.0], envelope=lambda n: 1.0),
 }
 
 
 @pytest.mark.parametrize("seed", [1, 8])
 @pytest.mark.parametrize("case", ENVELOPE_CASES, ids=list(ENVELOPE_CASES))
 def test_verify_envelope_matches_the_per_pair_loop(case, seed):
-    build, envelope = ENVELOPE_CASES[case]
-    report = verify_envelope(build(), n_max=12, samples=150, seed=seed, envelope=envelope)
+    build = ENVELOPE_CASES[case]
+    report = verify_envelope(build(), n_max=12, samples=150, seed=seed)
     passed, max_excess, worst_n, worst_pair, per_power = reference_envelope(
-        build(), n_max=12, samples=150, seed=seed, envelope=envelope)
+        build(), n_max=12, samples=150, seed=seed)
     assert report.passed == passed == (case != "doubling")
     assert report.max_excess == max_excess
     assert report.worst_n == worst_n
@@ -476,7 +474,7 @@ class TestVerifyEnvelopeBoundary:
 @pytest.mark.parametrize("build", [
     lambda: Mapping(apply=lambda u: u, envelope=lambda n: 1.0, domain_dim=2,
                     power=lambda n, u: 1e200 * u),
-    lambda: make_scaling(1e200, 2, envelope=lambda n: 1.0),
+    lambda: make_affine(1e200 * np.eye(2), [0.0, 0.0], envelope=lambda n: 1.0),
 ], ids=["per-row map", "affine"])
 def test_overflowing_distance_fails_the_report(build):
     # images and their differences are finite, only their 2-norm overflows

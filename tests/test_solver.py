@@ -17,7 +17,6 @@ from midpointfp.mappings import (
     make_affine,
     make_contraction_half,
     make_flip_map,
-    make_scaling,
     make_scaling_contraction,
 )
 from midpointfp.schedules import custom_schedule, paper_schedule, power_schedule
@@ -239,7 +238,8 @@ class TestImplicitStep:
         # r = 3 the envelope 1 is scaled by rho = 100^(1/6), and the run is
         # refused from n = 14 on, where q_n = (1 - 1/n) rho / 2 reaches 1
         def cfg(r):
-            return SolverConfig(scheme=SCHEMES["VIM"], mapping=make_scaling(0.5, 100),
+            return SolverConfig(scheme=SCHEMES["VIM"],
+                                mapping=make_affine(0.5 * np.eye(100), np.zeros(100)),
                                 schedule=paper_schedule(), x1=np.ones(100),
                                 contraction=make_contraction_half(), norm=NormSpec(r))
         for n in range(1, 50):
