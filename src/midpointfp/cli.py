@@ -30,7 +30,7 @@ from .diagnostics import check_vi, compare_schemes, sample_fixed_set_flip
 from .errors import ConfigError, MidpointError
 from .mappings import make_contraction_half, make_flip_map, verify_envelope
 from .schedules import paper_schedule, validate
-from .solver import SCHEMES, SolverConfig, Trace, run
+from .solver import SCHEMES, STEP_COLUMNS, SolverConfig, Trace, run
 from .space import NormSpec, norm
 
 log = logging.getLogger("midpointfp")
@@ -54,35 +54,30 @@ def _row_format(width: int) -> str:
     return ",".join(["%.17g"] * width) + "\n"
 
 
-def _table(columns, start: int = 0) -> np.ndarray:
-    """Rows ``start`` on of ``columns`` (1-d, or 2-d for several) after an
-    ``n`` column, n = start + 1, ..., as one C-ordered float64 array (a
-    copy only if the columns are not laid out in rows)."""
-    return np.ascontiguousarray(np.column_stack((np.arange(start + 1, len(columns[0]) + 1),
-                                                 *(c[start:] for c in columns))))
+def _table(columns) -> np.ndarray:
+    """``columns`` (1-d, or 2-d for several) after n = 1, 2, ..., as one float64 table."""
+    return np.column_stack((np.arange(1, len(columns[0]) + 1), *columns))
 
 
-def _write_csv(path: Path, header, columns):
-    """Write ``columns`` under ``n`` and ``header``, one _row_format row per
-    n, by the trace writer helper's own loop."""
-    table = _table(columns)
+def _write_table(path: Path, header, table: np.ndarray):
+    """Write the rows of the C-ordered float64 ``table`` under ``n`` and
+    ``header``, by the trace writer helper's own loop."""
     with open(path, "w", newline="") as fh:
         fh.write(_header_line(header))
         _csv_writer.write_rows(fh, _row_format(table.shape[1]), table.shape[1], table)
 
 
+def _write_csv(path: Path, header, columns):
+    """Write ``columns`` under ``n`` and ``header``, one row per n."""
+    _write_table(path, header, _table(columns))
+
+
 def _trace_header(dim: int) -> list:
-    return ([f"x{i}" for i in range(dim)]
-            + ["step_norm", "res_T", "res_Tn", "inner_iters", "q_n", "a_n", "b_n", "c_n", "k_n"])
-
-
-def _trace_columns(trace: Trace) -> tuple:
-    return (trace.x[:len(trace)], trace.step_norm, trace.res_map, trace.res_power,
-            trace.inner_iters, trace.q, trace.a, trace.b, trace.c, trace.k)
+    return [f"x{i}" for i in range(dim)] + list(STEP_COLUMNS)
 
 
 def _trace_csv(path: Path, trace: Trace):
-    _write_csv(path, _trace_header(trace.final.size), _trace_columns(trace))
+    _write_table(path, _trace_header(trace.final.size), trace.rows[:-1])
 
 
 # a run's trace.csv is written by a helper process once the run has made
@@ -115,7 +110,6 @@ class _TraceWriter:
     def __init__(self, path: Path, cfg: SolverConfig):
         self.path = path
         self.part = path.with_name(path.name + ".part")
-        self.header = _trace_header(cfg.mapping.domain_dim)
         self.max_outer = cfg.max_outer
         self.parallel = _usable_cpus() >= 2
         self.proc = None
@@ -126,27 +120,27 @@ class _TraceWriter:
             if not self._start(trace):
                 return
             start = 0
-        table = _table(_trace_columns(trace), start)
+        rows = trace.rows[start:len(trace)]  # C-ordered: sent without a copy
         began = time.perf_counter()
         try:
-            self.proc.stdin.write(table.tobytes())
+            self.proc.stdin.write(rows)
             self.proc.stdin.flush()
         except BrokenPipeError:
             self._reap()  # raises the helper's own error, if it gave one
             raise
         self.longest = max(self.longest, time.perf_counter() - began)
-        self.rows += len(table)
+        self.rows += len(rows)
 
     def _start(self, trace: Trace) -> bool:
         """Start the helper if the run is long enough and goes on."""
-        n, width = len(trace), len(self.header) + 1
+        n, width = len(trace), trace.rows.shape[1]
         if not (self.parallel and n * width >= WRITER_CELLS
                 and n < self.max_outer and not trace.converged):
             return False
         try:
             self.proc = subprocess.Popen(
                 [sys.executable, "-I", "-S", str(_WRITER), str(self.part), str(width),
-                 _header_line(self.header), _row_format(width)],
+                 _header_line(_trace_header(trace.final.size)), _row_format(width)],
                 stdin=subprocess.PIPE, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
         except OSError as exc:  # no helper: write after the run instead
             log.debug("trace writer not started: %s", exc)
@@ -192,8 +186,8 @@ class _TraceWriter:
             self.part.unlink(missing_ok=True)
 
 
-def _out_dir(cfg_out, flag_out) -> Path:
-    out = Path(flag_out) if flag_out else Path(cfg_out) if cfg_out else Path(".")
+def _out_dir(flag_out) -> Path:
+    out = Path(flag_out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -201,7 +195,7 @@ def _out_dir(cfg_out, flag_out) -> Path:
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     solver_cfg = cfg.build_solver_config()
-    out = _out_dir(cfg.out, args.out)
+    out = _out_dir(args.out)
     path = out / "trace.csv"
     writer = _TraceWriter(path, solver_cfg)
     try:
@@ -239,7 +233,7 @@ def cmd_validate_schedule(args) -> int:
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     report = compare_schemes(cfg.build_solver_config(), cfg.schemes())
-    out = _out_dir(cfg.out, args.out)
+    out = _out_dir(args.out)
     (out / "compare.csv").write_text(report.to_csv())
     md = report.to_markdown()
     (out / "compare.md").write_text(md)
@@ -252,7 +246,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_reproduce_table1(args) -> int:
-    out = _out_dir(None, args.out)
+    out = _out_dir(args.out)
     schedule = paper_schedule()
     contraction = make_contraction_half()
     traces = []
@@ -381,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run one configured experiment, write the trace CSV")
     p.add_argument("--config", required=True, help="JSON config path")
-    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("validate-schedule", help="check schedule conditions over a horizon")
     p.add_argument("--config", required=True)
@@ -389,11 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="run several schemes on one problem")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=".")
 
     p = sub.add_parser("reproduce-table1",
                        help="rerun the built-in benchmark experiment (3 starts, 20 rows)")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=".")
 
     p = sub.add_parser("verify-mapping", help="sampling check of a mapping's envelope")
     p.add_argument("--config", required=True)

@@ -14,8 +14,7 @@ each section's variants, their keys and their builders)::
       "tol_step":    tol,          # out takes SolverConfig's default, and
       "tol_inner":   tol,          # norm_p becomes norm=NormSpec(p)
       "max_outer":   count,
-      "max_inner":   count,
-      "out":         "results"     # optional output directory
+      "max_inner":   count
     }
 """
 
@@ -180,7 +179,6 @@ class ExperimentConfig:
     x1: tuple
     contraction: dict | None = None
     settings: dict = field(default_factory=dict)  # the _SETTINGS keys the file sets
-    out: str | None = None
 
     def to_dict(self) -> dict:
         d = asdict(self)  # a deep copy
@@ -228,7 +226,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     """Validate a decoded JSON object and freeze it as an ExperimentConfig."""
     if not isinstance(data, dict):
         raise ConfigError("top-level config must be a JSON object")
-    _check_keys("config", data, {*_SECTIONS, *_SETTINGS, "scheme", "x1", "out"})
+    _check_keys("config", data, {*_SECTIONS, *_SETTINGS, "scheme", "x1"})
     # every section is required, but the contraction may be left out or null
     sections = {name: _section(data, name) for name in _SECTIONS
                 if name != "contraction" or data.get(name) is not None}
@@ -246,16 +244,12 @@ def parse_config(data: dict) -> ExperimentConfig:
     if repeated:
         raise ConfigError(f"'scheme' names {', '.join(repeated)} more than once", key="scheme")
 
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         **sections,
         scheme=schemes,
         x1=tuple(_numbers("x1", _require("config", data, "x1"))),
         settings={key: check(key, data[key]) for key, check in _SETTINGS.items() if key in data},
-        out=data.get("out"),
     )
-    if cfg.out is not None and not isinstance(cfg.out, str):
-        raise _bad("out", cfg.out, "a string")
-    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

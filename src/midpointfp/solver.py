@@ -25,8 +25,8 @@ the step map contracts by q_n along the solve, which catches an
 envelope that understates T. The same system, solved by LU with powers
 by binary powering, is kept as an independent oracle.
 
-:func:`run` returns a columnar :class:`Trace`: the iterates as one
-array plus one array per step statistic.
+:func:`run` returns a :class:`Trace`: one table whose rows are the
+rows of trace.csv, with each column as a view of it.
 """
 
 from __future__ import annotations
@@ -335,49 +335,52 @@ def implicit_step_affine_oracle(
         raise IllPosedError(f"singular implicit system at n={n}: {exc}", n=n) from exc
 
 
+# trace.csv's names of step n's values, which follow n and x_n in its rows
+STEP_COLUMNS = ("step_norm", "res_T", "res_Tn", "inner_iters", "q_n", "a_n", "b_n", "c_n", "k_n")
+
+
+def _step_column(name: str) -> property:
+    """The view of ``rows`` that is trace.csv's column ``name``, n = 1..N."""
+    i = STEP_COLUMNS.index(name) - len(STEP_COLUMNS)
+    return property(lambda self: self.rows[:-1, i])
+
+
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """A run as columns.
+    """A run as the table of its trace.csv rows.
 
-    ``x`` stacks the iterates x_1 .. x_{N+1} row-wise; every other column
-    holds one value per step n = 1..N. res_map is ||x_n - T x_n||,
+    Row n - 1 of ``rows`` is n, x_n and step n's :data:`STEP_COLUMNS`, and
+    a last row is N + 1, x_{N+1} and NaNs. ``x`` (x_1 .. x_{N+1}), ``final``
+    and the step columns are views of it. res_map is ||x_n - T x_n||,
     res_power is ||x_n - T^n x_n|| (NaN when the power is uncomputable
-    under the configured cap), a, b, c are the schedule's values, and k
-    is the step's k_p, so that q = cT k / 2.
+    under the configured cap), inner_iters holds whole numbers, a, b, c
+    are the schedule's values, and k is the step's k_p: q = cT k / 2.
     """
 
-    x: np.ndarray
-    step_norm: np.ndarray
-    res_map: np.ndarray
-    res_power: np.ndarray
-    inner_iters: np.ndarray
-    q: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    k: np.ndarray
+    rows: np.ndarray
     converged: bool
 
-    @property
-    def final(self) -> np.ndarray:
-        return self.x[-1]
+    x = property(lambda self: self.rows[:, 1:-len(STEP_COLUMNS)])
+    final = property(lambda self: self.rows[-1, 1:-len(STEP_COLUMNS)])
+    step_norm = _step_column("step_norm")
+    res_map = _step_column("res_T")
+    res_power = _step_column("res_Tn")
+    inner_iters = _step_column("inner_iters")
+    q = _step_column("q_n")
+    a = _step_column("a_n")
+    b = _step_column("b_n")
+    c = _step_column("c_n")
+    k = _step_column("k_n")
 
     def __len__(self):
-        return len(self.step_norm)
+        return len(self.rows) - 1
 
 
-_COLUMNS = ("step_norm", "res_map", "res_power", "q", "a", "b", "c", "k")
-# rows allocated upfront; the buffers double when full, so a huge
+# rows allocated upfront; the table doubles when full, so a huge
 # max_outer costs no memory until the run uses it
 _FIRST_ROWS = 4096
 # rows are finished, and passed on, in blocks of this many
 BLOCK_ROWS = 64
-
-
-def _grown(a: np.ndarray, rows: int) -> np.ndarray:
-    out = np.empty((rows,) + a.shape[1:], dtype=a.dtype)
-    out[: len(a)] = a
-    return out
 
 
 def _residuals(mapping: Mapping, size, r: float, X: np.ndarray) -> np.ndarray:
@@ -401,27 +404,25 @@ def run(cfg: SolverConfig,
     :func:`~midpointfp.schedules.validate` checks the same q_n over a
     whole horizon upfront.
 
-    Rows are finished in blocks of :data:`BLOCK_ROWS` steps (res_map is
-    filled per block), and after each block, the last one possibly
+    Rows are finished in blocks of :data:`BLOCK_ROWS` steps (n and res_map
+    are filled per block), and after each block, the last one possibly
     shorter, ``on_block(trace, start)`` gets the trace so far, whose rows
     from ``start`` on are the new ones.
     """
-    total = cfg.max_outer
+    total, d = cfg.max_outer, cfg.mapping.domain_dim
     rows = min(total, _FIRST_ROWS)
-    xs = np.empty((rows + 1, cfg.mapping.domain_dim))
-    stats = np.empty((rows, len(_COLUMNS)))
-    iters = np.empty(rows, dtype=int)
+    table = np.empty((rows + 1, 1 + d + len(STEP_COLUMNS)))
     size = norm_kernel(cfg.norm)
     apply = cfg.mapping.apply
     sched = cfg.schedule
     use_power = cfg.scheme.use_power
-    x = xs[0] = cfg.x1
+    x = table[0, 1:1 + d] = cfg.x1
     converged = False
     start = 0
 
     def trace(n: int) -> Trace:
-        return Trace(x=xs[: n + 1], inner_iters=iters[:n], **dict(zip(_COLUMNS, stats[:n].T)),
-                     converged=converged)
+        table[n, 0], table[n, 1 + d:] = n + 1, math.nan  # the row of x_{n+1}
+        return Trace(rows=table[: n + 1], converged=converged)
 
     for n in range(1, total + 1):
         abc = sched.a(n), sched.b(n), sched.c(n)
@@ -435,20 +436,22 @@ def run(cfg: SolverConfig,
             except InvalidInputError:  # n-fold power beyond the cap
                 res_power = math.nan
         step_norm = size(step.x - x)
-        if n > rows:  # buffers full: double them
+        if n > rows:  # table full: double it
             rows = min(2 * rows, total)
-            xs, stats, iters = _grown(xs, rows + 1), _grown(stats, rows), _grown(iters, rows)
-        # res_map (column 1) is filled when the block is finished
-        stats[n - 1] = (step_norm, math.nan, res_power, step.q, *abc, step.k)
-        iters[n - 1] = step.inner_iters
+            table = np.concatenate((table, np.empty((rows + 1 - len(table), table.shape[1]))))
+        # n and res_T (column 2 + d) are filled when the block is finished
+        table[n - 1, 1 + d:] = (step_norm, math.nan, res_power, step.inner_iters, step.q,
+                                *abc, step.k)
         # a step without the operator term (cT = 0) can stand still off the
         # fixed set, so it stops the run only at a point T also fixes
         converged = step_norm <= cfg.tol_step and (
             coef[2] != 0.0 or size(x - apply(x)) <= cfg.tol_step
         )
-        x = xs[n] = step.x
+        x = table[n, 1:1 + d] = step.x
         if converged or n % BLOCK_ROWS == 0 or n == total:
-            stats[start:n, 1] = _residuals(cfg.mapping, size, cfg.norm.p, xs[start:n])
+            table[start:n, 0] = np.arange(start + 1, n + 1)
+            table[start:n, 2 + d] = _residuals(cfg.mapping, size, cfg.norm.p,
+                                               table[start:n, 1:1 + d])
             if on_block is not None:
                 on_block(trace(n), start)
             start = n

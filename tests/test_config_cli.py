@@ -63,7 +63,6 @@ class TestConfigParsing:
             "tol_inner": 1e-11,
             "max_outer": 4,
             "max_inner": 500,
-            "out": "results",
         }
         cfg = parse_config(data)
         assert parse_config(cfg.to_dict()) == cfg
@@ -143,13 +142,13 @@ class TestRunCommand:
         # per-cell csv writer it replaced, on cells rounding could upset
         special = [0.1, -0.0, 1e300, 5e-324, 2.0 / 3.0, math.nan, math.inf, -7.0]
         count = len(special)
-        trace = Trace(
-            x=np.array([special + [0.0], special[::-1] + [0.0], [1.0] * (count + 1)]).T,
-            step_norm=np.array(special), res_map=np.array(special[::-1]),
-            res_power=np.full(count, math.nan), inner_iters=np.array([1, 35, 10_000] + [2] * 5),
-            q=np.array(special), a=np.array(special), b=np.zeros(count),
-            c=np.array(special[::-1]), k=np.ones(count), converged=False,
-        )
+        x = np.array([special + [0.0], special[::-1] + [0.0], [1.0] * (count + 1)]).T
+        steps = np.column_stack((special, special[::-1], np.full(count, math.nan),
+                                 [1, 35, 10_000] + [2] * 5, special, special, np.zeros(count),
+                                 special[::-1], np.ones(count)))
+        steps = np.vstack((steps, np.full(steps.shape[1], math.nan)))  # the row of x_{N+1}
+        trace = Trace(rows=np.column_stack((np.arange(1, count + 2), x, steps)),
+                      converged=False)
         _trace_csv(tmp_path / "trace.csv", trace)
         with open(tmp_path / "want.csv", "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -453,10 +452,10 @@ MALFORMED = {
     "power_cap fraction": ({"power_cap": 1.5}, "power_cap"),
     "seed bool": ({"seed": False}, "seed"),
     "seed negative": ({"seed": -3}, "seed"),
-    "b not finite": ({"mapping": {**AFFINE, "b": [float("nan"), 0.0]}}, "b"),
-    "scheme number": ({"scheme": 5}, "scheme"),
     "out object": ({"out": {"a": 1}}, "out"),
     "out number": ({"out": 5}, "out"),
+    "b not finite": ({"mapping": {**AFFINE, "b": [float("nan"), 0.0]}}, "b"),
+    "scheme number": ({"scheme": 5}, "scheme"),
 }
 
 
@@ -484,6 +483,20 @@ def test_repeated_scheme_is_a_config_error(tmp_path, capsys, monkeypatch, comman
     out, err = capsys.readouterr()
     assert out == "" and os.listdir(tmp_path) == ["config.json"]
     assert err == "config error: 'scheme' names VIM more than once\n"
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_output_directory_is_only_the_flag(tmp_path, capsys, monkeypatch, command):
+    # --out, default ".", is the one place the output directory is set
+    monkeypatch.chdir(tmp_path)
+    data = {**BENCHMARK, "scheme": ["VIM", "AGVIM"]}
+    path = write_config(tmp_path, {**data, "out": "results"}, name="with_out.json")
+    assert main([command, "--config", path]) == 1
+    assert capsys.readouterr().err == "config error: unknown key 'out' in config\n"
+    assert sorted(os.listdir(tmp_path)) == ["with_out.json"]
+    assert main([command, "--config", write_config(tmp_path, data)]) == 0
+    written = {"run": ["trace.csv"], "compare": ["compare.csv", "compare.md"]}[command]
+    assert sorted(os.listdir(tmp_path)) == sorted(["config.json", "with_out.json", *written])
 
 
 def test_builder_error_is_config_error(tmp_path, capsys):

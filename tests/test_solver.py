@@ -192,6 +192,21 @@ class TestImplicitStep:
                                                trace.x[n - 1], cfg.contraction)
             assert np.linalg.norm(trace.x[n] - want) <= cfg.tol_inner
 
+    @pytest.mark.xfail(raises=IllPosedError, strict=True,
+                       reason="tol_inner is absolute (ROADMAP item 2): the pair check's "
+                              "slack is below the rounding of ||G(x_n) - G(y*)|| at 5e4")
+    def test_exact_contraction_of_a_large_iterate_passes_the_pair_check(self):
+        # T = identity on R: step 2 of AGVIM under a_n = 1/n contracts by
+        # exactly q_2 = 1/4, so the pair check holds with equality up to
+        # rounding, which at |x| = 54191 exceeds tol_inner (found by the
+        # property test of honest runs in test_properties.py)
+        cfg = SolverConfig(
+            scheme=SCHEMES["AGVIM"], mapping=make_affine([[1.0]], [0.0], envelope=lambda n: 1.0),
+            schedule=power_schedule(1.0), x1=[54191.0], contraction=make_contraction_half(),
+            max_outer=2, tol_step=0.0,
+        )
+        assert len(run(cfg)) == 2
+
     def test_step_factor_uses_the_mapping_envelope(self):
         # the paper schedule's k_n = 1 + 2^-n is far below ||A^n|| = 1.9^n;
         # q_n must come from the larger envelope so the Picard bound holds

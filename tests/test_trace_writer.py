@@ -100,6 +100,50 @@ def test_same_bytes_as_the_serial_writer(tmp_path, helpers, case):
     assert os.listdir(tmp_path / "out") == ["trace.csv"]
 
 
+class RecordingPipe:
+    """A helper's stdin that keeps every object written to it."""
+
+    def __init__(self, pipe, sent):
+        self.pipe, self.sent = pipe, sent
+
+    def write(self, data):
+        self.sent.append(data)
+        return self.pipe.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.pipe, name)
+
+
+def test_one_table_holds_the_trace_and_feeds_the_helper(tmp_path, helpers, monkeypatch):
+    # the Trace's columns are views of its rows, and the helper is sent
+    # slices of those rows as they are, not copies
+    traces, sent = [], []
+    popen, real_run = subprocess.Popen, cli.run
+
+    def recording(argv, *args, **kwargs):
+        proc = popen(argv, *args, **kwargs)
+        proc.stdin = RecordingPipe(proc.stdin, sent)
+        return proc
+
+    def kept(cfg, on_block):
+        traces.append(real_run(cfg, on_block))
+        return traces[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", recording)
+    monkeypatch.setattr(cli, "run", kept)
+    config = write_config(tmp_path, CASES["d60 2000 rows"][0])
+    assert main(["run", "--config", config, "--out", str(tmp_path)]) == 2
+    (trace,) = traces
+    assert trace.rows.shape == (2001, 1 + 60 + len(solver.STEP_COLUMNS))
+    for name in ("x", "final", "step_norm", "res_map", "res_power", "inner_iters", "q", "a", "b",
+                 "c", "k"):
+        assert np.shares_memory(getattr(trace, name), trace.rows), name
+    assert len(sent) > 1
+    for block in sent:
+        assert isinstance(block, np.ndarray) and np.shares_memory(block, trace.rows)
+    np.testing.assert_array_equal(np.concatenate(sent), trace.rows[:-1])
+
+
 def test_short_runs_start_no_writer(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(subprocess, "Popen", no_popen)
