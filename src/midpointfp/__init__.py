@@ -25,11 +25,8 @@ from .mappings import (
     EnvelopeReport,
     Mapping,
     affine_power_pair,
-    apply_power,
-    flip_fixed,
     make_affine,
     make_affine_contraction,
-    make_contraction_half,
     make_flip_map,
     make_scaling_contraction,
     verify_envelope,

@@ -28,7 +28,7 @@ from . import _csv_writer
 from .config import load_config
 from .diagnostics import check_vi, compare_schemes, sample_fixed_set_flip
 from .errors import ConfigError, MidpointError
-from .mappings import make_contraction_half, make_flip_map, verify_envelope
+from .mappings import make_flip_map, make_scaling_contraction, verify_envelope
 from .schedules import paper_schedule, validate
 from .solver import SCHEMES, STEP_COLUMNS, SolverConfig, Trace, run
 from .space import NormSpec, norm
@@ -248,7 +248,7 @@ def cmd_compare(args) -> int:
 def cmd_reproduce_table1(args) -> int:
     out = _out_dir(args.out)
     schedule = paper_schedule()
-    contraction = make_contraction_half()
+    contraction = make_scaling_contraction(0.5)
     traces = []
     for _, x1, _ in _TABLE1_STARTS:
         cfg = SolverConfig(

@@ -32,7 +32,6 @@ from .mappings import (
     Mapping,
     make_affine,
     make_affine_contraction,
-    make_contraction_half,
     make_flip_map,
     make_scaling_contraction,
 )
@@ -57,7 +56,7 @@ _SECTIONS = {
                                          envelope=_ENVELOPES.get(s.get("envelope")))),
     }),
     "contraction": ("kind", {
-        "half": ({}, lambda s: make_contraction_half()),
+        "half": ({}, lambda s: make_scaling_contraction(0.5)),
         "scale": ({"factor": True}, lambda s: make_scaling_contraction(float(s["factor"]))),
         "affine": ({"A": True, "b": True}, lambda s: make_affine_contraction(s["A"], s["b"])),
     }),

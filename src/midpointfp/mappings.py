@@ -25,13 +25,10 @@ __all__ = [
     "Contraction",
     "EnvelopeReport",
     "make_flip_map",
-    "flip_fixed",
     "make_affine",
-    "make_contraction_half",
     "make_affine_contraction",
     "make_scaling_contraction",
     "affine_power_pair",
-    "apply_power",
     "power_operator",
     "verify_envelope",
 ]
@@ -127,13 +124,6 @@ def power_operator(
     return fold
 
 
-def apply_power(mapping: Mapping, n: int, u, cap: int | None = None) -> np.ndarray:
-    """T^n u, via the closed form when available, else n-fold application
-    (bounded by ``cap``, see :func:`power_operator`)."""
-    power = power_operator(mapping, n, cap)
-    return np.asarray(power(as_vector(u, dim=mapping.domain_dim)), dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # concrete mappings
 
@@ -185,12 +175,6 @@ def make_flip_map(envelope: Callable[[int], float] | None = None) -> Mapping:
         name="flip",
         rowwise=True,
     )
-
-
-def flip_fixed(u) -> bool:
-    """Membership test for the flip map's fixed-point set."""
-    v = as_vector(u, dim=2)
-    return bool(v[0] * v[1] < 0.0 or (v[0] == 0.0 and v[1] == 0.0))
 
 
 def affine_power_pair(A: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -343,11 +327,6 @@ def make_affine(A, b, envelope: Callable[[int], float] | None = None) -> Mapping
         affine=power,
         rowwise=True,
     )
-
-
-def make_contraction_half() -> Contraction:
-    """f(x) = x/2 with alpha = 1/2."""
-    return Contraction(apply=lambda u: 0.5 * u, alpha=0.5)
 
 
 def make_affine_contraction(A, b) -> Contraction:

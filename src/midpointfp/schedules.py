@@ -54,28 +54,26 @@ class Schedule:
     sum_a: tuple[str, str] | None = None
 
 
-def paper_schedule(k: Callable[[int], float] | None = None) -> Schedule:
+def paper_schedule() -> Schedule:
     """Benchmark family a_n = 1/n, b_n = (n-1)/(n(n+1)), c_n = (n-1)/(n+1).
 
     The simplex identity holds exactly by algebra:
-    (n+1) + (n-1) + n(n-1) = n(n+1). Default envelope k_n = 1 + 2^-n.
+    (n+1) + (n-1) + n(n-1) = n(n+1). Envelope k_n = 1 + 2^-n.
     """
-    kf = k if k is not None else (lambda n: 1.0 + 0.5 ** n)
     return Schedule(
         a=lambda n: 1.0 / n,
         b=lambda n: (n - 1) / (n * (n + 1)),
         c=lambda n: (n - 1) / (n + 1),
-        k=kf,
+        k=lambda n: 1.0 + 0.5 ** n,
         family="paper",
         sum_a=("pass", "harmonic family diverges; partial sum reported"),
     )
 
 
-def power_schedule(s: float, b_const: float = 0.0,
-                   k: Callable[[int], float] | None = None) -> Schedule:
+def power_schedule(s: float, b_const: float = 0.0) -> Schedule:
     """a_n = n^-s, b_n = b_const (1 - a_n), c_n = 1 - a_n - b_n.
 
-    The series sum(a_n) diverges iff s <= 1. Default envelope k_n = 1.
+    The series sum(a_n) diverges iff s <= 1. Envelope k_n = 1.
     """
     if not (s > 0.0):
         raise InvalidInputError(f"power-law exponent must be positive, got {s}")
@@ -83,12 +81,11 @@ def power_schedule(s: float, b_const: float = 0.0,
         raise InvalidInputError(f"b_const must lie in [0, 1), got {b_const}")
     a = lambda n: float(n) ** (-s)
     b = lambda n: b_const * (1.0 - a(n))
-    kf = k if k is not None else (lambda n: 1.0)
     return Schedule(
         a=a,
         b=b,
         c=lambda n: 1.0 - a(n) - b(n),
-        k=kf,
+        k=lambda n: 1.0,
         family="power",
         sum_a=("pass", f"power family with s={float(s)} <= 1 diverges") if s <= 1.0
         else ("fail", f"power family with s={float(s)} > 1 converges"),
@@ -224,8 +221,8 @@ def validate(cfg: SolverConfig, horizon: int) -> ValidationReport:
         "unknown", f"series not classified; partial sum at horizon = {partial:.6g}")
     cond_ii = CheckResult(status, partial, horizon, reason)
 
-    # (iii) (k_n^2 - 1)/a_n -> 0 on the tail.
-    ratio = [(kk * kk - 1.0) / aa for kk, aa in zip(k, a)]
+    # (iii) (k_n^2 - 1)/a_n -> 0 on the tail; a zero a_n makes the ratio inf.
+    ratio = [(kk * kk - 1.0) / aa if aa else math.inf for kk, aa in zip(k, a)]
     bad_n = _monotone_nonincreasing(ratio[tail], half)
     r_end = ratio[-1]
     if bad_n is not None:

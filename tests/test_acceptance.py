@@ -15,7 +15,6 @@ from midpointfp.cli import main
 from midpointfp.diagnostics import check_vi, iterate_bound, sample_fixed_set_flip
 from midpointfp.mappings import (
     make_affine,
-    make_contraction_half,
     make_flip_map,
     make_scaling_contraction,
     verify_envelope,
@@ -51,7 +50,7 @@ def benchmark_cfg(x1, **kw):
         mapping=make_flip_map(),
         schedule=paper_schedule(),
         x1=x1,
-        contraction=make_contraction_half(),
+        contraction=make_scaling_contraction(0.5),
         **kw,
     )
 
@@ -79,8 +78,8 @@ def test_criterion_1_inner_solver_oracle_equivalence():
         b = rng.standard_normal(d)
         n = int(rng.integers(1, 7))
         base = max(1.0, rho)
-        sched = power_schedule(1.0, float(rng.uniform(0.0, 0.5)),
-                               k=lambda m, _b=base: _b ** m)
+        sched = replace(power_schedule(1.0, float(rng.uniform(0.0, 0.5))),
+                        k=lambda m, _b=base: _b ** m)
         cfg = SolverConfig(
             scheme=SCHEMES["AGVIM"],
             mapping=make_affine(A, b, envelope=lambda m, _b=base: _b ** m),
@@ -171,9 +170,10 @@ def test_criterion_4_scheme_reductions():
     single_app = replace(SCHEMES["AGVIM"], use_power=False)
     cases = [
         ("AGVIM|b=0 == AVIM63", SCHEMES["AGVIM"], SCHEMES["AVIM63"],
-         power_schedule(1.0, 0.0, k=flip_env), power_schedule(1.0, 0.0, k=flip_env)),
+         replace(power_schedule(1.0, 0.0), k=flip_env),
+         replace(power_schedule(1.0, 0.0), k=flip_env)),
         ("AGVIM|single == GVIM", single_app, SCHEMES["GVIM"],
-         paper_schedule(k=lambda n: 1.0), paper_schedule(k=lambda n: 1.0)),
+         replace(paper_schedule(), k=lambda n: 1.0), replace(paper_schedule(), k=lambda n: 1.0)),
         ("GVIM|b=0 == VIM", SCHEMES["GVIM"], SCHEMES["VIM"],
          power_schedule(1.0, 0.0), power_schedule(1.0, 0.0)),
     ]
@@ -191,7 +191,7 @@ def test_criterion_4_scheme_reductions():
         for x1 in STARTS:
             cfg = SolverConfig(
                 scheme=left, mapping=make_flip_map(), schedule=sched_ex, x1=x1,
-                contraction=make_contraction_half(), max_outer=20, tol_step=0.0,
+                contraction=make_scaling_contraction(0.5), max_outer=20, tol_step=0.0,
             )
             a = run(cfg).x
             b = run(replace(cfg, scheme=right)).x
@@ -225,7 +225,7 @@ def test_criterion_5_schedule_validator():
         ok = False
         details.append("a_n = 1/n^2 not flagged for convergent series")
 
-    sched = power_schedule(2.0, 0.0, k=lambda n: 1.0 + 1.0 / n)
+    sched = replace(power_schedule(2.0, 0.0), k=lambda n: 1.0 + 1.0 / n)
     rep = validate(on_unit_flip(sched), horizon=1000)
     ratio_end = rep.condition_iii.value
     ratio_mid = (sched.k(500) ** 2 - 1.0) / sched.a(500)
@@ -240,7 +240,7 @@ def test_criterion_5_schedule_validator():
 
 def test_criterion_6_boundedness(benchmark_default_traces):
     """||x_n|| <= ||x_1|| + 1e-9 along every benchmark run (anchor at 0)."""
-    f = make_contraction_half()
+    f = make_scaling_contraction(0.5)
     p = np.zeros(2)
     ok = True
     details = []
@@ -291,7 +291,7 @@ def test_criterion_9_vi_certificate(tmp_path, capsys):
     """Certificate holds at the origin, is exactly -1 for the offset
     candidate against the origin sample, and the reproduction command
     surfaces the reference-limit discrepancy."""
-    f = make_contraction_half()
+    f = make_scaling_contraction(0.5)
     ok = True
     details = []
 

@@ -247,6 +247,17 @@ class TestValidateScheduleCommand:
         assert code == 3
         assert "n=7" in capsys.readouterr().out
 
+    def test_zero_a_n_fails_condition_iii_naming_n(self, tmp_path, capsys):
+        # (k_n^2 - 1)/a_n is infinite at a zero a_n, not a ZeroDivisionError
+        rows = [[1.0 / n, 0.0, 1.0 - 1.0 / n, 1.0] for n in range(1, 21)]
+        rows[15] = [0.0, 0.0, 1.0, 1.0]  # n = 16
+        path = write_config(tmp_path, {**BENCHMARK, "x1": [0.5, 1.0],
+                                       "schedule": {"family": "custom", "table": rows}})
+        code = main(["validate-schedule", "--config", path, "--horizon", "20"])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert "ratio increases at n=16" in out
+        assert out.endswith("overall: FAIL\n")
 
     def test_mapping_envelope_fails_what_run_refuses(self, tmp_path, capsys):
         # the paper schedule alone is well posed, but A's envelope 1.9^n

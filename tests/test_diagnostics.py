@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from midpointfp.diagnostics import (
 from midpointfp.errors import InsufficientDataError, InvalidInputError, RejectedSampleError
 from midpointfp.mappings import (
     make_affine,
-    make_contraction_half,
     make_flip_map,
     make_scaling_contraction,
 )
@@ -22,7 +23,7 @@ from midpointfp.space import NormSpec, duality_map, inner
 
 class TestCheckVI:
     def test_holds_trivially_at_anchor_fixed_point(self):
-        f = make_contraction_half()
+        f = make_scaling_contraction(0.5)
         samples = [np.zeros(2), np.array([1.0, -1.0]), np.array([-0.5, 2.0])]
         cert = check_vi([0.0, 0.0], f, samples)
         assert cert.holds
@@ -30,7 +31,7 @@ class TestCheckVI:
 
     def test_violation_at_offset_candidate(self):
         # <(I-f)p, x-p> with p=(1,-1), x=0: <(0.5,-0.5), (-1,1)> = -1 exactly
-        cert = check_vi([1.0, -1.0], make_contraction_half(), [np.zeros(2)])
+        cert = check_vi([1.0, -1.0], make_scaling_contraction(0.5), [np.zeros(2)])
         assert cert.values[0] == -1.0
         assert cert.verdict == "violated"
 
@@ -48,7 +49,7 @@ class TestCheckVI:
     def test_duality_map_route_for_general_p(self):
         p_vec = np.array([0.5, -0.25])
         xs = [np.array([1.0, -1.0]), np.array([-2.0, 0.5])]
-        f = make_contraction_half()
+        f = make_scaling_contraction(0.5)
         spec = NormSpec(3.0)
         cert = check_vi(p_vec, f, xs, spec)
         g = p_vec - f(p_vec)
@@ -56,7 +57,7 @@ class TestCheckVI:
         np.testing.assert_allclose(cert.values, expected, atol=1e-14)
 
     def test_order_invariance(self):
-        f = make_contraction_half()
+        f = make_scaling_contraction(0.5)
         xs = [np.array([1.0, -1.0]), np.zeros(2), np.array([-3.0, 0.5])]
         a = check_vi([0.2, -0.4], f, xs)
         b = check_vi([0.2, -0.4], f, xs[::-1])
@@ -66,13 +67,13 @@ class TestCheckVI:
     def test_rejects_unverified_samples(self):
         flip = make_flip_map()
         with pytest.raises(RejectedSampleError) as err:
-            check_vi([0.0, 0.0], make_contraction_half(),
+            check_vi([0.0, 0.0], make_scaling_contraction(0.5),
                      [np.zeros(2), np.array([1.0, 1.0])], mapping=flip)
         assert len(err.value.offenders) == 1
 
     def test_needs_samples(self):
         with pytest.raises(InvalidInputError):
-            check_vi([0.0, 0.0], make_contraction_half(), [])
+            check_vi([0.0, 0.0], make_scaling_contraction(0.5), [])
 
 
 class TestFixedSetSampling:
@@ -100,9 +101,9 @@ def _flip_cfg(x1, steps=60):
     return SolverConfig(
         scheme=SCHEMES["GVIM"],
         mapping=make_flip_map(),
-        schedule=power_schedule(1.0, 0.25, k=lambda n: 1.0 + 0.5 ** n),
+        schedule=replace(power_schedule(1.0, 0.25), k=lambda n: 1.0 + 0.5 ** n),
         x1=x1,
-        contraction=make_contraction_half(),
+        contraction=make_scaling_contraction(0.5),
         max_outer=steps,
         tol_step=0.0,
     )
@@ -152,7 +153,7 @@ class TestCompareSchemes:
         # k_n = 1.3^n makes the power scheme ill-posed from n = 5 on,
         # while single-application schemes stay well posed
         grow = make_affine(1.3 * np.eye(2), np.zeros(2))
-        sched = power_schedule(1.0, 0.2, k=lambda n: 1.3 ** n)
+        sched = replace(power_schedule(1.0, 0.2), k=lambda n: 1.3 ** n)
         cfg = SolverConfig(
             scheme=SCHEMES["VIM"], mapping=grow, schedule=sched,
             x1=[0.5, 0.5], contraction=make_scaling_contraction(0.4),
@@ -181,12 +182,12 @@ class TestCompareSchemes:
 
 class TestIterateBound:
     def test_reduces_to_start_distance_at_common_fixed_point(self):
-        f = make_contraction_half()
+        f = make_scaling_contraction(0.5)
         assert iterate_bound([0.0, 1.0 / 3.0], [0.0, 0.0], f) == pytest.approx(1.0 / 3.0)
 
     def test_drift_term_for_moving_anchor(self):
         # f(p) = p/2 at p = (1,-1): drift ||p/2|| / (1 - 0.5 - 0.25)
-        f = make_contraction_half()
+        f = make_scaling_contraction(0.5)
         p = np.array([1.0, -1.0])
         drift = (np.sqrt(2.0) / 2.0) / 0.25
         assert iterate_bound(p, p, f) == pytest.approx(drift, rel=1e-12)

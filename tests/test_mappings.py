@@ -9,13 +9,11 @@ from midpointfp.errors import InvalidInputError
 from midpointfp.mappings import (
     Mapping,
     affine_power_pair,
-    apply_power,
-    flip_fixed,
     make_affine,
     make_affine_contraction,
-    make_contraction_half,
     make_flip_map,
     make_scaling_contraction,
+    power_operator,
     verify_envelope,
 )
 from midpointfp.space import norm
@@ -34,12 +32,12 @@ class TestFlipMap:
         flip = make_flip_map()
         u = np.array([1.0, 1.0])
         twice = flip(flip(u))
-        np.testing.assert_array_equal(apply_power(flip, 2, u), twice)
+        np.testing.assert_array_equal(power_operator(flip, 2)(u), twice)
         np.testing.assert_array_equal(twice, [1.0, 1.0])
         thrice = flip(twice)
-        np.testing.assert_array_equal(apply_power(flip, 3, u), thrice)
+        np.testing.assert_array_equal(power_operator(flip, 3)(u), thrice)
         np.testing.assert_array_equal(thrice, [-1.0, -1.0])
-        np.testing.assert_array_equal(apply_power(flip, 5, [2.0, -3.0]), [2.0, -3.0])
+        np.testing.assert_array_equal(power_operator(flip, 5)(np.array([2.0, -3.0])), [2.0, -3.0])
 
     def test_power_consistency_random(self):
         flip = make_flip_map()
@@ -49,15 +47,14 @@ class TestFlipMap:
             w = u.copy()
             for n in range(1, 11):
                 w = flip(w)
-                assert np.linalg.norm(apply_power(flip, n, u) - w) <= 1e-12
+                assert np.linalg.norm(power_operator(flip, n)(u) - w) <= 1e-12
 
     def test_fixed_set_membership(self):
-        assert flip_fixed([1.0, -1.0])
-        assert flip_fixed([-0.25, 0.75])
-        assert flip_fixed([0.0, 0.0])
-        assert not flip_fixed([2.0, 3.0])
-        assert not flip_fixed([0.0, 1.0])
-        assert not flip_fixed([-1.0, -1.0])
+        # F = {0} together with the open mixed-sign quadrants
+        flip = make_flip_map()
+        for u, fixed in [([1.0, -1.0], True), ([-0.25, 0.75], True), ([0.0, 0.0], True),
+                         ([2.0, 3.0], False), ([0.0, 1.0], False), ([-1.0, -1.0], False)]:
+            assert np.array_equal(flip(u), u) == fixed
 
     def test_envelope_decays_to_one(self):
         flip = make_flip_map()
@@ -75,19 +72,20 @@ class TestFlipMap:
             if np.linalg.norm(u - v) < 1e-9:
                 continue
             for n in range(1, 11):
-                lhs = np.linalg.norm(apply_power(flip, n, u) - apply_power(flip, n, v))
+                power = power_operator(flip, n)
+                lhs = np.linalg.norm(power(u) - power(v))
                 assert lhs <= np.linalg.norm(u - v) * (1.0 + 1e-12)
 
 
 class TestContraction:
     def test_half(self):
-        f = make_contraction_half()
+        f = make_scaling_contraction(0.5)
         np.testing.assert_array_equal(f([1.0, -1.0]), [0.5, -0.5])
         np.testing.assert_array_equal(f([0.0, 0.0]), [0.0, 0.0])
         assert f.alpha == 0.5
 
     def test_half_exact_ratio(self):
-        f = make_contraction_half()
+        f = make_scaling_contraction(0.5)
         rng = np.random.default_rng(9)
         for _ in range(50):
             x, y = rng.standard_normal(2), rng.standard_normal(2)
@@ -158,7 +156,7 @@ class TestAffine:
             w = u.copy()
             for n in range(1, 11):
                 w = T(w)
-                assert np.linalg.norm(apply_power(T, n, u) - w) <= 1e-12
+                assert np.linalg.norm(power_operator(T, n)(u) - w) <= 1e-12
 
     def test_default_envelope_uses_operator_norm(self):
         T = make_affine(2.0 * np.eye(2), [0.0, 0.0])
@@ -185,7 +183,7 @@ class TestAffine:
 
 
 class TestAffinePowerRequests:
-    """apply_power on an affine map agrees with binary powering in any request
+    """power_operator on an affine map agrees with binary powering in any request
     order, and so does the eigenbasis solve of (I - s A_n) y = r, whose
     lam^n must keep in step with A_n."""
 
@@ -202,7 +200,7 @@ class TestAffinePowerRequests:
         A, b, T, u = affine
         An, bn = affine_power_pair(A, b, n)
         want = An @ u + bn
-        assert np.linalg.norm(apply_power(T, n, u) - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.linalg.norm(power_operator(T, n)(u) - want) <= 1e-12 * np.linalg.norm(want)
         # a run solves its step right after asking for T^n (power schemes)
         # or T^n then T (GVIM: power residual, then the step)
         for p, Ap in ((n, An), (1, A)):
@@ -234,13 +232,12 @@ class TestAffinePowerRequests:
 class TestPowerCap:
     def test_cap_only_binds_without_closed_form(self):
         flip = make_flip_map()
-        apply_power(flip, 50, [1.0, 1.0], cap=10)  # closed form, cap ignored
-        from midpointfp.mappings import Mapping
-
+        u = np.array([1.0, 1.0])
+        power_operator(flip, 50, cap=10)(u)  # closed form, cap ignored
         folded = Mapping(apply=lambda u: -u, envelope=lambda n: 1.0, domain_dim=2)
-        apply_power(folded, 10, [1.0, 1.0], cap=10)
+        np.testing.assert_array_equal(power_operator(folded, 10, cap=10)(u), u)
         with pytest.raises(InvalidInputError):
-            apply_power(folded, 11, [1.0, 1.0], cap=10)
+            power_operator(folded, 11, cap=10)
 
 
 class TestVerifyEnvelope:
@@ -277,7 +274,7 @@ class TestVerifyEnvelope:
 
 
 def reference_envelope(mapping, n_max, samples, seed, radius=2.0):
-    """The per-pair loop verify_envelope replaced: apply_power and the
+    """The per-pair loop verify_envelope replaced: power_operator and the
     checked norm on every pair and power. Returns the report's fields."""
     rng = np.random.default_rng(seed)
     d = mapping.domain_dim
@@ -305,7 +302,8 @@ def reference_envelope(mapping, n_max, samples, seed, radius=2.0):
         k_n = mapping.envelope(n)
         for i, (u, v) in enumerate(pairs):
             if mapping.power is not None:
-                tu, tv = apply_power(mapping, n, u), apply_power(mapping, n, v)
+                power = power_operator(mapping, n)
+                tu, tv = power(u), power(v)
             else:
                 tu, tv = images[i]
                 tu = np.asarray(mapping.apply(tu), dtype=float)

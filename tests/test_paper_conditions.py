@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 from midpointfp import (
-    SCHEMES, SolverConfig, check_vi, make_affine_contraction, make_contraction_half,
-    make_flip_map, run, sample_fixed_set_flip,
+    SCHEMES, SolverConfig, check_vi, make_affine_contraction, make_flip_map,
+    make_scaling_contraction, run, sample_fixed_set_flip,
 )
 from midpointfp.schedules import custom_schedule, paper_schedule, power_schedule, validate
 
@@ -30,11 +30,11 @@ START = [-2.0, 1.0]
 def flip_cfg(s):
     return SolverConfig(scheme=SCHEMES["AGVIM"], mapping=make_flip_map(),
                         schedule=power_schedule(s, 0.3), x1=START,
-                        contraction=make_contraction_half())
+                        contraction=make_scaling_contraction(0.5))
 
 
 def certificate(p):
-    return check_vi(p, make_contraction_half(), [np.zeros(2)], mapping=make_flip_map())
+    return check_vi(p, make_scaling_contraction(0.5), [np.zeros(2)], mapping=make_flip_map())
 
 
 def test_summable_a_n_stops_at_a_fixed_point_that_is_not_the_limit():

@@ -1,5 +1,6 @@
 """Property-based checks (Hypothesis) of the implicit step on affine maps,
-of the config round-trip and of the two trace.csv writers.
+of validate's well-posedness verdict, of the config round-trip and of the
+two trace.csv writers.
 
 The profile is fixed (``derandomize=True``, a set ``max_examples``, no
 example database), so every run draws the same examples.
@@ -24,8 +25,8 @@ from hypothesis.extra.numpy import arrays
 from midpointfp import _csv_writer, cli
 from midpointfp.config import parse_config
 from midpointfp.errors import ConfigError, IllPosedError, MidpointError
-from midpointfp.mappings import make_affine, make_contraction_half, make_scaling_contraction
-from midpointfp.schedules import paper_schedule, power_schedule
+from midpointfp.mappings import make_affine, make_scaling_contraction
+from midpointfp.schedules import custom_schedule, paper_schedule, power_schedule, validate
 from midpointfp.solver import (
     SCHEMES, SolverConfig, implicit_step, implicit_step_affine_oracle, run,
 )
@@ -42,23 +43,29 @@ NORMS = [1.5, 2.0, 3.0, math.inf]
 # per unit of the step's size (below); the largest seen was 0.32
 ALLOWANCE = 16
 
+SCHEDULES = st.one_of(
+    st.just(paper_schedule()),
+    st.builds(power_schedule, st.floats(0.25, 2.0), st.floats(0.0, 0.9)))
+CONTRACTIONS = st.one_of(
+    st.just(make_scaling_contraction(0.5)),
+    st.builds(make_scaling_contraction, st.floats(-0.9, 0.9)))
+
+
+def affine_matrix(draw, d, largest):
+    """A d x d matrix with ||A||_2 drawn from [0, largest]."""
+    A = draw(arrays(np.float64, (d, d), elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
+    size = np.linalg.norm(A, 2)
+    return A * (draw(st.floats(0.0, largest)) / size) if size > 0.0 else A
+
 
 @st.composite
 def affine_problems(draw):
     """A SolverConfig on u -> A u + b with ||A||_2 <= 1, declared as k_n = 1
     (honest for every power), for n = max_outer <= 30 steps, and a point."""
     d = draw(st.integers(1, 4))
-    A = draw(arrays(np.float64, (d, d), elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
-    size = np.linalg.norm(A, 2)
-    if size > 0.0:
-        A = A * (draw(st.floats(0.0, 1.0)) / size)
+    A = affine_matrix(draw, d, 1.0)
     point = arrays(np.float64, d, elements=st.floats(-1e6, 1e6, allow_subnormal=False))
-    schedule = draw(st.one_of(
-        st.just(paper_schedule()),
-        st.builds(power_schedule, st.floats(0.25, 2.0), st.floats(0.0, 0.9))))
-    contraction = draw(st.one_of(
-        st.just(make_contraction_half()),
-        st.builds(make_scaling_contraction, st.floats(-0.9, 0.9))))
+    schedule, contraction = draw(SCHEDULES), draw(CONTRACTIONS)
     cfg = SolverConfig(
         scheme=SCHEMES[draw(st.sampled_from(sorted(SCHEMES)))],
         mapping=make_affine(A, draw(point), envelope=lambda n: 1.0),
@@ -110,6 +117,43 @@ def test_no_step_of_an_honest_run_diverges():
 
     honest_run()
     assert not diverged, f"{len(diverged)} run(s) diverged, first: {diverged[0]}"
+
+
+# -- (c) a horizon validate calls well posed has no step with q_n >= 1 -------
+
+@st.composite
+def validated_problems(draw):
+    """A SolverConfig on u -> A u + b with ||A||_2 <= 1.5, under its default
+    envelope or declared as k_n = 1, whose max_outer is the horizon H >= 10
+    of validate; a custom schedule is a table of H rows, a_n possibly 0."""
+    d = draw(st.integers(1, 4))
+    A = affine_matrix(draw, d, 1.5)
+    point = arrays(np.float64, d, elements=st.floats(-1e6, 1e6, allow_subnormal=False))
+    horizon = draw(st.integers(10, 20))
+    row = st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), st.floats(0.0, 1.0),
+                    st.floats(0.0, 1.0), st.floats(1.0, 3.0))
+    table = st.lists(row, min_size=horizon, max_size=horizon).map(custom_schedule)
+    envelope = draw(st.sampled_from([None, lambda n: 1.0]))
+    return SolverConfig(
+        scheme=SCHEMES[draw(st.sampled_from(sorted(SCHEMES)))],
+        mapping=make_affine(A, draw(point), envelope=envelope),
+        schedule=draw(st.one_of(SCHEDULES, table)), x1=draw(point),
+        contraction=draw(CONTRACTIONS), norm=NormSpec(draw(st.sampled_from(NORMS))),
+        max_outer=horizon, tol_step=0.0,
+    )
+
+
+@settings(FIXED, max_examples=60)
+@given(validated_problems())
+def test_a_well_posed_horizon_runs_without_q_n_at_least_one(cfg):
+    if not validate(cfg, cfg.max_outer).wellposed.ok:
+        return
+    try:
+        run(cfg)
+    except IllPosedError as exc:
+        assert "not a contraction" not in str(exc), exc
+    except MidpointError:
+        pass
 
 
 # -- (d) parse_config(cfg.to_dict()) == cfg ----------------------------------

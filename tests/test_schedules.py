@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from midpointfp.errors import IllPosedError, InvalidInputError
-from midpointfp.mappings import make_affine, make_contraction_half, make_flip_map
+from midpointfp.mappings import make_affine, make_flip_map, make_scaling_contraction
 from midpointfp.schedules import (
     Schedule,
     custom_schedule,
@@ -21,7 +21,7 @@ def agvim_flip(schedule):
     """AGVIM on the flip map declared with envelope 1, so that the run's
     k_n is the schedule's k_n."""
     return SolverConfig(scheme=SCHEMES["AGVIM"], mapping=make_flip_map(envelope=lambda n: 1.0),
-                        schedule=schedule, x1=[0.5, 1.0], contraction=make_contraction_half())
+                        schedule=schedule, x1=[0.5, 1.0], contraction=make_scaling_contraction(0.5))
 
 
 class TestBenchmarkFamily:
@@ -117,7 +117,7 @@ class TestValidate:
 
     def test_slow_envelope_fails_ratio(self):
         # k_n = 1 + 1/n with a_n = 1/n^2: ratio (k^2-1)/a ~ 2n grows
-        sched = power_schedule(2.0, 0.0, k=lambda n: 1.0 + 1.0 / n)
+        sched = replace(power_schedule(2.0, 0.0), k=lambda n: 1.0 + 1.0 / n)
         report = validate(agvim_flip(sched), horizon=1000)
         assert report.condition_iii.status == "fail"
         assert report.condition_iii.value > 1000  # ~ 2 * horizon at the tail
@@ -202,7 +202,7 @@ class TestDeclaredEnvelopeValues:
         nan = lambda n: math.nan
         cfg = SolverConfig(scheme=SCHEMES["AGVIM"], mapping=make_flip_map(),
                            schedule=paper_schedule(), x1=[0.5, 1.0],
-                           contraction=make_contraction_half())
+                           contraction=make_scaling_contraction(0.5))
         if side == "schedule":
             cfg = replace(cfg, schedule=replace(cfg.schedule, k=nan))
         else:
@@ -220,7 +220,7 @@ class TestDeclaredEnvelopeValues:
         cfg = SolverConfig(scheme=SCHEMES["AGVIM"],
                            mapping=make_affine(0.5 * np.eye(2), [0.0, 0.0]),
                            schedule=replace(paper_schedule(), k=lambda n: 10.0 ** n),
-                           x1=[0.5, 1.0], contraction=make_contraction_half(),
+                           x1=[0.5, 1.0], contraction=make_scaling_contraction(0.5),
                            norm=NormSpec(math.inf))
         assert cfg.step_bound(400) == (math.inf, math.inf)
 
@@ -231,7 +231,7 @@ class TestDeclaredEnvelopeValues:
             scheme=SCHEMES["VIM"],
             mapping=make_affine(0.5 * np.eye(2), [0.0, 0.0], envelope=lambda n: math.inf),
             schedule=custom_schedule([[1.0, 0.0, 0.0, 1.0]] * 20), x1=[1.0, 1.0],
-            contraction=make_contraction_half(), max_outer=3, tol_step=0.0,
+            contraction=make_scaling_contraction(0.5), max_outer=3, tol_step=0.0,
         )
         trace = run(cfg)
         assert list(trace.q) == [0.0] * 3
@@ -247,7 +247,7 @@ class TestValidateAgreesWithRun:
     def diag_cfg(scheme, x1, steps):
         return SolverConfig(
             scheme=SCHEMES[scheme], mapping=make_affine(np.diag([1.9, 0.1]), [0.0, 0.0]),
-            schedule=paper_schedule(), x1=x1, contraction=make_contraction_half(),
+            schedule=paper_schedule(), x1=x1, contraction=make_scaling_contraction(0.5),
             max_outer=steps, tol_step=0.0,
         )
 
@@ -288,7 +288,7 @@ class TestValidateAgreesWithRun:
         for mapping in (rotation, make_flip_map()):
             cfg = SolverConfig(scheme=SCHEMES["AGVIM"], mapping=mapping,
                                schedule=paper_schedule(), x1=[1.0, 0.3],
-                               contraction=make_contraction_half(), norm=NormSpec(math.inf))
+                               contraction=make_scaling_contraction(0.5), norm=NormSpec(math.inf))
             report = validate(cfg, horizon=1000)
             assert report.passed
             assert report.condition_iii.status == "pass"

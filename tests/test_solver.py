@@ -12,12 +12,11 @@ from midpointfp import solver
 from midpointfp.errors import IllPosedError, InnerBudgetError, InvalidInputError
 from midpointfp.mappings import (
     Contraction,
-    apply_power,
     Mapping,
     make_affine,
-    make_contraction_half,
     make_flip_map,
     make_scaling_contraction,
+    power_operator,
 )
 from midpointfp.schedules import custom_schedule, paper_schedule, power_schedule
 from midpointfp.solver import (
@@ -54,7 +53,7 @@ def benchmark_cfg(x1, scheme="AGVIM", **kw):
         mapping=make_flip_map(),
         schedule=paper_schedule(),
         x1=x1,
-        contraction=make_contraction_half(),
+        contraction=make_scaling_contraction(0.5),
         **kw,
     )
 
@@ -131,7 +130,7 @@ class TestImplicitStep:
             scheme=SCHEMES["AGVIM"],
             mapping=picard_only(make_affine(np.diag([1.9, 0.1]), [0.0, 0.0],
                                             envelope=lambda n: 1.0)),
-            schedule=paper_schedule(), x1=[1.0, 1.0], contraction=make_contraction_half(),
+            schedule=paper_schedule(), x1=[1.0, 1.0], contraction=make_scaling_contraction(0.5),
         )
         with pytest.raises(IllPosedError, match="diverges") as err:
             run(cfg)
@@ -145,7 +144,7 @@ class TestImplicitStep:
         cfg = SolverConfig(
             scheme=SCHEMES["AGVIM"],
             mapping=make_affine(np.diag([1.9, 0.1]), [0.0, 0.0], envelope=lambda n: 1.0),
-            schedule=paper_schedule(), x1=[1.0, 1.0], contraction=make_contraction_half(),
+            schedule=paper_schedule(), x1=[1.0, 1.0], contraction=make_scaling_contraction(0.5),
         )
         with pytest.raises(IllPosedError, match="diverges") as err:
             run(cfg)
@@ -159,7 +158,7 @@ class TestImplicitStep:
         cfg = SolverConfig(
             scheme=SCHEMES["GVIM"], mapping=make_affine(4.0 * np.eye(2), [1.0, 0.0],
                                                         envelope=lambda n: 1.0),
-            schedule=sched, x1=[1.0, 1.0], contraction=make_contraction_half(),
+            schedule=sched, x1=[1.0, 1.0], contraction=make_scaling_contraction(0.5),
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -181,7 +180,7 @@ class TestImplicitStep:
         b = x_star - Q @ x_star
         cfg = SolverConfig(
             scheme=SCHEMES["AGVIM"], mapping=make_affine(Q, b, envelope=lambda n: 1.0),
-            schedule=paper_schedule(), x1=x_star, contraction=make_contraction_half(),
+            schedule=paper_schedule(), x1=x_star, contraction=make_scaling_contraction(0.5),
             max_outer=200, tol_step=0.0,
         )
         trace = run(cfg)
@@ -202,7 +201,7 @@ class TestImplicitStep:
         # property test of honest runs in test_properties.py)
         cfg = SolverConfig(
             scheme=SCHEMES["AGVIM"], mapping=make_affine([[1.0]], [0.0], envelope=lambda n: 1.0),
-            schedule=power_schedule(1.0), x1=[54191.0], contraction=make_contraction_half(),
+            schedule=power_schedule(1.0), x1=[54191.0], contraction=make_scaling_contraction(0.5),
             max_outer=2, tol_step=0.0,
         )
         assert len(run(cfg)) == 2
@@ -213,7 +212,7 @@ class TestImplicitStep:
         A = np.diag([1.9, 0.1])
         cfg = SolverConfig(
             scheme=SCHEMES["AGVIM"], mapping=make_affine(A, [0.0, 0.0]),
-            schedule=paper_schedule(), x1=[1.0, 1.0], contraction=make_contraction_half(),
+            schedule=paper_schedule(), x1=[1.0, 1.0], contraction=make_scaling_contraction(0.5),
         )
         assert cfg.step_bound(2)[0] == 0.5 * cfg.schedule.c(2) * 1.9 ** 2
         x2 = implicit_step(cfg, 1, cfg.x1).x
@@ -236,7 +235,7 @@ class TestImplicitStep:
         spec = NormSpec(norm_p)
         cfg = SolverConfig(
             scheme=SCHEMES["AGVIM"], mapping=make_affine(R, [0.0, 0.0]),
-            schedule=paper_schedule(), x1=[1.0, 0.3], contraction=make_contraction_half(),
+            schedule=paper_schedule(), x1=[1.0, 0.3], contraction=make_scaling_contraction(0.5),
             max_outer=200, tol_step=0.0, norm=spec,
         )
         trace = run(cfg)
@@ -256,7 +255,7 @@ class TestImplicitStep:
             return SolverConfig(scheme=SCHEMES["VIM"],
                                 mapping=make_affine(0.5 * np.eye(100), np.zeros(100)),
                                 schedule=paper_schedule(), x1=np.ones(100),
-                                contraction=make_contraction_half(), norm=NormSpec(r))
+                                contraction=make_scaling_contraction(0.5), norm=NormSpec(r))
         for n in range(1, 50):
             assert cfg(math.inf).step_bound(n) == cfg(2.0).step_bound(n)
         assert run(cfg(math.inf)).converged
@@ -270,7 +269,7 @@ class TestImplicitStep:
                          power=lambda n, u: np.full_like(u, np.inf))
         cfg = SolverConfig(
             scheme=SCHEMES["AGVIM"], mapping=blowup, schedule=paper_schedule(),
-            x1=[1.0, 1.0], contraction=make_contraction_half(),
+            x1=[1.0, 1.0], contraction=make_scaling_contraction(0.5),
         )
         with pytest.raises(IllPosedError) as err:
             implicit_step(cfg, 2, [1.0, 1.0])
@@ -528,7 +527,7 @@ class TestAffineSolve:
         cfg = SolverConfig(
             scheme=SCHEMES[scheme],
             mapping=make_affine(A, b, envelope=None if k is None else lambda n: k),
-            schedule=paper_schedule(), x1=x1, contraction=make_contraction_half(),
+            schedule=paper_schedule(), x1=x1, contraction=make_scaling_contraction(0.5),
             max_outer=steps, tol_step=0.0,
         )
         trace = run(cfg)
@@ -545,7 +544,7 @@ class TestAffineSolve:
         A, b, x1 = _orthogonal_d60()
         return SolverConfig(
             scheme=SCHEMES["AGVIM"], mapping=make_affine(A, b), schedule=paper_schedule(),
-            x1=x1, contraction=make_contraction_half(), max_outer=steps, tol_step=0.0,
+            x1=x1, contraction=make_scaling_contraction(0.5), max_outer=steps, tol_step=0.0,
         )
 
     def test_defect_correction_keeps_the_residual_at_rounding_level(self):
@@ -605,7 +604,7 @@ class TestAffineSolve:
             scheme=SCHEMES["GVIM"], mapping=make_affine(np.diag([2.0, 0.5]), [0.0, 0.0],
                                                         envelope=lambda n: 1.0),
             schedule=custom_schedule([[0.0, 0.0, 1.0, 1.0]]), x1=[1.0, 1.0],
-            contraction=make_contraction_half(),
+            contraction=make_scaling_contraction(0.5),
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -662,7 +661,7 @@ class TestRun:
         T = make_affine(0.5 * np.eye(2), [1.0, 1.0])
         cfg = SolverConfig(
             scheme=SCHEMES[scheme], mapping=T, schedule=paper_schedule(), x1=[0.0, 0.0],
-            contraction=make_contraction_half(), max_outer=50,
+            contraction=make_scaling_contraction(0.5), max_outer=50,
         )
         trace = run(cfg)
         assert trace.step_norm[0] == 0.0
@@ -707,8 +706,6 @@ class TestRun:
     def test_residual_chain_bound(self):
         # ||x_n - T x_n|| <= ||x_(n+1) - x_n|| + ||x_(n+1) - T^n x_n||
         #                    + k_1 ||x_n - T^(n-1) x_n||, recomputed from the trace
-        from midpointfp.mappings import apply_power
-
         cfg = benchmark_cfg([0.0, 1.0 / 3.0], max_outer=15, tol_step=0.0)
         trace = run(cfg)
         xs = trace.x
@@ -718,8 +715,8 @@ class TestRun:
             lhs = trace.res_map[n - 1]
             rhs = (
                 trace.step_norm[n - 1]
-                + np.linalg.norm(x_next - apply_power(cfg.mapping, n, x_n))
-                + k1 * np.linalg.norm(x_n - apply_power(cfg.mapping, n - 1, x_n))
+                + np.linalg.norm(x_next - power_operator(cfg.mapping, n)(x_n))
+                + k1 * np.linalg.norm(x_n - power_operator(cfg.mapping, n - 1)(x_n))
             )
             assert lhs <= rhs + 1e-12
 
@@ -727,7 +724,7 @@ class TestRun:
         neg = Mapping(apply=lambda u: -u, envelope=lambda n: 1.0, domain_dim=2)
         cfg = SolverConfig(
             scheme=SCHEMES["AGVIM"], mapping=neg, schedule=power_schedule(1.0, 0.0),
-            x1=[1.0, 2.0], contraction=make_contraction_half(),
+            x1=[1.0, 2.0], contraction=make_scaling_contraction(0.5),
             power_cap=5, max_outer=10, tol_step=0.0,
         )
         with pytest.raises(InvalidInputError):
@@ -737,7 +734,7 @@ class TestRun:
         neg = Mapping(apply=lambda u: -u, envelope=lambda n: 1.0, domain_dim=2)
         cfg = SolverConfig(
             scheme=SCHEMES["GVIM"], mapping=neg, schedule=power_schedule(1.0, 0.0),
-            x1=[1.0, 2.0], contraction=make_contraction_half(),
+            x1=[1.0, 2.0], contraction=make_scaling_contraction(0.5),
             power_cap=5, max_outer=10, tol_step=0.0,
         )
         trace = run(cfg)
@@ -763,7 +760,7 @@ class TestRun:
         cfg = SolverConfig(
             scheme=SCHEMES["AGVIM"], mapping=make_affine(Q, x_star - Q @ x_star),
             schedule=paper_schedule(), x1=rng.standard_normal(d),
-            contraction=make_contraction_half(), max_outer=1000, tol_step=0.0,
+            contraction=make_scaling_contraction(0.5), max_outer=1000, tol_step=0.0,
         )
         tracemalloc.start()
         try:
@@ -795,7 +792,7 @@ class TestPowerReuse:
 
     @staticmethod
     def res_power_direct(cfg, trace):
-        return [norm(x - apply_power(cfg.mapping, n, x), cfg.norm)
+        return [norm(x - power_operator(cfg.mapping, n)(x), cfg.norm)
                 for n, x in enumerate(trace.x[:-1], start=1)]
 
     @pytest.mark.parametrize("scheme", ["AGVIM", "AVIM63"])
@@ -809,7 +806,7 @@ class TestPowerReuse:
     def foldonly_cfg(calls):
         return SolverConfig(scheme=SCHEMES["AGVIM"], mapping=rotate_into_ball(calls),
                             schedule=paper_schedule(), x1=[2.0, 1.0],
-                            contraction=make_contraction_half(), max_outer=12, tol_step=0.0)
+                            contraction=make_scaling_contraction(0.5), max_outer=12, tol_step=0.0)
 
     def test_foldonly_map_saves_n_evaluations_per_step(self, monkeypatch):
         calls = []
@@ -861,7 +858,7 @@ class TestBlocks:
         # c_n = 1/4 keeps q_n below 1 at every r
         cfg = SolverConfig(scheme=SCHEMES["GVIM"], mapping=mapping,
                            schedule=custom_schedule([[0.5, 0.25, 0.25, 1.0]] * 150), x1=x1,
-                           contraction=make_contraction_half(), max_outer=150, tol_step=0.0,
+                           contraction=make_scaling_contraction(0.5), max_outer=150, tol_step=0.0,
                            norm=NormSpec(r))
         trace = run(cfg)
         assert len(trace) > solver.BLOCK_ROWS
@@ -873,7 +870,7 @@ class TestBlocks:
         apply = mapping.apply
         counted = replace(mapping, apply=lambda u: shapes.append(u.shape) or apply(u))
         cfg = SolverConfig(scheme=SCHEMES["AGVIM"], mapping=counted, schedule=paper_schedule(),
-                           x1=x1, contraction=make_contraction_half(), max_outer=150,
+                           x1=x1, contraction=make_scaling_contraction(0.5), max_outer=150,
                            tol_step=0.0)
         run(cfg)
         assert shapes == [(64, 5), (64, 5), (22, 5)]
