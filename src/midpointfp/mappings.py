@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidInputError
-from .space import as_vector
+from .space import _row_norms, as_vector
 
 __all__ = [
     "Mapping",
@@ -204,38 +204,40 @@ _EIGEN_SCALE_MAX = 1.0 - 2.0 ** -20
 
 
 class _AffinePower:
-    """n-th powers of an affine map, holding only the last pair formed,
-    and the solve of the implicit step's linear system.
+    """n-th powers of an affine map on one chain, holding only the last
+    pair formed, and the solve of the implicit step's linear system.
 
-    A run asks for n = 1, 2, 3, ... (possibly interleaved with n = 1), so
-    T^n comes from T^(n-1) with one product; any other n falls back to
-    binary powering. :meth:`solve` works in A's eigenbasis
-    A = V diag(lam) V^-1, computed on its first call; lam^n and
-    rho^n = max|lam|^n are then kept next to (A_n, b_n) the same way.
+    The chain forms T^(m+1) = T o T^m with one product per power, so
+    ``pair(n)`` is the same bits whatever was asked before: a run asks
+    for n = 1, 2, 3, ... (possibly interleaved with n = 1, which is T
+    itself), and a request for an earlier n restarts the chain at T.
+    :meth:`solve` works in A's eigenbasis A = V diag(lam) V^-1, computed
+    on its first call, which restarts the chain too; lam^n and
+    rho^n = max|lam|^n then come from the same steps as (A_n, b_n).
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
-        self.A = A
-        self.b = b
-        self._n, self._An, self._bn = 1, A, b
+        self.A, self.b = A, b
         self._eig = None  # (lam, V, V^-1, rho) once solve has run; False if unusable
-        self._lam_n = self._rho_n = None  # lam ** self._n, max|lam ** self._n| while _eig is set
+        self._restart()
+
+    def _restart(self):
+        # T^1: (A_n, b_n) and, while _eig is set, lam^n and rho^n at n = 1
+        self._n, self._An, self._bn = 1, self.A, self.b
+        if self._eig:
+            self._lam_n, self._rho_n = self._eig[0], self._eig[3]
 
     def pair(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         if n == 1:
             return self.A, self.b
-        if n != self._n:
-            if n == self._n + 1:
-                # T^n = T o T^(n-1)
-                self._An, self._bn = self.A @ self._An, self.A @ self._bn + self.b
-                if self._eig:
-                    self._lam_n = self._eig[0] * self._lam_n
-                    self._rho_n = self._eig[3] * self._rho_n
-            else:
-                self._An, self._bn = affine_power_pair(self.A, self.b, n)
-                if self._eig:
-                    self._lam_n, self._rho_n = _eig_power(self._eig[0], n)
-            self._n = n
+        if n < self._n:
+            self._restart()
+        while self._n < n:  # T^(m+1) = T o T^m
+            self._An, self._bn = self.A @ self._An, self.A @ self._bn + self.b
+            if self._eig:
+                self._lam_n = self._eig[0] * self._lam_n
+                self._rho_n = self._eig[3] * self._rho_n
+            self._n += 1
         return self._An, self._bn
 
     def __call__(self, n: int, u: np.ndarray) -> np.ndarray:
@@ -253,11 +255,10 @@ class _AffinePower:
         rounding), or when |s| max|lam^p| > _EIGEN_SCALE_MAX. Raises
         np.linalg.LinAlgError when the LU system is singular.
         """
-        Ap = self.pair(p)[0]
         if self._eig is None:
             self._eig = _eigenbasis(self.A)
-            if self._eig:
-                self._lam_n, self._rho_n = _eig_power(self._eig[0], self._n)
+            self._restart()
+        Ap = self.pair(p)[0]
         if self._eig:
             lam, V, Vinv, rho = self._eig
             if p != 1:
@@ -273,11 +274,6 @@ def _affine_apply(A: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
         return A @ u + b
     # one gemv per row, as A @ u makes; U @ A.T is a GEMM and rounds differently
     return np.matmul(A, u[..., None])[..., 0] + b
-
-
-def _eig_power(lam: np.ndarray, n: int) -> tuple[np.ndarray, float]:
-    lam_n = lam ** n
-    return lam_n, float(np.abs(lam_n).max())  # inf or NaN once lam_n overflows
 
 
 def _eigenbasis(A: np.ndarray):
@@ -361,14 +357,6 @@ def _declared_k(envelope: Callable[[int], float], n: int) -> float:
     return k
 
 
-def _row_norms(E: np.ndarray) -> np.ndarray:
-    """2-norm of each row of E, each bit for bit ``norm_kernel()`` of the row:
-    one dot product per row (np.einsum sums in another order). A squared
-    norm beyond the float range gives inf, without a warning."""
-    with np.errstate(over="ignore"):
-        return np.sqrt(np.matmul(E[:, None, :], E[:, :, None])[:, 0, 0])
-
-
 @dataclass(frozen=True)
 class EnvelopeReport:
     """Outcome of sampling-based envelope verification."""
@@ -429,7 +417,7 @@ def verify_envelope(mapping: Mapping, n_max: int, samples: int, seed: int) -> En
     guard = 0
     while len(us) < samples and guard < 100 * samples + 100:
         u, v = draw(), draw()
-        keep = np.linalg.norm(u - v, axis=1) >= 1e-9
+        keep = _row_norms(u - v) >= 1e-9
         us, vs = np.concatenate((us, u[keep])), np.concatenate((vs, v[keep]))
         guard += samples
     if len(us) < samples:

@@ -38,11 +38,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import IllPosedError, InnerBudgetError, InvalidInputError
-from .mappings import (
-    Contraction, Mapping, _declared_k, _row_norms, affine_power_pair, power_operator,
-)
+from .mappings import Contraction, Mapping, _declared_k, affine_power_pair, power_operator
 from .schedules import Schedule
-from .space import NormSpec, as_vector, norm_kernel
+from .space import NormSpec, _row_norms, as_vector, norm_kernel
 
 __all__ = [
     "Scheme",
@@ -186,20 +184,21 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class StepResult:
-    """One solved step. ``power_x`` is T^p x_n, the operator term of the
-    first Picard iterate (None on a step with cT = 0, which evaluates no
-    power)."""
+    """One solved step. ``deltas`` holds the first Picard delta and every
+    later one, from y* on the affine path (empty on a step with cT = 0).
+    ``power_x`` is T^p x_n, the operator term of the first Picard iterate
+    (None on a step with cT = 0, which evaluates no power)."""
 
     x: np.ndarray
     inner_iters: int
     q: float
     k: float
     bound: float
-    deltas: Optional[list] = None
+    deltas: list = field(default_factory=list)
     power_x: Optional[np.ndarray] = None
 
 
-def implicit_step(cfg: SolverConfig, n: int, x_n, collect_deltas: bool = False,
+def implicit_step(cfg: SolverConfig, n: int, x_n,
                   coefficients: tuple[float, float, float] | None = None) -> StepResult:
     """Solve one implicit step by Picard iteration on the step map G.
 
@@ -238,8 +237,7 @@ def implicit_step(cfg: SolverConfig, n: int, x_n, collect_deltas: bool = False,
         # delta checks that it is finite
         if not np.isfinite(base).all():
             raise InvalidInputError(f"step {n} is not finite: the contraction gave NaN or Inf")
-        return StepResult(x=base, inner_iters=1, q=q, k=k, bound=0.0,
-                          deltas=[] if collect_deltas else None)
+        return StepResult(x=base, inner_iters=1, q=q, k=k, bound=0.0)
 
     power = power_operator(cfg.mapping, p, cap=cfg.power_cap)
     size = norm_kernel(cfg.norm)
@@ -252,7 +250,7 @@ def implicit_step(cfg: SolverConfig, n: int, x_n, collect_deltas: bool = False,
     if not math.isfinite(first):
         raise _bad_delta(n, q, first, first, 1)
     # every later delta must be <= first, which NaN and inf fail too
-    deltas = [first] if collect_deltas else None
+    deltas = [first]
     bound = factor * first
     m, y1 = 1, None
     if bound > tol and cfg.mapping.affine is not None:
@@ -281,8 +279,7 @@ def implicit_step(cfg: SolverConfig, n: int, x_n, collect_deltas: bool = False,
                 raise _diverges(n, q, f"||G(x_n) - G(y*)|| = {gap:.3e} for "
                                       f"||x_n - y*|| = {dist:.3e}")
             y1 = None
-        if deltas is not None:
-            deltas.append(delta)
+        deltas.append(delta)
         y, bound = y_new, factor * delta
     return StepResult(x=y, inner_iters=m, q=q, k=k, bound=bound, deltas=deltas,
                       power_x=power_x)

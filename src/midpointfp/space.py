@@ -72,6 +72,14 @@ def norm_kernel(spec: NormSpec = NormSpec()) -> Callable[[np.ndarray], float]:
     return lambda v: float(np.linalg.norm(v, ord=p))
 
 
+def _row_norms(E: np.ndarray) -> np.ndarray:
+    """2-norm of each row of E, each bit for bit ``norm_kernel()`` of the row:
+    one dot product per row (np.einsum sums in another order). A squared
+    norm beyond the float range gives inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.matmul(E[:, None, :], E[:, :, None])[:, 0, 0])
+
+
 def norm(x, spec: NormSpec = NormSpec()) -> float:
     """p-norm of ``x``; 0 iff x = 0."""
     return norm_kernel(spec)(as_vector(x))
@@ -101,7 +109,7 @@ def duality_map(x, spec: NormSpec = NormSpec()) -> np.ndarray:
         raise UnsupportedNormError("duality map requires a finite exponent 1 < p < inf")
     v = as_vector(x)
     p = spec.p
-    nrm = norm(v, spec)
+    nrm = norm_kernel(spec)(v)
     if nrm == 0.0:
         return np.zeros_like(v)
     return nrm ** (2.0 - p) * np.abs(v) ** (p - 1.0) * np.sign(v)

@@ -185,7 +185,8 @@ class TestAffine:
 class TestAffinePowerRequests:
     """power_operator on an affine map agrees with binary powering in any request
     order, and so does the eigenbasis solve of (I - s A_n) y = r, whose
-    lam^n must keep in step with A_n."""
+    lam^n must keep in step with A_n. Both give the same bits whatever was
+    asked before."""
 
     @pytest.fixture
     def affine(self):
@@ -227,6 +228,38 @@ class TestAffinePowerRequests:
         for n in range(1, 41):
             self.check(affine, n)
             self.check(affine, 1)
+
+    @staticmethod
+    def stepped(A, b, n):
+        """pair(n) of a fresh map asked for 1, 2, ..., n in turn."""
+        power = make_affine(A, b).affine
+        for m in range(1, n + 1):
+            pair = power.pair(m)
+        return pair
+
+    def test_a_forward_jump_is_the_chain(self, affine):
+        A, b, T, _ = affine
+        for got, want in zip(T.affine.pair(8), self.stepped(A, b, 8)):
+            assert_bitwise(got, want)
+
+    def test_an_earlier_power_restarts_the_chain(self, affine):
+        A, b, T, _ = affine
+        T.affine.pair(8)
+        for got, want in zip(T.affine.pair(5), self.stepped(A, b, 5)):
+            assert_bitwise(got, want)
+
+    def test_solve_is_the_same_after_any_history(self, affine):
+        # lam^8 comes from the chain whatever was asked before: the first
+        # solve restarts it, and so does an earlier power; at s = 50,
+        # s lam^8 is about 0.8, so the last bits of lam^8 reach y
+        A, b, _, u = affine
+        want = make_affine(A, b).affine.solve(8, 50.0, u)
+        for history in ([2, 3, 4, 5, 6, 7], [2], [3, 1, 5], [12], [20, 9]):
+            T = make_affine(A, b)
+            for n in history:
+                T.affine.solve(n, 50.0, u)
+            assert_bitwise(T.affine.solve(8, 50.0, u), want)
+        assert T.affine._eig  # the eigenbasis path, not LU
 
 
 class TestPowerCap:
@@ -385,7 +418,7 @@ class TestStackedEvaluation:
         A, b = rng.standard_normal((d, d)) / np.sqrt(d), rng.standard_normal(d)
         T, U = make_affine(A, b), rng.uniform(-2.0, 2.0, size=(37, d))
         assert_bitwise(T.apply(U), [A @ u + b for u in U])
-        for n in [1, 2, 3, 8, 5]:  # sequential powers, then binary powering
+        for n in [1, 2, 3, 8, 5]:  # a forward jump, then a restart of the chain
             An, bn = T.affine.pair(n)
             assert_bitwise(T.power(n, U), [An @ u + bn for u in U])
 

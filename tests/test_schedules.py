@@ -270,6 +270,26 @@ class TestValidateAgreesWithRun:
             assert report.wellposed.status == "pass"
             assert report.wellposed.value == max(trace.q)
 
+    def test_q_n_first_reaching_one_at_the_horizon(self):
+        # the declared k_11 = 3 makes q_11 = 1.25, the first q_n >= 1: a
+        # horizon of 10 is well posed and runs, one of 11 is neither
+        cfg = SolverConfig(
+            scheme=SCHEMES["AGVIM"],
+            mapping=make_affine(0.5 * np.eye(2), [0.0, 0.0],
+                                envelope=lambda n: 3.0 if n == 11 else 1.0),
+            schedule=paper_schedule(), x1=[1.0, 2.0], contraction=make_scaling_contraction(0.5),
+            tol_step=0.0,
+        )
+        report = validate(cfg, horizon=10)
+        assert report.wellposed.status == "pass" and report.wellposed.at_n == 10
+        trace = run(replace(cfg, max_outer=10))
+        assert len(trace) == 10 and report.wellposed.value == max(trace.q)
+        report = validate(cfg, horizon=11)
+        assert (report.wellposed.status, report.wellposed.at_n) == ("fail", 11)
+        with pytest.raises(IllPosedError, match="not a contraction") as err:
+            run(replace(cfg, max_outer=11))
+        assert (err.value.n, err.value.q) == (11, report.wellposed.value) == (11, 1.25)
+
     @pytest.mark.xfail(raises=IllPosedError, strict=True,
                        reason="tol_inner is absolute (ROADMAP item 2): once the iterates "
                               "grow, rounding in the step exceeds it and the pair check fails")

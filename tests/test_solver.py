@@ -81,7 +81,7 @@ class TestImplicitStep:
     def test_one_d_identity_example(self):
         # x = 0.25 + 0.25 (1 + x) has the unique solution 2/3
         cfg = one_d_identity_cfg()
-        res = implicit_step(cfg, 1, [1.0], collect_deltas=True)
+        res = implicit_step(cfg, 1, [1.0])
         assert abs(res.x[0] - 2.0 / 3.0) <= cfg.tol_inner
         # first Picard iterates are 0.75 then 0.6875
         assert res.deltas[0] == 0.25
@@ -304,7 +304,7 @@ class TestImplicitStep:
                 x1=rng.standard_normal(d), contraction=make_scaling_contraction(0.4),
             )
             n = int(rng.integers(2, 6))
-            res = implicit_step(cfg, n, rng.standard_normal(d), collect_deltas=True)
+            res = implicit_step(cfg, n, rng.standard_normal(d))
             for prev, cur in zip(res.deltas, res.deltas[1:]):
                 if prev == 0.0:
                     assert cur == 0.0
@@ -363,7 +363,7 @@ class TestImplicitStep:
             )
             n = int(rng.integers(2, 7))
             x_n = rng.standard_normal(d)
-            res = implicit_step(cfg, n, x_n, collect_deltas=True)
+            res = implicit_step(cfg, n, x_n)
             assert res.inner_iters == 1
             assert res.bound <= cfg.tol_inner < res.deltas[0] * res.q / (1.0 - res.q)
             want = implicit_step_affine_oracle(A, b, cfg.scheme, sched, n, x_n, cfg.contraction)
@@ -399,7 +399,7 @@ class TestPicardLoop:
 
     def test_a_delta_equal_to_the_first_passes(self):
         # deltas 2, 2, 0
-        res = implicit_step(scripted_cfg([4.0, 8.0, 8.0]), 1, [0.0], collect_deltas=True)
+        res = implicit_step(scripted_cfg([4.0, 8.0, 8.0]), 1, [0.0])
         assert res.deltas == [2.0, 2.0, 0.0]
         assert res.x[0] == 4.0 and res.inner_iters == 3
 
@@ -452,7 +452,7 @@ class TestPicardLoop:
         cfg = SolverConfig(scheme=SCHEMES["GVIM"], mapping=replace(T, power=power, affine=OffSolve()),
                            schedule=custom_schedule([[0.5, 0.0, 0.5, 1.0]]), x1=[1.0],
                            contraction=make_scaling_contraction(0.5), max_inner=2)
-        res = implicit_step(cfg, 1, [1.0], collect_deltas=True)
+        res = implicit_step(cfg, 1, [1.0])
         assert res.inner_iters == 2 and len(calls) == 3
         # G(y) = 0.375 + 0.125 y from x_n = 1: the first delta is 0.5, then
         # each delta from y* + e is 0.875 e and shrinks by 0.125
@@ -465,16 +465,17 @@ class TestPicardLoop:
     def test_collected_deltas(self):
         # G(y) = 0.5 + 0.25 y from x_n = 1: dyadic iterates, deltas 4^-m,
         # accepted once (1/3) 4^-m <= 1e-12
-        res = implicit_step(one_d_identity_cfg(), 1, [1.0], collect_deltas=True)
+        res = implicit_step(one_d_identity_cfg(), 1, [1.0])
         assert res.deltas == [0.25 ** m for m in range(1, 21)]
         assert res.inner_iters == 20
-        assert implicit_step(one_d_identity_cfg(), 1, [1.0]).deltas is None
         # on the affine path the list holds the first delta, then the deltas from y*
         cfg = replace(one_d_identity_cfg(), mapping=make_affine([[1.0]], [0.0]))
-        res = implicit_step(cfg, 1, [1.0], collect_deltas=True)
+        res = implicit_step(cfg, 1, [1.0])
         assert res.inner_iters == 1
         assert res.deltas[0] == 0.25 and len(res.deltas) == 2
         assert res.deltas[1] <= 3.0 * cfg.tol_inner
+        # a step without the operator term (c_1 = 0) makes no Picard iteration
+        assert implicit_step(benchmark_cfg([0.0, 1.0]), 1, [0.0, 1.0]).deltas == []
 
 
 def _orthogonal_d60():
@@ -667,6 +668,21 @@ class TestRun:
         assert trace.step_norm[0] == 0.0
         assert trace.res_map[0] == pytest.approx(math.sqrt(2.0))
         assert len(trace) > 1
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="the step-norm stop guards only cT = 0 (ROADMAP item 11): a "
+                              "tiny cT stands still, and the run says converged, off the fixed set")
+    def test_a_tiny_operator_coefficient_does_not_stop_off_the_fixed_set(self):
+        # T(u) = u + 1 fixes no point; IMR's step 1 with cT = 1e-300 moves x
+        # from 0 to 1e-300, whose squared step norm underflows to 0
+        for tol_step in (1e-8, 0.0):
+            cfg = SolverConfig(scheme=SCHEMES["IMR"], mapping=make_affine([[1.0]], [1.0]),
+                               schedule=custom_schedule([[1e-300, 0.0, 1.0, 1.0]]), x1=[0.0],
+                               max_outer=1, tol_step=tol_step)
+            trace = run(cfg)
+            assert trace.final[0] == 1e-300
+            residual = norm(trace.final - cfg.mapping(trace.final))
+            assert not trace.converged or residual <= tol_step
 
     def test_illposed_prescan_names_first_offender(self):
         # power scheme: q_3 = c_3 k_3 / 2 = 0.9 * 4 / 2 >= 1, raised when
