@@ -210,7 +210,8 @@ class _AffinePower:
     The chain forms T^(m+1) = T o T^m with one product per power, so
     ``pair(n)`` is the same bits whatever was asked before: a run asks
     for n = 1, 2, 3, ... (possibly interleaved with n = 1, which is T
-    itself), and a request for an earlier n restarts the chain at T.
+    itself), a request for an earlier n restarts the chain at T, and one
+    for n < 1 raises InvalidInputError.
     :meth:`solve` works in A's eigenbasis A = V diag(lam) V^-1, computed
     on its first call, which restarts the chain too; lam^n and
     rho^n = max|lam|^n then come from the same steps as (A_n, b_n).
@@ -228,12 +229,16 @@ class _AffinePower:
             self._lam_n, self._rho_n = self._eig[0], self._eig[3]
 
     def pair(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        if n == self._n:  # the pair held: a step asks for it more than once
+            return self._An, self._bn
         if n == 1:
             return self.A, self.b
         if n < self._n:
+            if n < 1:
+                raise InvalidInputError(f"power must be a positive integer, got {n}")
             self._restart()
         while self._n < n:  # T^(m+1) = T o T^m
-            self._An, self._bn = self.A @ self._An, self.A @ self._bn + self.b
+            self._An, self._bn = self.A.dot(self._An), self.A.dot(self._bn) + self.b
             if self._eig:
                 self._lam_n = self._eig[0] * self._lam_n
                 self._rho_n = self._eig[3] * self._rho_n
@@ -264,15 +269,15 @@ class _AffinePower:
             if p != 1:
                 lam, rho = self._lam_n, self._rho_n
             if abs(s) * rho <= _EIGEN_SCALE_MAX:  # NaN fails too
-                return (V @ ((Vinv @ r) / (1.0 - s * lam))).real
+                return V.dot(Vinv.dot(r) / (1.0 - s * lam)).real
         return np.linalg.solve(np.eye(r.size) - s * Ap, r)
 
 
 def _affine_apply(A: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
     """A u + b for a point u, or for each row of a (B, d) stack u."""
     if u.ndim == 1:
-        return A @ u + b
-    # one gemv per row, as A @ u makes; U @ A.T is a GEMM and rounds differently
+        return A.dot(u) + b
+    # one gemv per row, as A.dot(u) makes; U @ A.T is a GEMM and rounds differently
     return np.matmul(A, u[..., None])[..., 0] + b
 
 

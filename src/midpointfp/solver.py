@@ -178,16 +178,18 @@ class SolverConfig:
             lip = float(np.linalg.norm(affine.pair(p)[0], np.inf))
             k = math.inf if math.isnan(lip) else max(_declared_k(self.schedule.k, p), lip)
         else:
-            k = self.envelope(p, self.mapping.domain_dim ** abs(1.0 / r - 0.5))
+            k = self.envelope(p, 1.0 if r == 2.0 else self.mapping.domain_dim ** abs(1.0 / r - 0.5))
         return (0.5 * cT * k if cT != 0.0 else 0.0), k
 
 
-@dataclass(frozen=True)
+@dataclass
 class StepResult:
     """One solved step. ``deltas`` holds the first Picard delta and every
     later one, from y* on the affine path (empty on a step with cT = 0).
     ``power_x`` is T^p x_n, the operator term of the first Picard iterate
-    (None on a step with cT = 0, which evaluates no power)."""
+    (None on a step with cT = 0, which evaluates no power). It is not
+    frozen: a frozen dataclass's ``__init__`` takes about twice as long,
+    and every step builds one."""
 
     x: np.ndarray
     inner_iters: int
@@ -246,7 +248,8 @@ def implicit_step(cfg: SolverConfig, n: int, x_n,
     # the first iterate's midpoint is x_n itself: 0.5 * (x_n + x_n) == x_n
     power_x = power(x_n)
     y = base + cT * power_x
-    first = size(y - x_n)
+    residual = y - x_n  # of the affine system at x_n too
+    first = size(residual)
     if not math.isfinite(first):
         raise _bad_delta(n, q, first, first, 1)
     # every later delta must be <= first, which NaN and inf fail too
@@ -258,7 +261,7 @@ def implicit_step(cfg: SolverConfig, n: int, x_n,
         # system's residual at x_n); the loop counts from y* and first checks
         # that G brings x_n and y* closer by q_n
         try:
-            y1, y = y, x_n + cfg.mapping.affine.solve(p, 0.5 * cT, y - x_n)
+            y1, y = y, x_n + cfg.mapping.affine.solve(p, 0.5 * cT, residual)
         except np.linalg.LinAlgError as exc:
             raise IllPosedError(f"singular implicit system at n={n}: {exc}", n=n, q=q) from exc
         m, bound = 0, math.inf

@@ -50,7 +50,9 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise InvalidInputError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
+    # v . v is finite when every entry is, unless it overflows, and only then
+    # are the entries scanned; np.vdot, unlike ndarray.dot, warns of no overflow
+    if not math.isfinite(np.vdot(v, v)) and not np.isfinite(v).all():
         raise InvalidInputError("vector contains NaN or Inf")
     if dim is not None and v.size != dim:
         raise InvalidInputError(f"dimension mismatch: expected {dim}, got {v.size}")
@@ -66,10 +68,18 @@ def norm_kernel(spec: NormSpec = NormSpec()) -> Callable[[np.ndarray], float]:
     """
     p = spec.p
     if p == 2.0:
-        return lambda v: math.sqrt(v.dot(v))
+        return _norm_2
     if math.isinf(p):
-        return lambda v: float(np.max(np.abs(v)))
+        return _norm_inf
     return lambda v: float(np.linalg.norm(v, ord=p))
+
+
+def _norm_2(v: np.ndarray) -> float:
+    return math.sqrt(v.dot(v))
+
+
+def _norm_inf(v: np.ndarray) -> float:
+    return float(np.max(np.abs(v)))
 
 
 def _row_norms(E: np.ndarray) -> np.ndarray:

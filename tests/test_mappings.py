@@ -261,6 +261,19 @@ class TestAffinePowerRequests:
             assert_bitwise(T.affine.solve(8, 50.0, u), want)
         assert T.affine._eig  # the eigenbasis path, not LU
 
+    @pytest.mark.parametrize("p", [0, -2])
+    def test_powers_below_one_are_refused(self, affine, p):
+        _, _, T, u = affine
+        for history in ([], [1], [5]):  # a fresh chain, one at T, one at T^5
+            for n in history:
+                T.affine.pair(n)
+            for call in (lambda: T.power(p, u), lambda: T.affine.pair(p),
+                         lambda: T.affine.solve(p, 0.45, u)):
+                with pytest.raises(InvalidInputError, match=f"positive integer, got {p}"):
+                    call()
+        # a refused request leaves the chain as it was
+        assert_bitwise(T.power(2, u), power_operator(make_affine(*affine[:2]), 2)(u))
+
 
 class TestPowerCap:
     def test_cap_only_binds_without_closed_form(self):
@@ -417,10 +430,11 @@ class TestStackedEvaluation:
         rng = np.random.default_rng(d)
         A, b = rng.standard_normal((d, d)) / np.sqrt(d), rng.standard_normal(d)
         T, U = make_affine(A, b), rng.uniform(-2.0, 2.0, size=(37, d))
-        assert_bitwise(T.apply(U), [A @ u + b for u in U])
+        # the stack is one matmul, the 1-D calls ndarray.dot: the same
+        # gemv per row, whichever kernel the BLAS picks
+        assert_bitwise(T.apply(U), [T.apply(u) for u in U])
         for n in [1, 2, 3, 8, 5]:  # a forward jump, then a restart of the chain
-            An, bn = T.affine.pair(n)
-            assert_bitwise(T.power(n, U), [An @ u + bn for u in U])
+            assert_bitwise(T.power(n, U), [T.power(n, u) for u in U])
 
     def test_only_the_library_maps_declare_stacks(self):
         assert make_flip_map().rowwise and make_affine(np.eye(2), np.zeros(2)).rowwise

@@ -92,6 +92,18 @@ class TestImplicitStep:
         assert oracle[0] == pytest.approx(2.0 / 3.0, abs=1e-15)
         assert abs(res.x[0] - oracle[0]) <= cfg.tol_inner
 
+    @pytest.mark.parametrize("x", [[1e200, -1e200], [1e308] * 3])
+    def test_finite_point_whose_square_overflows(self, x):
+        # x . x overflows, so the finiteness check scans the entries; the
+        # identity map with a = 1/2 steps to 0.5 x + 0.5 x, which is x exactly
+        d = len(x)
+        cfg = SolverConfig(scheme=SCHEMES["IMR"], mapping=make_affine(np.eye(d), np.zeros(d)),
+                           schedule=custom_schedule([[0.5, 0.0, 0.5, 1.0]]), x1=x)
+        np.testing.assert_array_equal(cfg.x1, x)
+        res = implicit_step(cfg, 1, x)
+        np.testing.assert_array_equal(res.x, x)
+        assert res.deltas == [0.0]
+
     def test_common_fixed_point_is_stationary(self):
         cfg = benchmark_cfg([0.0, 0.0])
         res = implicit_step(cfg, 2, [0.0, 0.0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from midpointfp.errors import InvalidInputError, UnsupportedNormError
-from midpointfp.space import NormSpec, duality_map, inner, norm, norm_kernel
+from midpointfp.space import NormSpec, as_vector, duality_map, inner, norm, norm_kernel
 
 
 class TestNorm:
@@ -60,6 +60,25 @@ class TestNorm:
             assert norm_kernel(NormSpec(2.0))(v) == np.linalg.norm(v, 2)
             assert norm_kernel(NormSpec(math.inf))(v) == np.max(np.abs(v))
             assert norm_kernel(NormSpec(3.0))(v) == np.linalg.norm(v, 3)
+
+
+class TestAsVector:
+    """The entries are scanned only when v . v is not finite: a finite vector
+    whose squared norm overflows passes, and NaN or Inf anywhere is refused
+    with one message."""
+
+    @pytest.mark.parametrize("x", [[1e200, -1e200], [1e308] * 3])
+    def test_finite_vector_whose_square_overflows(self, x):
+        np.testing.assert_array_equal(as_vector(x, dim=len(x)), x)
+
+    @pytest.mark.parametrize("fill", [1.0, 1e200])  # the other squares small, or overflowing
+    @pytest.mark.parametrize("at", [0, 2, 4])  # first, middle, last coordinate
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_entry_is_refused(self, fill, at, bad):
+        x = [fill] * 5
+        x[at] = bad
+        with pytest.raises(InvalidInputError, match=r"^vector contains NaN or Inf$"):
+            as_vector(x)
 
 
 class TestInner:
