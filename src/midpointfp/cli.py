@@ -20,6 +20,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from . import _csv_writer
 from .config import load_config
 from .diagnostics import check_vi, compare_schemes, sample_fixed_set_flip
-from .errors import ConfigError, MidpointError
+from .errors import ConfigError, InvalidInputError, MidpointError
 from .mappings import make_flip_map, make_scaling_contraction, verify_envelope
 from .schedules import paper_schedule, validate
 from .solver import SCHEMES, STEP_COLUMNS, SolverConfig, Trace, run
@@ -80,8 +81,8 @@ def _trace_csv(path: Path, trace: Trace):
     _write_table(path, _trace_header(trace.final.size), trace.rows[:-1])
 
 
-# a run's trace.csv is written by a helper process once the run has made
-# this many cells and goes on, if the process may use 2 CPUs
+# a run's trace.csv is written by a helper process once the run has passed
+# on this many cells, if the process may use 2 CPUs
 WRITER_CELLS = 4096
 _WRITER = Path(__file__).with_name("_csv_writer.py")
 
@@ -96,31 +97,51 @@ def _usable_cpus() -> int:
 class _TraceWriter:
     """Writes a run's trace.csv, as ``run``'s block consumer.
 
-    Once the run has made WRITER_CELLS cells and goes on, and if the
+    On the first block whose rows reach WRITER_CELLS cells, and if the
     process may use 2 CPUs, it starts the stdlib-only writer script and
-    sends it every finished row as raw float64 values, so that the rows
-    are formatted on the other CPU while the run goes on; ``finish`` then
-    waits for it. A shorter run, or one on a single CPU, is written by
-    ``_trace_csv`` in ``finish``. Either way the rows go to a ``.part``
-    file, which ``finish`` renames to ``path``, and the bytes are the
-    same. ``abort`` kills and reaps a helper that is still running and
-    removes the partial file.
+    sends it those rows as raw float64 values, then the new rows of every
+    later block, so that they are formatted on the other CPU while the run
+    goes on; ``finish`` sends the rows of the run's last block and waits
+    for the helper. A run that passes on too few cells, or one on a single
+    CPU, is written by ``_trace_csv`` in ``finish``. Either way the rows go
+    to a ``.part`` file, which ``finish`` renames to ``path``, and the bytes
+    are the same. ``abort`` kills and reaps a helper that is still running
+    and removes the partial file.
     """
 
-    def __init__(self, path: Path, cfg: SolverConfig):
+    def __init__(self, path: Path, dim: int):
         self.path = path
         self.part = path.with_name(path.name + ".part")
-        self.max_outer = cfg.max_outer
+        self.dim = dim
         self.parallel = _usable_cpus() >= 2
         self.proc = None
-        self.rows, self.longest = 0, 0.0  # the longest block write, in s
+        self.rows, self.longest = 0, 0.0  # rows sent; the longest block write, in s
 
-    def __call__(self, trace: Trace, start: int):
-        if self.proc is None:
-            if not self._start(trace):
-                return
-            start = 0
-        rows = trace.rows[start:len(trace)]  # C-ordered: sent without a copy
+    def __call__(self, rows: np.ndarray):
+        if self.proc is not None or self._start(rows):
+            self._send(rows[self.rows:])
+
+    def _start(self, rows: np.ndarray) -> bool:
+        """Start the helper if the rows reach WRITER_CELLS cells."""
+        if not (self.parallel and rows.size >= WRITER_CELLS):
+            return False
+        try:
+            self.proc = subprocess.Popen(
+                [sys.executable, "-I", "-S", str(_WRITER), str(self.part), str(rows.shape[1]),
+                 _header_line(_trace_header(self.dim)), _row_format(rows.shape[1])],
+                stdin=subprocess.PIPE, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        except OSError as exc:  # no helper: write after the run instead
+            log.debug("trace writer not started: %s", exc)
+            self.parallel = False
+            return False
+        with contextlib.suppress(ImportError, AttributeError, OSError):
+            import fcntl  # a 1 MiB pipe (Linux): no block write waits for the helper's start
+            fcntl.fcntl(self.proc.stdin.fileno(), fcntl.F_SETPIPE_SZ, 1 << 20)
+        log.debug("trace writer started at n=%d (%d cells)", len(rows), rows.size)
+        return True
+
+    def _send(self, rows: np.ndarray):
+        """Send C-ordered rows to the helper, without a copy."""
         began = time.perf_counter()
         try:
             self.proc.stdin.write(rows)
@@ -130,27 +151,6 @@ class _TraceWriter:
             raise
         self.longest = max(self.longest, time.perf_counter() - began)
         self.rows += len(rows)
-
-    def _start(self, trace: Trace) -> bool:
-        """Start the helper if the run is long enough and goes on."""
-        n, width = len(trace), trace.rows.shape[1]
-        if not (self.parallel and n * width >= WRITER_CELLS
-                and n < self.max_outer and not trace.converged):
-            return False
-        try:
-            self.proc = subprocess.Popen(
-                [sys.executable, "-I", "-S", str(_WRITER), str(self.part), str(width),
-                 _header_line(_trace_header(trace.final.size)), _row_format(width)],
-                stdin=subprocess.PIPE, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-        except OSError as exc:  # no helper: write after the run instead
-            log.debug("trace writer not started: %s", exc)
-            self.parallel = False
-            return False
-        with contextlib.suppress(ImportError, AttributeError, OSError):
-            import fcntl  # a 1 MiB pipe (Linux): no block write waits for the helper's start
-            fcntl.fcntl(self.proc.stdin.fileno(), fcntl.F_SETPIPE_SZ, 1 << 20)
-        log.debug("trace writer started at n=%d (%d cells)", n, n * width)
-        return True
 
     def _reap(self):
         """Close the pipe, wait for the helper, and raise OSError if it failed."""
@@ -172,6 +172,7 @@ class _TraceWriter:
         if self.proc is None:
             _trace_csv(self.part, trace)
         else:
+            self._send(trace.rows[self.rows:-1])
             self._reap()
             self.proc = None
         os.replace(self.part, self.path)
@@ -197,7 +198,7 @@ def cmd_run(args) -> int:
     solver_cfg = cfg.build_solver_config()
     out = _out_dir(args.out)
     path = out / "trace.csv"
-    writer = _TraceWriter(path, solver_cfg)
+    writer = _TraceWriter(path, solver_cfg.mapping.domain_dim)
     try:
         trace = run(solver_cfg, writer)
         writer.finish(trace)
@@ -215,7 +216,11 @@ def cmd_run(args) -> int:
 
 def cmd_validate_schedule(args) -> int:
     cfg = load_config(args.config)
-    solver_cfgs = [cfg.build_solver_config(scheme) for scheme in cfg.schemes()]
+    first = cfg.build_solver_config()  # of the first scheme; the others' derive from it
+    try:  # a later scheme's error, e.g. a missing contraction, is a config error too
+        solver_cfgs = [first] + [replace(first, scheme=scheme) for scheme in cfg.schemes()[1:]]
+    except InvalidInputError as exc:
+        raise ConfigError(str(exc)) from exc
     reports = [validate(c, horizon=args.horizon) for c in solver_cfgs]
     width = max(len(label) for label, *_ in reports[0].rows())
     for c, report in zip(solver_cfgs, reports):

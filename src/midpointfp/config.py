@@ -207,12 +207,13 @@ class ExperimentConfig:
         return [scheme_by_name(name) for name in self.scheme]
 
     @_as_config_error
-    def build_solver_config(self, scheme: Scheme | None = None) -> SolverConfig:
+    def build_solver_config(self) -> SolverConfig:
+        """The first scheme's; ``dataclasses.replace`` derives the others'."""
         settings = dict(self.settings)
         if "norm_p" in settings:
             settings["norm"] = NormSpec(settings.pop("norm_p"))
         return SolverConfig(
-            scheme=scheme if scheme is not None else self.schemes()[0],
+            scheme=self.schemes()[0],
             mapping=self.build_mapping(),
             schedule=self.build_schedule(),
             x1=self.x1,

@@ -57,14 +57,13 @@ class Mapping:
 
     ``rowwise`` declares that ``apply`` and ``power`` also take a (B, d)
     stack of points and return the (B, d) stack of their images, each row
-    bit for bit the 1-D call on that row; :func:`verify_envelope` then
-    evaluates each power once per side on the whole sample stack. The
-    flip and affine maps declare it. It is opt-in because a map written
-    for 1-D input can return wrong rows on a stack without failing
-    (``lambda u: Q @ u`` on a (d, d) stack computes Q U, not U Q^T), so an
-    undeclared map only ever receives 1-D points. Stacks go through
-    ``apply`` and ``power`` themselves, so whatever wraps those two fields
-    sees every evaluation.
+    bit for bit the 1-D call on that row; :meth:`images` then evaluates a
+    stack in one call. The flip and affine maps declare it. It is opt-in
+    because a map written for 1-D input can return wrong rows on a stack
+    without failing (``lambda u: Q @ u`` on a (d, d) stack computes Q U,
+    not U Q^T), so an undeclared map only ever receives 1-D points. Stacks
+    go through ``apply`` and ``power`` themselves, so whatever wraps those
+    two fields sees every evaluation.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -79,6 +78,19 @@ class Mapping:
     def __call__(self, u) -> np.ndarray:
         v = as_vector(u, dim=self.domain_dim)
         return np.asarray(self.apply(v), dtype=float)
+
+    def images(self, f: Callable[[np.ndarray], np.ndarray], U: np.ndarray) -> np.ndarray:
+        """f (``apply`` or a power) on each row of the (B, d) stack U: one
+        call for a ``rowwise`` map, else one per row. Raises
+        InvalidInputError unless the images form a stack of U's shape."""
+        if self.rowwise:
+            images = np.asarray(f(U), dtype=float)
+        else:
+            images = np.array([np.asarray(f(u), dtype=float) for u in U])
+        if images.shape != U.shape:
+            raise InvalidInputError(f"mapping {self.name!r} gave images of shape "
+                                    f"{images.shape} for points of shape {U.shape}")
+        return images
 
 
 @dataclass(frozen=True)
@@ -394,12 +406,12 @@ def verify_envelope(mapping: Mapping, n_max: int, samples: int, seed: int) -> En
     maximum over samples and n <= n_max of ratio - k_n; passes iff
     <= ENVELOPE_TOL (1e-10).
     Each drawn stack of sample points is checked once. Per n, the u side
-    and the v side of the pairs each take one stacked call, T^n on the
-    pairs or T on the previous images, when the mapping is ``rowwise``:
-    2 * n_max calls; otherwise every row is its own call, 2 * samples *
-    n_max in all. An exceeded envelope, also a distance that overflows to
-    inf, yields a failing report; a malformed or non-finite sample stack,
-    or a NaN or Inf entry in an image difference T^n u - T^n v, raises
+    and the v side of the pairs each go through :meth:`Mapping.images`,
+    T^n on the pairs or T on the previous images: 2 * n_max calls for a
+    ``rowwise`` map, 2 * samples * n_max otherwise. An exceeded envelope,
+    also a distance that overflows to inf, yields a failing report; a
+    malformed or non-finite sample stack, a malformed stack of images, or
+    a NaN or Inf entry in an image difference T^n u - T^n v, raises
     InvalidInputError.
     """
     if n_max < 1 or samples < 1:
@@ -429,16 +441,6 @@ def verify_envelope(mapping: Mapping, n_max: int, samples: int, seed: int) -> En
         raise InvalidInputError("could not draw enough well-separated sample pairs")
     us, vs = us[:samples], vs[:samples]
 
-    def evaluate(f, U):
-        if mapping.rowwise:
-            images = np.asarray(f(U), dtype=float)
-        else:
-            images = np.array([np.asarray(f(u), dtype=float) for u in U])
-        if images.shape != U.shape:
-            raise InvalidInputError(f"mapping {mapping.name!r} gave images of shape "
-                                    f"{images.shape} for points of shape {U.shape}")
-        return images
-
     max_excess = -np.inf
     worst_n = 1
     worst_pair = (us[0].copy(), vs[0].copy())
@@ -450,9 +452,9 @@ def verify_envelope(mapping: Mapping, n_max: int, samples: int, seed: int) -> En
     for n in range(1, n_max + 1):
         if mapping.power is not None:  # T^n of the pairs
             step = partial(mapping.power, n)
-            tus, tvs = evaluate(step, us), evaluate(step, vs)
+            tus, tvs = mapping.images(step, us), mapping.images(step, vs)
         else:  # T of (T^(n-1) u, T^(n-1) v)
-            tus, tvs = evaluate(mapping.apply, tus), evaluate(mapping.apply, tvs)
+            tus, tvs = mapping.images(mapping.apply, tus), mapping.images(mapping.apply, tvs)
         diffs = tus - tvs
         if not np.isfinite(diffs).all():
             raise InvalidInputError(f"an image difference T^{n} u - T^{n} v contains NaN or Inf")

@@ -383,17 +383,8 @@ _FIRST_ROWS = 4096
 BLOCK_ROWS = 64
 
 
-def _residuals(mapping: Mapping, size, r: float, X: np.ndarray) -> np.ndarray:
-    """||x - T x|| of each row x of X: one stacked ``apply`` for a
-    ``rowwise`` map (bit for bit the per-row values), else one per row."""
-    if not mapping.rowwise:
-        return np.array([size(x - mapping.apply(x)) for x in X])
-    E = X - mapping.apply(X)
-    return _row_norms(E) if r == 2.0 else np.array([size(e) for e in E])
-
-
 def run(cfg: SolverConfig,
-        on_block: Optional[Callable[[Trace, int], None]] = None) -> Trace:
+        on_block: Optional[Callable[[np.ndarray], None]] = None) -> Trace:
     """Iterate the configured scheme from x1.
 
     Stops when ||x_{n+1} - x_n|| <= tol_step or after max_outer steps; on
@@ -405,9 +396,10 @@ def run(cfg: SolverConfig,
     whole horizon upfront.
 
     Rows are finished in blocks of :data:`BLOCK_ROWS` steps (n and res_map
-    are filled per block), and after each block, the last one possibly
-    shorter, ``on_block(trace, start)`` gets the trace so far, whose rows
-    from ``start`` on are the new ones.
+    are filled per block, the last block possibly shorter). After each
+    finished block that the run goes on from, ``on_block(rows)`` gets
+    trace.csv's rows so far, a view of the table that the returned
+    :class:`Trace` holds; the last block is never passed on.
     """
     total, d = cfg.max_outer, cfg.mapping.domain_dim
     rows = min(total, _FIRST_ROWS)
@@ -417,13 +409,7 @@ def run(cfg: SolverConfig,
     sched = cfg.schedule
     use_power = cfg.scheme.use_power
     x = table[0, 1:1 + d] = cfg.x1
-    converged = False
     start = 0
-
-    def trace(n: int) -> Trace:
-        table[n, 0], table[n, 1 + d:] = n + 1, math.nan  # the row of x_{n+1}
-        return Trace(rows=table[: n + 1], converged=converged)
-
     for n in range(1, total + 1):
         abc = sched.a(n), sched.b(n), sched.c(n)
         coef = cfg.scheme.coefficients_from(*abc)
@@ -448,13 +434,15 @@ def run(cfg: SolverConfig,
             coef[2] != 0.0 or size(x - apply(x)) <= cfg.tol_step
         )
         x = table[n, 1:1 + d] = step.x
-        if converged or n % BLOCK_ROWS == 0 or n == total:
+        last = converged or n == total
+        if last or n % BLOCK_ROWS == 0:  # ||x - T x|| of the block's rows, bit for bit per row
+            E = table[start:n, 1:1 + d] - cfg.mapping.images(apply, table[start:n, 1:1 + d])
             table[start:n, 0] = np.arange(start + 1, n + 1)
-            table[start:n, 2 + d] = _residuals(cfg.mapping, size, cfg.norm.p,
-                                               table[start:n, 1:1 + d])
+            table[start:n, 2 + d] = _row_norms(E) if cfg.norm.p == 2.0 else [size(e) for e in E]
+            if last:
+                break
             if on_block is not None:
-                on_block(trace(n), start)
+                on_block(table[:n])
             start = n
-        if converged:
-            break
-    return trace(n)
+    table[n, 0], table[n, 1 + d:] = n + 1, math.nan  # the row of x_{n+1}
+    return Trace(rows=table[: n + 1], converged=converged)

@@ -291,6 +291,33 @@ class TestValidateScheduleCommand:
         assert out.index("scheme GVIM,") < out.index("scheme AGVIM,")
 
 
+    @pytest.mark.parametrize("norm_p", [2.0, math.inf])
+    def test_the_mapping_is_built_once_for_every_scheme(self, tmp_path, capsys, monkeypatch,
+                                                        norm_p):
+        # each scheme's config is derived from one SolverConfig, and its
+        # report is the one a config naming that scheme alone gives
+        built = []
+        make_affine = config.make_affine
+        monkeypatch.setattr(config, "make_affine",
+                            lambda *args, **kw: built.append(args) or make_affine(*args, **kw))
+        schemes = ["IMR", "VIM", "GVIM", "AGVIM", "AVIM63"]
+        data = {**BENCHMARK, "x1": [1.0, 1.0], "norm_p": norm_p,
+                "mapping": {"kind": "affine", "A": [[0.6, -0.8], [0.8, 0.6]], "b": [0.5, 0.0]}}
+        argv = ["validate-schedule", "--horizon", "300", "--config"]
+        code = main(argv + [write_config(tmp_path, {**data, "scheme": schemes})])
+        out = capsys.readouterr().out
+        assert len(built) == 1
+        alone = []
+        for scheme in schemes:
+            assert main(argv + [write_config(tmp_path, {**data, "scheme": scheme})]) in (0, 3)
+            alone.append(capsys.readouterr().out.rsplit("overall: ", 1))
+        assert len(built) == 1 + len(schemes)
+        passed = all(verdict == "PASS\n" for _, verdict in alone)
+        assert out == "".join(report for report, _ in alone) + (
+            f"overall: {'PASS' if passed else 'FAIL'}\n")
+        assert code == (0 if passed else 3)
+
+
 class TestCompareCommand:
     def test_three_scheme_csv(self, tmp_path):
         data = {**BENCHMARK, "scheme": ["VIM", "GVIM", "AGVIM"], "max_outer": 30,
@@ -597,6 +624,10 @@ ERRORS = {
                         "error: implicit step not a contraction at n=1"),
     "past the table": (SHORT_TABLE, ["run", "--out", "{tmp}"],
                        "error: custom schedule defined for n in [1, 2], requested n=3"),
+    # a scheme after the first that needs the missing contraction
+    "scheme without its contraction": (
+        {**{k: v for k, v in BENCHMARK.items() if k != "contraction"}, "scheme": ["IMR", "VIM"]},
+        ["validate-schedule"], "config error: scheme VIM needs a contraction"),
     "run out is a file": (BENCHMARK, ["run", "--out", "{tmp}/file/sub"], "error: "),
     "compare out is a file": ({**BENCHMARK, "scheme": ["VIM", "AGVIM"]},
                               ["compare", "--out", "{tmp}/file/sub"], "error: "),

@@ -104,6 +104,20 @@ class TestImplicitStep:
         np.testing.assert_array_equal(res.x, x)
         assert res.deltas == [0.0]
 
+    @pytest.mark.xfail(raises=(RuntimeWarning, IllPosedError), strict=True,
+                       reason="the 2-norm squares the entries (CHANGES.md, FOUND in PR 23): a "
+                              "finite delta whose square overflows reads inf, so the step is "
+                              "reported as not finite")
+    def test_a_step_whose_deltas_square_past_the_float_range_is_finite(self):
+        # T = 0.9 I: IMR's step y = x_n / 2 + (0.9 / 2) (x_n + y) / 2 is
+        # y = (0.725 / 0.775) x_n, and every iterate is finite
+        x = np.array([1e200, -1e200])
+        cfg = SolverConfig(scheme=SCHEMES["IMR"], mapping=make_affine(0.9 * np.eye(2), [0.0, 0.0]),
+                           schedule=custom_schedule([[0.5, 0.0, 0.5, 1.0]]), x1=x)
+        res = implicit_step(cfg, 1, x)
+        assert np.isfinite(res.x).all()
+        np.testing.assert_allclose(res.x, 0.725 / 0.775 * x, rtol=1e-12)
+
     def test_common_fixed_point_is_stationary(self):
         cfg = benchmark_cfg([0.0, 0.0])
         res = implicit_step(cfg, 2, [0.0, 0.0])
@@ -904,19 +918,28 @@ class TestBlocks:
         assert shapes == [(64, 5), (64, 5), (22, 5)]
 
     def test_each_block_is_passed_on_once_finished(self):
+        # trace.csv's rows so far, with n and res_T filled, as a view of the
+        # returned table; the last block (n = 129..150) is not passed on
         blocks = []
-        cfg = benchmark_cfg([-2.0, 1.0], max_outer=150)
-        trace = run(cfg, lambda t, start: blocks.append(
-            (start, len(t), t.converged, t.res_map[start:].copy(), t.x[start:].copy())))
-        assert [b[:3] for b in blocks] == [(0, 64, False), (64, 128, False), (128, 150, False)]
-        np.testing.assert_array_equal(np.concatenate([b[3] for b in blocks]), trace.res_map)
-        np.testing.assert_array_equal(np.concatenate([b[4][:-1] for b in blocks]), trace.x[:-1])
+        trace = run(benchmark_cfg([-2.0, 1.0], max_outer=150),
+                    lambda rows: blocks.append((rows, rows.copy())))
+        assert [len(rows) for rows, _ in blocks] == [64, 128]
+        for rows, seen in blocks:
+            assert np.shares_memory(rows, trace.rows)
+            assert seen[:, 0].tolist() == list(range(1, len(seen) + 1))
+            assert not np.isnan(seen).any()  # res_T too: NaN until the block is finished
+            np.testing.assert_array_equal(seen, trace.rows[:len(seen)])
 
-    def test_the_converged_block_is_passed_on(self):
-        blocks = []
-        trace = run(benchmark_cfg([0.5, 1.0]), lambda t, start: blocks.append((start, len(t),
-                                                                             t.converged)))
-        assert trace.converged and blocks == [(0, len(trace), True)]
+    def test_the_last_block_is_not_passed_on(self):
+        # whether the run goes on is run's decision: a run that converges in
+        # its first block makes no call, and one that ends on a block
+        # boundary passes on only the blocks before it
+        calls = []
+        trace = run(benchmark_cfg([0.5, 1.0]), lambda rows: calls.append(len(rows)))
+        assert trace.converged and len(trace) < solver.BLOCK_ROWS and calls == []
+        trace = run(benchmark_cfg([-2.0, 1.0], max_outer=128),
+                    lambda rows: calls.append(len(rows)))
+        assert len(trace) == 128 and calls == [64]
 
 
 class TestSchemeAlgebra:

@@ -36,17 +36,20 @@ def flip_config(x1, **extra) -> dict:
 
 # (config, rows, exit code, helper started): d = 60 rows have 70 cells, so
 # the helper starts after the first 64-row block; d = 2 rows have 12, so
-# after the sixth (384 rows); it is never started at a run's last block
+# after the sixth (384 rows). run never passes on its last block, so that
+# block never starts the helper, and finish sends it when the helper runs
 CASES = {
     "d60 1 row": (affine_config(max_outer=1, tol_step=0.0), 1, 2, False),
     "d60 63 rows": (affine_config(max_outer=63, tol_step=0.0), 63, 2, False),
     "d60 64 rows": (affine_config(max_outer=64, tol_step=0.0), 64, 2, False),
     "d60 65 rows": (affine_config(max_outer=65, tol_step=0.0), 65, 2, True),
+    "d60 128 rows": (affine_config(max_outer=128, tol_step=0.0), 128, 2, True),
     "d60 2000 rows": (affine_config(max_outer=2000, tol_step=0.0), 2000, 2, True),
     "d60 converged": (affine_config(tol_step=0.05), 131, 0, True),
     "d2 383 rows": (flip_config([0.5, 1.0], max_outer=383, tol_step=0.0), 383, 2, False),
     "d2 384 rows": (flip_config([0.5, 1.0], max_outer=384, tol_step=0.0), 384, 2, False),
     "d2 385 rows": (flip_config([0.5, 1.0], max_outer=385, tol_step=0.0), 385, 2, True),
+    "d2 768 rows": (flip_config([0.5, 1.0], max_outer=768, tol_step=0.0), 768, 2, True),
     "d2 10000 rows": (flip_config([0.5, 1.0], max_outer=10_000, tol_step=0.0), 10_000, 2, True),
     "d2 converged": (flip_config([-2.0, 1.0], tol_step=1e-5), 539, 0, True),
 }
