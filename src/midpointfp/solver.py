@@ -8,9 +8,9 @@ for x, where the coefficient triple (cf, cx, cT) and the power p depend
 on the scheme (see :data:`SCHEMES`). The step map is a contraction with
 factor q_n = cT * k_p / 2 whenever q_n < 1, so the step is solved by
 Picard iteration warm-started at x_n with the standard a-posteriori
-error bound q/(1-q) * ||y_m - y_{m-1}|| as the stopping rule. k_p and
-q_n come from :class:`SolverConfig` alone, and q_n < 1 is checked as
-step n is reached.
+error bound q/(1-q) * ||y_m - y_{m-1}|| as the stopping rule. q_n comes
+from ``SolverConfig.step_bound`` alone, its L_p from ``Mapping.lipschitz``,
+and q_n < 1 is checked as step n is reached.
 
 For affine T (a mapping with ``affine``) the step is the linear system
 (I - (cT/2) A_p) x = cf f(x_n) + cx x_n + cT (A_p x_n / 2 + b_p).
@@ -154,31 +154,20 @@ class SolverConfig:
         elif self.scheme.viscosity:
             raise InvalidInputError(f"scheme {self.scheme.name} needs a contraction")
 
-    def envelope(self, p: int, rho: float = 1.0) -> float:
-        """k_p as declared, in the 2-norm that :func:`verify_envelope` checks:
-        the larger of the schedule's k_p and rho times the mapping's
-        envelope(p). A value that overflows a float reads as inf, and a NaN
-        one raises InvalidInputError."""
-        return max(_declared_k(self.schedule.k, p),
-                   rho * _declared_k(self.mapping.envelope, p))
+    def envelope(self, p: int, r: float = 2.0) -> float:
+        """k_p = max(schedule k_p, L_p) in the r-norm, L_p = ``mapping.lipschitz(p, r)``:
+        at r = 2, the declared value that :func:`verify_envelope` checks. A value
+        that overflows a float reads as inf, and a NaN one raises InvalidInputError."""
+        return max(_declared_k(self.schedule.k, p), self.mapping.lipschitz(p, r))
 
     def step_bound(self, n: int, cT: float | None = None) -> tuple[float, float]:
         """(q_n, k_p) for this scheme's step n: q_n = cT * k_p / 2, with k_p
-        bounding T^p in the run's r-norm, so that q_n bounds the step map for
-        the mapping actually supplied. At r = inf an affine map uses its
-        exact ||A_p||_inf; otherwise the mapping's 2-norm envelope is scaled
-        by rho = d^|1/r - 1/2| (p-norm equivalence, Higham, Accuracy and
-        Stability of Numerical Algorithms, ch. 6; rho = 1 at r = 2). cT is
-        the step's, from the schedule unless the caller passes it. A step
-        without the operator term (cT = 0) has q_n = 0, whatever k_p is."""
+        the :meth:`envelope` of T^p in the run's norm. cT is the step's, from
+        the schedule unless the caller passes it. A step without the operator
+        term (cT = 0) has q_n = 0, whatever k_p is."""
         if cT is None:
             cT = self.scheme.coefficients(self.schedule, n)[2]
-        p, r, affine = self.scheme.power(n), self.norm.p, self.mapping.affine
-        if math.isinf(r) and affine is not None:  # NaN once A_p overflows
-            lip = float(np.linalg.norm(affine.pair(p)[0], np.inf))
-            k = math.inf if math.isnan(lip) else max(_declared_k(self.schedule.k, p), lip)
-        else:
-            k = self.envelope(p, 1.0 if r == 2.0 else self.mapping.domain_dim ** abs(1.0 / r - 0.5))
+        k = self.envelope(self.scheme.power(n), self.norm.p)
         return (0.5 * cT * k if cT != 0.0 else 0.0), k
 
 

@@ -182,6 +182,41 @@ class TestAffine:
         assert T.envelope(3) == pytest.approx(8.0, rel=1e-12)
 
 
+def _rotation45():
+    c = s = math.sqrt(0.5)
+    return make_affine([[c, -s], [s, c]], [0.0, 0.0])
+
+
+def _half100():
+    return make_affine(0.5 * np.eye(100), np.zeros(100))
+
+
+class TestLipschitz:
+    """L_p = ``Mapping.lipschitz(p, r)``, the mapping's bound on T^p in the
+    r-norm: exact ||A_p||_inf for an affine map at r = inf, else the 2-norm
+    envelope(p) times rho = d^|1/r - 1/2|."""
+
+    @pytest.mark.parametrize("build, r, want", [
+        (make_flip_map, 2.0, lambda p: 1.0 + 0.5 ** p),
+        (make_flip_map, 3.0, lambda p: 2.0 ** abs(1.0 / 3.0 - 0.5) * (1.0 + 0.5 ** p)),
+        (_half100, math.inf, lambda p: 0.5 ** p),
+        (_half100, 3.0, lambda p: 100 ** (1.0 / 6.0)),
+        (_rotation45, math.inf, lambda p: math.sqrt(2.0) if p % 2 else 1.0),
+        (lambda: dataclasses.replace(_half100(), affine=None), math.inf, lambda p: 10.0),
+    ], ids=["flip r=2", "flip r=3", "half r=inf", "half r=3", "rotation r=inf",
+            "half without pairs r=inf"])
+    def test_bound_in_the_run_norm(self, build, r, want):
+        mapping = build()
+        for p in range(1, 10):
+            assert mapping.lipschitz(p, r) == pytest.approx(want(p), rel=1e-14)
+
+    def test_declared_values(self):
+        nan = make_flip_map(envelope=lambda n: math.nan)
+        with pytest.raises(InvalidInputError, match="NaN at n=7"):
+            nan.lipschitz(7)
+        assert make_flip_map(envelope=lambda n: 10.0 ** n).lipschitz(400) == math.inf
+
+
 class TestAffinePowerRequests:
     """power_operator on an affine map agrees with binary powering in any request
     order, and so does the eigenbasis solve of (I - s A_n) y = r, whose

@@ -191,24 +191,34 @@ class TestValidate:
         assert report.normal_structure_bound.status == "pass"
 
 
+def overflowing_affine():
+    """An affine map whose A^2 overflows: its off-diagonal is inf - inf."""
+    return make_affine([[1e200, 1e200], [1e200, -1e200]], [0.0, 0.0])
+
+
 class TestDeclaredEnvelopeValues:
     """Every reader takes a declared k_n the same way: a value that
     overflows a float is inf, and a NaN is an InvalidInputError naming n."""
 
-    @pytest.mark.parametrize("side", ["schedule", "mapping"])
+    @pytest.mark.parametrize("side", ["schedule", "mapping", "schedule, overflowing A_p"])
     def test_nan_is_an_input_error_in_every_reader(self, side):
         # unchecked, a NaN makes q_n NaN on the schedule side, and max()
-        # drops it on the mapping side
+        # drops it on the mapping side; an A_p that overflows (its bound at
+        # r = inf is then inf) must not hide the schedule's NaN
         nan = lambda n: math.nan
         cfg = SolverConfig(scheme=SCHEMES["AGVIM"], mapping=make_flip_map(),
                            schedule=paper_schedule(), x1=[0.5, 1.0],
                            contraction=make_scaling_contraction(0.5))
-        if side == "schedule":
-            cfg = replace(cfg, schedule=replace(cfg.schedule, k=nan))
-        else:
+        if side == "mapping":
             cfg = replace(cfg, mapping=make_flip_map(envelope=nan))
-        with pytest.raises(InvalidInputError, match="NaN at n=2"):
-            cfg.step_bound(2)
+        else:
+            cfg = replace(cfg, schedule=replace(cfg.schedule, k=nan))
+        n = 2
+        if side == "schedule, overflowing A_p":
+            cfg = replace(cfg, mapping=overflowing_affine(), norm=NormSpec(math.inf))
+            n = 3
+        with pytest.raises(InvalidInputError, match=f"NaN at n={n}"):
+            cfg.step_bound(n)
         with pytest.raises(InvalidInputError, match="NaN at n=1"):
             run(cfg)
         with pytest.raises(InvalidInputError, match="NaN at n=1"):
@@ -223,6 +233,14 @@ class TestDeclaredEnvelopeValues:
                            x1=[0.5, 1.0], contraction=make_scaling_contraction(0.5),
                            norm=NormSpec(math.inf))
         assert cfg.step_bound(400) == (math.inf, math.inf)
+        # A_2 overflows to NaN entries, which read as inf too, and are no
+        # RuntimeWarning
+        cfg = replace(cfg, mapping=overflowing_affine(), schedule=paper_schedule())
+        assert cfg.step_bound(3) == (math.inf, math.inf)
+        with pytest.raises(IllPosedError, match="not a contraction at n=2") as err:
+            run(cfg)
+        assert err.value.q == math.inf
+        assert validate(cfg, 50).wellposed.at_n == 2
 
     def test_step_without_operator_term_has_q_zero(self):
         # VIM with a_n = 1 has cT = 1 - a_n = 0, so the step is f(x_n)
