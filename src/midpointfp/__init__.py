@@ -24,7 +24,6 @@ from .mappings import (
     Contraction,
     EnvelopeReport,
     Mapping,
-    affine_power_pair,
     make_affine,
     make_affine_contraction,
     make_flip_map,
@@ -45,7 +44,6 @@ from .solver import (
     SolverConfig,
     Trace,
     implicit_step,
-    implicit_step_affine_oracle,
     run,
     scheme_by_name,
 )

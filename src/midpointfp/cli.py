@@ -204,14 +204,12 @@ def cmd_run(args) -> int:
         writer.finish(trace)
     finally:
         writer.abort()  # a helper still running when the run failed
-    status = "converged" if trace.converged else "max_outer reached"
-    count = len(trace)
-    print(
-        f"{solver_cfg.scheme.name}: {status} after {count} "
-        f"iteration{'s' if count != 1 else ''}; "
-        f"final step_norm {trace.step_norm[-1]:.3e}; trace written to {path}"
-    )
-    return 0 if trace.converged else 2
+    count, s = len(trace), "s" if len(trace) != 1 else ""
+    log.debug("run stopped: %s after %d step%s", trace.stop, count, s)
+    status = "max_outer reached" if trace.stop == "max_outer" else "converged"
+    print(f"{solver_cfg.scheme.name}: {status} after {count} iteration{s}; "
+          f"final step_norm {trace.step_norm[-1]:.3e}; trace written to {path}")
+    return 2 if trace.stop == "max_outer" else 0
 
 
 def cmd_validate_schedule(args) -> int:

@@ -163,7 +163,7 @@ class ComparisonReport:
             if r.failed:
                 cells = [r.scheme, f"failed: {r.error}", "-"] + ["-"] * len(THRESHOLDS) + ["-"]
             else:
-                status = "converged" if r.trace.converged else "max_outer"
+                status = "max_outer" if r.trace.stop == "max_outer" else "converged"
                 hits = [str(r.iters_to[t]) if r.iters_to[t] is not None else "-"
                         for t in THRESHOLDS]
                 rate = f"{r.rate:+.3f}" if r.rate is not None else "-"

@@ -28,7 +28,6 @@ __all__ = [
     "make_affine",
     "make_affine_contraction",
     "make_scaling_contraction",
-    "affine_power_pair",
     "power_operator",
     "verify_envelope",
 ]
@@ -199,25 +198,6 @@ def make_flip_map(envelope: Callable[[int], float] | None = None) -> Mapping:
         name="flip",
         rowwise=True,
     )
-
-
-def affine_power_pair(A: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(A_n, b_n) with (u -> A u + b)^n = u -> A_n u + b_n, by binary powering."""
-    if n < 1:
-        raise InvalidInputError(f"power must be a positive integer, got {n}")
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    # composition: (A1, b1) after (A2, b2) = (A1 A2, A1 b2 + b1)
-    rA, rb = np.eye(A.shape[0]), np.zeros_like(b)
-    pA, pb = A, b
-    m = n
-    while m > 0:
-        if m & 1:
-            rA, rb = pA @ rA, pA @ rb + pb
-        m >>= 1
-        if m:
-            pA, pb = pA @ pA, pA @ pb + pb
-    return rA, rb
 
 
 # above this kappa_1(V) an implicit step is solved by LU instead (the

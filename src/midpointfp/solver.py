@@ -22,8 +22,8 @@ warm start to x_n plus that correction: the one Picard loop runs from
 there, so the accepted iterate passes the same a-posteriori bound
 whatever the solve's accuracy, and the loop's first pass checks that
 the step map contracts by q_n along the solve, which catches an
-envelope that understates T. The same system, solved by LU with powers
-by binary powering, is kept as an independent oracle.
+envelope that understates T. The tests check it against the same system
+solved by LU, with powers by binary powering.
 
 :func:`run` returns a :class:`Trace`: one table whose rows are the
 rows of trace.csv, with each column as a view of it.
@@ -38,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import IllPosedError, InnerBudgetError, InvalidInputError
-from .mappings import Contraction, Mapping, _declared_k, affine_power_pair, power_operator
+from .mappings import Contraction, Mapping, _declared_k, power_operator
 from .schedules import Schedule
 from .space import NormSpec, _row_norms, as_vector, norm_kernel
 
@@ -50,7 +50,6 @@ __all__ = [
     "StepResult",
     "Trace",
     "implicit_step",
-    "implicit_step_affine_oracle",
     "run",
 ]
 
@@ -110,12 +109,11 @@ def scheme_by_name(name: str) -> Scheme:
 class SolverConfig:
     """Everything a run needs.
 
-    ``tol_step = 0`` disables the step-norm stop (the loop then runs
-    max_outer steps, or stops on an exactly stationary iterate); with a
-    positive tol_step, tol_inner must be strictly smaller so the inner
-    error cannot pollute the outer stopping decision. ``power_cap``
-    bounds n-fold power evaluation for mappings without a closed form
-    (built in code: every config mapping kind has one).
+    ``tol_step = 0`` stops a run only at a step norm of 0
+    (see :func:`run`); with a positive tol_step, tol_inner must be
+    strictly smaller so the inner error cannot pollute the outer stopping
+    decision. ``power_cap`` bounds n-fold power evaluation for mappings
+    without a closed form (built in code: every config mapping kind has one).
     """
 
     scheme: Scheme
@@ -291,39 +289,6 @@ def _diverges(n: int, q: float, evidence: str) -> IllPosedError:
     )
 
 
-def implicit_step_affine_oracle(
-    A,
-    b,
-    scheme: Scheme,
-    schedule: Schedule,
-    n: int,
-    x_n,
-    contraction: Optional[Contraction] = None,
-) -> np.ndarray:
-    """Exact implicit step for an affine mapping u -> A u + b.
-
-    Solves (I - (cT/2) A_p) x = cf f(x_n) + cx x_n + cT (A_p x_n / 2 + b_p)
-    directly, with (A_p, b_p) the affine p-th power by binary powering.
-    Independent of the mapping's own powers and of :func:`implicit_step`;
-    used as its oracle.
-    """
-    A = np.asarray(A, dtype=float)
-    x_n = as_vector(x_n, dim=A.shape[0])
-    cf, cx, cT = scheme.coefficients(schedule, n)
-    p = scheme.power(n)
-    Ap, bp = affine_power_pair(A, b, p)
-    rhs = cx * x_n + cT * (Ap @ x_n / 2.0 + bp)
-    if cf != 0.0:
-        if contraction is None:
-            raise InvalidInputError("scheme uses a contraction but none was given")
-        rhs = rhs + cf * contraction(x_n)
-    M = np.eye(A.shape[0]) - 0.5 * cT * Ap
-    try:
-        return np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise IllPosedError(f"singular implicit system at n={n}: {exc}", n=n) from exc
-
-
 # trace.csv's names of step n's values, which follow n and x_n in its rows
 STEP_COLUMNS = ("step_norm", "res_T", "res_Tn", "inner_iters", "q_n", "a_n", "b_n", "c_n", "k_n")
 
@@ -344,11 +309,13 @@ class Trace:
     res_power is ||x_n - T^n x_n|| (NaN when the power is uncomputable
     under the configured cap), inner_iters holds whole numbers, a, b, c
     are the schedule's values, and k is the step's k_p: q = cT k / 2.
+    ``stop`` is why :func:`run` ended it, and ``converged`` is stop != "max_outer".
     """
 
     rows: np.ndarray
-    converged: bool
+    stop: str
 
+    converged = property(lambda self: self.stop != "max_outer")
     x = property(lambda self: self.rows[:, 1:-len(STEP_COLUMNS)])
     final = property(lambda self: self.rows[-1, 1:-len(STEP_COLUMNS)])
     step_norm = _step_column("step_norm")
@@ -376,9 +343,10 @@ def run(cfg: SolverConfig,
         on_block: Optional[Callable[[np.ndarray], None]] = None) -> Trace:
     """Iterate the configured scheme from x1.
 
-    Stops when ||x_{n+1} - x_n|| <= tol_step or after max_outer steps; on
-    a step whose operator coefficient cT is 0 the step-norm stop also
-    needs ||x_n - T x_n|| <= tol_step. Well-posedness is checked as each
+    The trace's ``stop`` is "tol_step" ("stationary" if tol_step = 0) once
+    ||x_{n+1} - x_n|| <= tol_step, which on a step whose operator
+    coefficient cT is 0 also needs ||x_n - T x_n|| <= tol_step, else
+    "max_outer" after max_outer steps. Well-posedness is checked as each
     step is reached: IllPosedError(n, q) is raised when q_n >= 1, before
     step n is solved, so a run that stops earlier returns normally.
     :func:`~midpointfp.schedules.validate` checks the same q_n over a
@@ -417,13 +385,12 @@ def run(cfg: SolverConfig,
         # n and res_T (column 2 + d) are filled when the block is finished
         table[n - 1, 1 + d:] = (step_norm, math.nan, res_power, step.inner_iters, step.q,
                                 *abc, step.k)
-        # a step without the operator term (cT = 0) can stand still off the
-        # fixed set, so it stops the run only at a point T also fixes
-        converged = step_norm <= cfg.tol_step and (
+        # a cT = 0 step can stand still off the fixed set: it stops only where T x = x
+        stopped = step_norm <= cfg.tol_step and (
             coef[2] != 0.0 or size(x - apply(x)) <= cfg.tol_step
         )
         x = table[n, 1:1 + d] = step.x
-        last = converged or n == total
+        last = stopped or n == total
         if last or n % BLOCK_ROWS == 0:  # ||x - T x|| of the block's rows, bit for bit per row
             E = table[start:n, 1:1 + d] - cfg.mapping.images(apply, table[start:n, 1:1 + d])
             table[start:n, 0] = np.arange(start + 1, n + 1)
@@ -434,4 +401,5 @@ def run(cfg: SolverConfig,
                 on_block(table[:n])
             start = n
     table[n, 0], table[n, 1 + d:] = n + 1, math.nan  # the row of x_{n+1}
-    return Trace(rows=table[: n + 1], converged=converged)
+    stop = ("tol_step" if cfg.tol_step > 0.0 else "stationary") if stopped else "max_outer"
+    return Trace(rows=table[: n + 1], stop=stop)

@@ -20,14 +20,10 @@ from midpointfp.mappings import (
     verify_envelope,
 )
 from midpointfp.schedules import paper_schedule, power_schedule, validate
-from midpointfp.solver import (
-    SCHEMES,
-    SolverConfig,
-    implicit_step,
-    implicit_step_affine_oracle,
-    run,
-)
+from midpointfp.solver import SCHEMES, SolverConfig, implicit_step, run
 from midpointfp.space import NormSpec, duality_map, inner, norm
+
+from affine_oracle import implicit_step_affine_oracle
 
 STARTS = [
     np.array([0.0, 1.0 / 3.0]),

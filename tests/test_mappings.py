@@ -8,7 +8,6 @@ import pytest
 from midpointfp.errors import InvalidInputError
 from midpointfp.mappings import (
     Mapping,
-    affine_power_pair,
     make_affine,
     make_affine_contraction,
     make_flip_map,
@@ -17,6 +16,8 @@ from midpointfp.mappings import (
     verify_envelope,
 )
 from midpointfp.space import norm
+
+from affine_oracle import affine_power_pair
 
 
 class TestFlipMap:

@@ -27,10 +27,10 @@ from midpointfp.config import parse_config
 from midpointfp.errors import ConfigError, IllPosedError, MidpointError
 from midpointfp.mappings import make_affine, make_scaling_contraction
 from midpointfp.schedules import custom_schedule, paper_schedule, power_schedule, validate
-from midpointfp.solver import (
-    SCHEMES, SolverConfig, implicit_step, implicit_step_affine_oracle, run,
-)
+from midpointfp.solver import SCHEMES, SolverConfig, implicit_step, run
 from midpointfp.space import NormSpec, norm
+
+from affine_oracle import implicit_step_affine_oracle
 
 FIXED = settings(derandomize=True, database=None, deadline=None)
 

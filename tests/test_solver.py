@@ -23,11 +23,12 @@ from midpointfp.solver import (
     SCHEMES,
     SolverConfig,
     implicit_step,
-    implicit_step_affine_oracle,
     run,
     scheme_by_name,
 )
 from midpointfp.space import NormSpec, norm
+
+from affine_oracle import implicit_step_affine_oracle
 
 
 def picard_only(mapping):
@@ -681,6 +682,17 @@ class TestRun:
         for column in (trace.step_norm, trace.res_map, trace.res_power):
             np.testing.assert_array_equal(column, [0.0])
 
+    @pytest.mark.parametrize("x1, settings, stop, steps", [
+        ([0.0, 1.0 / 3.0], {}, "tol_step", 16),
+        # step 1 (a_1 = 1, cT = 0) maps the origin to f(0) = 0, which T fixes too
+        ([0.0, 0.0], {"tol_step": 0.0}, "stationary", 1),
+        ([-2.0, 1.0], {"max_outer": 5, "tol_step": 0.0}, "max_outer", 5),
+    ], ids=["tol_step", "stationary", "max_outer"])
+    def test_each_stop_reason_is_reported(self, x1, settings, stop, steps):
+        trace = run(benchmark_cfg(x1, **settings))
+        assert (trace.stop, len(trace)) == (stop, steps)
+        assert trace.converged is (stop != "max_outer")
+
     @pytest.mark.parametrize("scheme", ["VIM", "GVIM", "AGVIM", "AVIM63"])
     def test_explicit_first_step_does_not_stop_off_the_fixed_set(self, scheme):
         # a_1 = 1 makes step 1 x_2 = f(x_1), which is x_1 at the origin;
@@ -698,17 +710,27 @@ class TestRun:
     @pytest.mark.xfail(raises=AssertionError, strict=True,
                        reason="the step-norm stop guards only cT = 0 (ROADMAP item 11): a "
                               "tiny cT stands still, and the run says converged, off the fixed set")
-    def test_a_tiny_operator_coefficient_does_not_stop_off_the_fixed_set(self):
+    @pytest.mark.parametrize("A, b, schedule, x1, settings", [
         # T(u) = u + 1 fixes no point; IMR's step 1 with cT = 1e-300 moves x
         # from 0 to 1e-300, whose squared step norm underflows to 0
-        for tol_step in (1e-8, 0.0):
-            cfg = SolverConfig(scheme=SCHEMES["IMR"], mapping=make_affine([[1.0]], [1.0]),
-                               schedule=custom_schedule([[1e-300, 0.0, 1.0, 1.0]]), x1=[0.0],
-                               max_outer=1, tol_step=tol_step)
-            trace = run(cfg)
-            assert trace.final[0] == 1e-300
-            residual = norm(trace.final - cfg.mapping(trace.final))
-            assert not trace.converged or residual <= tol_step
+        ([[1.0]], [1.0], custom_schedule([[1e-300, 0.0, 1.0, 1.0]]), [0.0], {"max_outer": 1}),
+        ([[1.0]], [1.0], custom_schedule([[1e-300, 0.0, 1.0, 1.0]]), [0.0],
+         {"max_outer": 1, "tol_step": 0.0}),
+        # F = {0}: cT = n^-2 shrinks the steps below tol_step at ||x|| = 1,
+        # after 1 000 steps with ||x - T x|| = 1.0e-2
+        ([[math.cos(0.01), -math.sin(0.01)], [math.sin(0.01), math.cos(0.01)]], [0.0, 0.0],
+         power_schedule(2), [1.0, 0.0], {}),
+        # F = R x {0}: the same after 3 435 steps, ||x - T x|| = 0.118
+        ([[1.0, 0.0], [0.0, 0.5]], [0.0, 0.0], power_schedule(2), [2.0, 1.0], {}),
+    ], ids=["tiny cT", "tiny cT, tol_step 0", "rotation by 0.01", "diag(1, 0.5)"])
+    def test_a_tiny_operator_coefficient_does_not_stop_off_the_fixed_set(
+            self, A, b, schedule, x1, settings):
+        cfg = SolverConfig(scheme=SCHEMES["IMR"], mapping=make_affine(A, b), schedule=schedule,
+                           x1=x1, **settings)
+        trace = run(cfg)
+        assert not np.array_equal(trace.final, cfg.x1)  # the steps moved x
+        residual = norm(trace.final - cfg.mapping(trace.final))
+        assert trace.stop not in ("tol_step", "stationary") or residual <= cfg.tol_step
 
     def test_illposed_prescan_names_first_offender(self):
         # power scheme: q_3 = c_3 k_3 / 2 = 0.9 * 4 / 2 >= 1, raised when
