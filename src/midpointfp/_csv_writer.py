@@ -13,6 +13,7 @@ CPU while the run goes on, and formats every other CSV file with its
 :func:`write_rows`.
 """
 
+import os
 import struct
 import sys
 
@@ -34,8 +35,10 @@ def main(path: str, width: str, header: str, row: str) -> None:
 
 
 if __name__ == "__main__":
+    # os._exit skips the interpreter's teardown, which the parent would wait for
     try:
         main(*sys.argv[1:])
     except (OSError, struct.error) as exc:  # one line for the parent to relay
-        print(exc, file=sys.stderr)
-        sys.exit(1)
+        print(exc, file=sys.stderr, flush=True)
+        os._exit(1)
+    os._exit(0)  # the file is closed

@@ -26,22 +26,26 @@ from pathlib import Path
 import numpy as np
 
 from . import _csv_writer
-from .config import load_config
+from .config import load_config, parse_config
 from .diagnostics import check_vi, compare_schemes, sample_fixed_set_flip
 from .errors import ConfigError, InvalidInputError, MidpointError
-from .mappings import make_flip_map, make_scaling_contraction, verify_envelope
-from .schedules import paper_schedule, validate
-from .solver import SCHEMES, STEP_COLUMNS, SolverConfig, Trace, run
-from .space import NormSpec, _row_norms
+from .mappings import verify_envelope
+from .schedules import validate
+from .solver import STEP_COLUMNS, Trace, run
+from .space import _row_norms
 
 log = logging.getLogger("midpointfp")
 
-_TABLE1_STARTS = [
-    ("x1=(0 1/3)", np.array([0.0, 1.0 / 3.0]), np.array([1.0, -1.0])),
-    ("x1=(1/2 1)", np.array([0.5, 1.0]), np.array([0.0, 0.0])),
-    ("x1=(-2 1)", np.array([-2.0, 1.0]), np.array([-1.0, 1.0])),
+# the paper's numerical example, which each start runs from its own x1;
+# tol_step 0 stops only at a step norm of 0, so each run takes max_outer steps
+_TABLE1_CONFIG = {"mapping": {"kind": "flip"}, "contraction": {"kind": "half"},
+                  "schedule": {"family": "paper"}, "scheme": "AGVIM",
+                  "max_outer": 20, "tol_step": 0}
+_TABLE1_STARTS = [  # (label, x1, the reference limit)
+    ("x1=(0 1/3)", [0.0, 1.0 / 3.0], [1.0, -1.0]),
+    ("x1=(1/2 1)", [0.5, 1.0], [0.0, 0.0]),
+    ("x1=(-2 1)", [-2.0, 1.0], [-1.0, 1.0]),
 ]
-_TABLE1_ROWS = 20
 _TABLE1_VI_SEED = 2020
 
 
@@ -250,23 +254,11 @@ def cmd_compare(args) -> int:
 
 def cmd_reproduce_table1(args) -> int:
     out = _out_dir(args.out)
-    schedule = paper_schedule()
-    contraction = make_scaling_contraction(0.5)
-    traces = []
-    for _, x1, _ in _TABLE1_STARTS:
-        cfg = SolverConfig(
-            scheme=SCHEMES["AGVIM"],
-            mapping=make_flip_map(),
-            schedule=schedule,
-            x1=x1,
-            contraction=contraction,
-            max_outer=_TABLE1_ROWS,
-            tol_step=0.0,  # run exactly 20 steps
-        )
-        traces.append(run(cfg))
+    cfgs = [parse_config({**_TABLE1_CONFIG, "x1": x1}).build_solver_config()
+            for _, x1, _ in _TABLE1_STARTS]
+    traces = [run(cfg) for cfg in cfgs]
 
     labels = [label for label, _, _ in _TABLE1_STARTS]
-    norm2 = NormSpec(2.0)
     step_cols = [t.step_norm for t in traces]
     dist_cols = [_row_norms(t.x[1:] - t.final) for t in traces]
 
@@ -277,8 +269,8 @@ def cmd_reproduce_table1(args) -> int:
 
     def table(title, cols):
         lines = [title, "| n | " + " | ".join(labels) + " |", "|---|" + "---|" * len(labels)]
-        for i in range(_TABLE1_ROWS):
-            lines.append(f"| {i + 1} | " + " | ".join(f"{c[i]:.4f}" for c in cols) + " |")
+        for n, row in enumerate(zip(*cols), start=1):
+            lines.append(f"| {n} | " + " | ".join(f"{v:.4f}" for v in row) + " |")
         return "\n".join(lines)
 
     md_parts = [
@@ -293,19 +285,18 @@ def cmd_reproduce_table1(args) -> int:
     # reference limits, against shared fixed-point samples; tolerance
     # 1e-6 absorbs the truncation of the fixed-length 20-step runs
     samples = sample_fixed_set_flip(10, seed=_TABLE1_VI_SEED)
-    flip = make_flip_map()
     vi_summary = {}
     vi_lines = ["variational-inequality certificates (samples: origin + 9 fixed points):"]
     unconverged = []
-    for (label, _, claimed), t in zip(_TABLE1_STARTS, traces):
-        cert = check_vi(t.final, contraction, samples, norm2, tol=1e-6, mapping=flip)
+    for (label, _, claimed), cfg, t in zip(_TABLE1_STARTS, cfgs, traces):
+        cert = check_vi(t.final, cfg.contraction, samples, cfg.norm, tol=1e-6, mapping=cfg.mapping)
         vi_lines.append(
             f"  {label}: final iterate ({t.final[0]:.6g}, {t.final[1]:.6g}) "
             f"-> {cert.verdict} (min value {cert.min_value:.6g})"
         )
         if not cert.holds and t.step_norm[-1] > 1e-6:
-            unconverged.append((label, t.step_norm[-1]))
-        claimed_cert = check_vi(claimed, contraction, samples, norm2, mapping=flip)
+            unconverged.append((label, len(t), t.step_norm[-1]))
+        claimed_cert = check_vi(claimed, cfg.contraction, samples, cfg.norm, mapping=cfg.mapping)
         at_origin = claimed_cert.values[0]  # samples[0] is the origin
         vi_lines.append(
             f"  {label}: reference limit ({claimed[0]:g}, {claimed[1]:g}) "
@@ -316,7 +307,7 @@ def cmd_reproduce_table1(args) -> int:
             "final_iterate": [float(v) for v in t.final],
             "final_verdict": cert.verdict,
             "final_min_value": cert.min_value,
-            "reference_limit": [float(v) for v in claimed],
+            "reference_limit": claimed,
             "reference_verdict": claimed_cert.verdict,
             "reference_min_value": claimed_cert.min_value,
             "reference_value_at_origin": at_origin,
@@ -331,9 +322,9 @@ def cmd_reproduce_table1(args) -> int:
             "  of the reference experiment are therefore reported under both interpretations",
             "  above rather than matched cell by cell.",
         ]
-    for label, step in unconverged:
+    for label, steps, step in unconverged:
         vi_lines.append(
-            f"  note: the run from {label} is not yet converged after {_TABLE1_ROWS} steps "
+            f"  note: the run from {label} is not yet converged after {steps} steps "
             f"(last step norm {step:.2e}; its start lies inside the fixed region, where the "
             "anchor pull decays harmonically), so its certificate reflects truncation."
         )

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError, MidpointError, RejectedSampleError
-from .mappings import SAMPLE_RADIUS, Contraction, Mapping, make_flip_map
+from .mappings import SAMPLE_RADIUS, Contraction, Mapping
 from .solver import SolverConfig, Trace, run
 from .space import NormSpec, as_vector, duality_map, inner, norm
 
@@ -84,23 +84,19 @@ def check_vi(
 
 
 def sample_fixed_set_flip(count: int, seed: int) -> list:
-    """The origin plus ``count - 1`` random points of the flip map's
-    fixed region {u : u1 u2 < 0}, each verified exactly fixed; each
-    coordinate's magnitude is drawn from [0.05, SAMPLE_RADIUS] (2)."""
+    """The origin plus ``count - 1`` random points of the flip map's fixed
+    region {u : u1 u2 < 0}, fixed by construction: the coordinates have
+    opposite signs and magnitudes drawn from [0.05, SAMPLE_RADIUS] (2)."""
     if count < 1:
         raise InvalidInputError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
-    flip = make_flip_map()
     out = [np.zeros(2)]
     while len(out) < count:
         u1 = rng.uniform(0.05, SAMPLE_RADIUS)
         u2 = -rng.uniform(0.05, SAMPLE_RADIUS)
         if rng.integers(0, 2):
             u1, u2 = -u1, -u2
-        u = np.array([u1, u2])
-        if not np.array_equal(flip(u), u):  # exact fixedness by construction
-            raise MidpointError("generated point unexpectedly not fixed")
-        out.append(u)
+        out.append(np.array([u1, u2]))
     return out
 
 

@@ -352,11 +352,11 @@ def run(cfg: SolverConfig,
     :func:`~midpointfp.schedules.validate` checks the same q_n over a
     whole horizon upfront.
 
-    Rows are finished in blocks of :data:`BLOCK_ROWS` steps (n and res_map
-    are filled per block, the last block possibly shorter). After each
-    finished block that the run goes on from, ``on_block(rows)`` gets
-    trace.csv's rows so far, a view of the table that the returned
-    :class:`Trace` holds; the last block is never passed on.
+    Rows are finished in blocks of :data:`BLOCK_ROWS` steps (n, the step
+    values and res_map are written per block, the last block possibly
+    shorter). After each finished block that the run goes on from,
+    ``on_block(rows)`` gets trace.csv's rows so far, a view of the table
+    that the returned :class:`Trace` holds; the last block is never passed on.
     """
     total, d = cfg.max_outer, cfg.mapping.domain_dim
     rows = min(total, _FIRST_ROWS)
@@ -366,7 +366,7 @@ def run(cfg: SolverConfig,
     sched = cfg.schedule
     use_power = cfg.scheme.use_power
     x = table[0, 1:1 + d] = cfg.x1
-    start = 0
+    start, block = 0, []  # block: the STEP_COLUMNS values of the block's steps
     for n in range(1, total + 1):
         abc = sched.a(n), sched.b(n), sched.c(n)
         coef = cfg.scheme.coefficients_from(*abc)
@@ -382,9 +382,8 @@ def run(cfg: SolverConfig,
         if n > rows:  # table full: double it
             rows = min(2 * rows, total)
             table = np.concatenate((table, np.empty((rows + 1 - len(table), table.shape[1]))))
-        # n and res_T (column 2 + d) are filled when the block is finished
-        table[n - 1, 1 + d:] = (step_norm, math.nan, res_power, step.inner_iters, step.q,
-                                *abc, step.k)
+        # n and the step values are written when the block is finished, res_T last
+        block.append((step_norm, math.nan, res_power, step.inner_iters, step.q, *abc, step.k))
         # a cT = 0 step can stand still off the fixed set: it stops only where T x = x
         stopped = step_norm <= cfg.tol_step and (
             coef[2] != 0.0 or size(x - apply(x)) <= cfg.tol_step
@@ -392,6 +391,8 @@ def run(cfg: SolverConfig,
         x = table[n, 1:1 + d] = step.x
         last = stopped or n == total
         if last or n % BLOCK_ROWS == 0:  # ||x - T x|| of the block's rows, bit for bit per row
+            table[start:n, 1 + d:] = block
+            block.clear()
             E = table[start:n, 1:1 + d] - cfg.mapping.images(apply, table[start:n, 1:1 + d])
             table[start:n, 0] = np.arange(start + 1, n + 1)
             table[start:n, 2 + d] = _row_norms(E) if cfg.norm.p == 2.0 else [size(e) for e in E]

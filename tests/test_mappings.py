@@ -558,10 +558,12 @@ class TestVerifyEnvelopeBoundary:
     lambda: make_affine(1e200 * np.eye(2), [0.0, 0.0], envelope=lambda n: 1.0),
 ], ids=["per-row map", "affine"])
 def test_overflowing_distance_fails_the_report(build):
-    # images and their differences are finite, only their 2-norm overflows
+    # images and their differences are finite, only the squares in their
+    # 2-norm overflow: the norm is then taken of the scaled difference, so
+    # each ratio reads 1e200, not inf
     report = verify_envelope(build(), n_max=1, samples=20, seed=1)
     assert report.passed is False
-    assert report.max_excess == np.inf
+    assert report.max_excess == pytest.approx(1e200, rel=1e-12)
     assert report.worst_n == 1
 
 

@@ -105,10 +105,6 @@ class TestImplicitStep:
         np.testing.assert_array_equal(res.x, x)
         assert res.deltas == [0.0]
 
-    @pytest.mark.xfail(raises=(RuntimeWarning, IllPosedError), strict=True,
-                       reason="the 2-norm squares the entries (CHANGES.md, FOUND in PR 23): a "
-                              "finite delta whose square overflows reads inf, so the step is "
-                              "reported as not finite")
     def test_a_step_whose_deltas_square_past_the_float_range_is_finite(self):
         # T = 0.9 I: IMR's step y = x_n / 2 + (0.9 / 2) (x_n + y) / 2 is
         # y = (0.725 / 0.775) x_n, and every iterate is finite
@@ -1093,3 +1089,62 @@ class TestConfigValidation:
 
 def no_step(*args, **kwargs):
     raise AssertionError("a step was taken")
+
+
+class TestExpandingAffineMaps:
+    """Affine maps whose T expands while its powers shrink: the paper's class
+    of asymptotically nonexpansive maps (Goebel & Kirk, Proc. AMS 35 (1972)
+    171-174), for which the T^n schemes AGVIM and AVIM63 exist."""
+
+    @pytest.mark.parametrize("scheme, outcome", [
+        # the T schemes' steps need ||T||_2 = 2.12 in q_n, and IMR and VIM
+        # weight T too heavily for that
+        ("IMR", "implicit step not a contraction at n=1: q_n = 1.059017 >= 1"),
+        ("VIM", "implicit step not a contraction at n=18: q_n = 1.000183 >= 1"),
+        ("GVIM", 27),
+        pytest.param("AGVIM", None, marks=pytest.mark.xfail(
+            raises=IllPosedError, strict=True,
+            reason="make_affine's default envelope max(1, ||A||_2)^n grows geometrically "
+                   "(ROADMAP item 3): q_3 = 2.375 refuses a map whose powers shrink")),
+        pytest.param("AVIM63", None, marks=pytest.mark.xfail(
+            raises=IllPosedError, strict=True,
+            reason="make_affine's default envelope max(1, ||A||_2)^n grows geometrically "
+                   "(ROADMAP item 3): q_2 = 1.122 refuses a map whose powers shrink")),
+    ])
+    def test_a_non_normal_map_whose_powers_shrink(self, scheme, outcome):
+        # ||A^n||_2 for n = 1..8: 2.12, 2.03, 1.51, 1.00, 0.63, 0.38, 0.22, 0.13;
+        # F = {0}, which is then the limit
+        cfg = SolverConfig(
+            scheme=SCHEMES[scheme], mapping=make_affine([[0.5, 2.0], [0.0, 0.5]], [0.0, 0.0]),
+            schedule=paper_schedule(), x1=[1.0, 1.0], contraction=make_scaling_contraction(0.5),
+        )
+        if isinstance(outcome, str):
+            with pytest.raises(IllPosedError, match=f"^{re.escape(outcome)}$"):
+                run(cfg)
+            return
+        trace = run(cfg)
+        assert trace.stop == "tol_step"
+        assert outcome is None or len(trace) == outcome
+        assert np.linalg.norm(trace.final) <= 1e-6
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="a declared affine envelope is trusted (ROADMAP item 12): k_n = 1 "
+                              "below ||A||_2 = 2.12 gives every step a q_n that is too low")
+    def test_a_declared_envelope_below_the_maps_norm_is_refused(self):
+        # d = 60, A = 0.5 I + 2 e1 e2^T declared with k_n = 1, which the
+        # sampled envelope check passes (max excess -0.197 at seed 7): today
+        # GVIM accepts 27 steps with q_n <= 0.70, while the true step factor
+        # c_n ||A||_2 / 2 reaches 0.98
+        A = 0.5 * np.eye(60)
+        A[0, 1] = 2.0
+        cfg = SolverConfig(
+            scheme=SCHEMES["GVIM"], mapping=make_affine(A, np.zeros(60), envelope=lambda n: 1.0),
+            schedule=paper_schedule(), x1=np.ones(60), contraction=make_scaling_contraction(0.5),
+        )
+        try:
+            trace = run(cfg)
+        except IllPosedError as err:
+            assert err.n <= 2  # c_1 = 0: step 2 is the first with the operator term
+        else:
+            raise AssertionError(f"run accepted {len(trace)} steps ({trace.stop}), "
+                                 f"with q_n <= {max(trace.q):.3f}")

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from midpointfp.errors import InvalidInputError, UnsupportedNormError
-from midpointfp.space import NormSpec, as_vector, duality_map, inner, norm, norm_kernel
+from midpointfp.space import (
+    NormSpec, _row_norms, as_vector, duality_map, inner, norm, norm_kernel,
+)
 
 
 class TestNorm:
@@ -60,6 +62,25 @@ class TestNorm:
             assert norm_kernel(NormSpec(2.0))(v) == np.linalg.norm(v, 2)
             assert norm_kernel(NormSpec(math.inf))(v) == np.max(np.abs(v))
             assert norm_kernel(NormSpec(3.0))(v) == np.linalg.norm(v, 3)
+
+    @pytest.mark.parametrize("x", [[1e200, -1e200], [1e308] * 3, [3.0, -1e300, 1e154]])
+    def test_2_norm_of_a_vector_whose_square_overflows_is_finite(self, x):
+        # v . v passes the float range, so the norm is taken of v / max|v_i|
+        assert norm(x) == pytest.approx(math.hypot(*x), rel=1e-15)
+
+    def test_2_norm_kernel_of_a_nonfinite_vector(self):
+        # an Inf entry reads inf and a NaN one NaN, without a warning; so does
+        # a finite vector whose norm itself passes the float range
+        size = norm_kernel()
+        assert size(np.array([math.inf, 1e200])) == math.inf
+        assert math.isnan(size(np.array([math.nan, 1e200])))
+        assert size(np.array([1.5e308, -1.5e308])) == math.inf
+
+    def test_row_norms_hand_an_overflowing_row_to_the_kernel(self):
+        E = np.array([[3.0, 4.0], [1e200, -1e200], [math.inf, 0.0], [0.5, -2.0]])
+        norms = _row_norms(E)
+        assert np.isfinite(norms[1])
+        assert list(norms) == [norm_kernel()(e) for e in E]  # bit for bit
 
 
 class TestAsVector:
