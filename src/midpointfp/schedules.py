@@ -167,21 +167,24 @@ class ValidationReport:
         return [(label, r.status, r.value, r.at_n, r.detail) for label, r in named]
 
 
-def _monotone_nonincreasing(vals, start_n):
-    """First index (1-based over the full horizon) where the tail increases, or None."""
-    for i in range(1, len(vals)):
-        if vals[i] > vals[i - 1] * (1.0 + 1e-12) + 1e-300:
-            return start_n + i
-    return None
+def _first(ns, bad) -> int | None:
+    """The first n in ``ns`` with ``bad(n)``, or None."""
+    return next((n for n in ns if bad(n)), None)
+
+
+def _rises(vals, n) -> bool:
+    """Whether the 1-based sequence ``vals`` increases from n - 1 to n."""
+    return vals[n - 1] > vals[n - 2] * (1.0 + 1e-12) + 1e-300
 
 
 def validate(cfg: SolverConfig, horizon: int) -> ValidationReport:
     """Check a run's configuration over n = 1..horizon.
 
-    Conditions (i), (ii) and the simplex identity read the schedule;
-    condition (iii), the normal-structure bound and k >= 1 read the
-    declared 2-norm ``cfg.envelope(n)``; well-posedness reads the q_n that
-    ``run`` checks, in the run's norm.
+    Conditions (i), (ii) and the simplex identity read the schedule, and
+    well-posedness the q_n that ``run`` checks, in the run's norm (one
+    ``cfg.step_bound`` call per n). Condition (iii), the normal-structure
+    bound and k >= 1 read the declared 2-norm k_n = ``cfg.envelope(n)``,
+    which is that call's k_p for a T^n scheme in the 2-norm.
     Tail-limit conditions are checked on the second half of the horizon,
     since the underlying requirements only bind for sufficiently large n.
     Divergence of sum(a_n) is the schedule's own symbolic verdict
@@ -191,19 +194,21 @@ def validate(cfg: SolverConfig, horizon: int) -> ValidationReport:
     """
     if horizon < 10:
         raise InvalidInputError(f"validation horizon must be >= 10, got {horizon}")
-    sched = cfg.schedule
+    sched, scheme = cfg.schedule, cfg.scheme
     ns = range(1, horizon + 1)
     a = [sched.a(n) for n in ns]
     b = [sched.b(n) for n in ns]
     c = [sched.c(n) for n in ns]
-    k = [cfg.envelope(n) for n in ns]
+    q, k_p = zip(*(cfg.step_bound(n, scheme.coefficients_from(*abc)[2])
+                   for n, abc in zip(ns, zip(a, b, c))))
+    k = k_p if scheme.use_power and cfg.norm.p == 2.0 else [cfg.envelope(n) for n in ns]
 
     half = horizon // 2
-    tail = slice(half - 1, horizon)  # 0-based slice covering n = half..horizon
+    tail = range(half, horizon + 1)
 
     # (i) a_n -> 0: monotone tail and endpoint below ten times the
     # observed half-horizon decrement (a trend-extrapolation threshold).
-    bad_n = _monotone_nonincreasing(a[tail], half)
+    bad_n = _first(tail[1:], lambda n: _rises(a, n))
     a_mid, a_end = a[half - 1], a[-1]
     threshold = 10.0 * (a_mid - a_end) + 1e-12
     if bad_n is not None:
@@ -223,44 +228,38 @@ def validate(cfg: SolverConfig, horizon: int) -> ValidationReport:
 
     # (iii) (k_n^2 - 1)/a_n -> 0 on the tail; a zero a_n makes the ratio inf.
     ratio = [(kk * kk - 1.0) / aa if aa else math.inf for kk, aa in zip(k, a)]
-    bad_n = _monotone_nonincreasing(ratio[tail], half)
+    bad_n = _first(tail[1:], lambda n: _rises(ratio, n))
     r_end = ratio[-1]
     if bad_n is not None:
         cond_iii = CheckResult("fail", r_end, horizon,
                                f"ratio increases at n={bad_n}; tail value {r_end:.3e}")
     elif r_end <= TOL_III:
-        first_ok = next(n for n in range(half, horizon + 1) if ratio[n - 1] <= TOL_III)
+        first_ok = _first(tail, lambda n: ratio[n - 1] <= TOL_III)
         cond_iii = CheckResult("pass", r_end, horizon,
                                f"tail ratio {r_end:.3e} <= {TOL_III:g} (holds from n={first_ok})")
     else:
         cond_iii = CheckResult("fail", r_end, horizon,
                                f"tail ratio {r_end:.3e} exceeds {TOL_III:g}")
 
-    # simplex, pointwise over the whole horizon
-    worst = 0.0
-    worst_n = None
-    for n, (aa, bb, cc) in enumerate(zip(a, b, c), start=1):
-        dev = abs(aa + bb + cc - 1.0)
-        if dev > worst:
-            worst, worst_n = dev, n
-        if dev > 1e-12 and worst_n == n:
-            break
-    if worst > 1e-12:
-        simplex = CheckResult("fail", worst, worst_n, f"|a+b+c-1| = {worst:.3e} at n={worst_n}")
+    # simplex, pointwise over the whole horizon: the first n off by more
+    # than 1e-12, else the largest deviation at its first n (None when all are 0)
+    dev = [abs(aa + bb + cc - 1.0) for aa, bb, cc in zip(a, b, c)]
+    worst = max([0.0, *dev])  # 0.0 first, so a NaN deviation is passed over
+    at = _first(ns, lambda n: dev[n - 1] > 1e-12) or _first(ns, lambda n: 0.0 < dev[n - 1] == worst)
+    value = dev[at - 1] if at else 0.0
+    if value > 1e-12:
+        simplex = CheckResult("fail", value, at, f"|a+b+c-1| = {value:.3e} at n={at}")
     else:
-        simplex = CheckResult("pass", worst, worst_n, "pointwise to 1e-12")
+        simplex = CheckResult("pass", value, at, "pointwise to 1e-12")
 
     # wellposedness of the implicit step, by the q_n that run checks
-    q = [cfg.step_bound(n, cfg.scheme.coefficients_from(*abc)[2])[0]
-         for n, abc in enumerate(zip(a, b, c), start=1)]
     q_max = max(q)
     q_arg = q.index(q_max) + 1
     if q_max < 1.0:
         wellposed = CheckResult("pass", q_max, q_arg, f"max q_n = {q_max:.6f} at n={q_arg}")
     else:
-        first_bad = next(n for n, qq in enumerate(q, start=1) if qq >= 1.0)
-        wellposed = CheckResult("fail", q[first_bad - 1], first_bad,
-                                f"q_n >= 1 first at n={first_bad}")
+        bad_n = _first(ns, lambda n: q[n - 1] >= 1.0)
+        wellposed = CheckResult("fail", q[bad_n - 1], bad_n, f"q_n >= 1 first at n={bad_n}")
 
     # geometric bound on the envelope (warning only: the benchmark
     # example itself exceeds the Hilbert value)
@@ -274,16 +273,12 @@ def validate(cfg: SolverConfig, horizon: int) -> ValidationReport:
                           f"sup k_n = {sup_k:.6g} exceeds N^(1/2) = {bound:.6f}")
 
     # informational range check on the tail half
-    rng_bad = None
-    for n in range(half, horizon + 1):
-        aa, bb, cc, kk = a[n - 1], b[n - 1], c[n - 1], k[n - 1]
-        if not (0.0 < aa < 1.0 and 0.0 <= bb < 1.0 and 0.0 < cc < 1.0 and kk >= 1.0):
-            rng_bad = n
-            break
-    if rng_bad is None:
+    bad_n = _first(tail, lambda n: not (0.0 < a[n - 1] < 1.0 and 0.0 <= b[n - 1] < 1.0
+                                        and 0.0 < c[n - 1] < 1.0 and k[n - 1] >= 1.0))
+    if bad_n is None:
         ranges = CheckResult("pass", None, None, "a in (0,1), b in [0,1), c in (0,1), k >= 1 on tail")
     else:
-        ranges = CheckResult("warn", None, rng_bad, f"range violation at n={rng_bad}")
+        ranges = CheckResult("warn", None, bad_n, f"range violation at n={bad_n}")
 
     return ValidationReport(
         condition_i=cond_i,

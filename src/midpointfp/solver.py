@@ -6,7 +6,7 @@ Each outer step n solves the implicit equation
 
 for x, where the coefficient triple (cf, cx, cT) and the power p depend
 on the scheme (see :data:`SCHEMES`). The step map is a contraction with
-factor q_n = cT * k_p / 2 whenever q_n < 1, so the step is solved by
+factor q_n = |cT| * k_p / 2 whenever q_n < 1, so the step is solved by
 Picard iteration warm-started at x_n with the standard a-posteriori
 error bound q/(1-q) * ||y_m - y_{m-1}|| as the stopping rule. q_n comes
 from ``SolverConfig.step_bound`` alone, its L_p from ``Mapping.lipschitz``,
@@ -159,14 +159,15 @@ class SolverConfig:
         return max(_declared_k(self.schedule.k, p), self.mapping.lipschitz(p, r))
 
     def step_bound(self, n: int, cT: float | None = None) -> tuple[float, float]:
-        """(q_n, k_p) for this scheme's step n: q_n = cT * k_p / 2, with k_p
-        the :meth:`envelope` of T^p in the run's norm. cT is the step's, from
-        the schedule unless the caller passes it. A step without the operator
-        term (cT = 0) has q_n = 0, whatever k_p is."""
+        """(q_n, k_p) for this scheme's step n: q_n = |cT| * k_p / 2 (cT < 0
+        comes from, e.g., a custom c_n < 0), with k_p the :meth:`envelope` of
+        T^p in the run's norm. cT is the step's, from the schedule unless the
+        caller passes it. A step without the operator term (cT = 0) has
+        q_n = 0, whatever k_p is."""
         if cT is None:
             cT = self.scheme.coefficients(self.schedule, n)[2]
         k = self.envelope(self.scheme.power(n), self.norm.p)
-        return (0.5 * cT * k if cT != 0.0 else 0.0), k
+        return (0.5 * abs(cT) * k if cT != 0.0 else 0.0), k
 
 
 @dataclass
@@ -308,7 +309,7 @@ class Trace:
     and the step columns are views of it. res_map is ||x_n - T x_n||,
     res_power is ||x_n - T^n x_n|| (NaN when the power is uncomputable
     under the configured cap), inner_iters holds whole numbers, a, b, c
-    are the schedule's values, and k is the step's k_p: q = cT k / 2.
+    are the schedule's values, and k is the step's k_p: q = |cT| k / 2.
     ``stop`` is why :func:`run` ended it, and ``converged`` is stop != "max_outer".
     """
 

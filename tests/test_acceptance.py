@@ -7,6 +7,7 @@ see the README for the measured behaviour of the faithful runs.
 
 import time
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -55,6 +56,12 @@ def benchmark_cfg(x1, **kw):
 def benchmark_default_traces():
     """The three benchmark runs at default tolerances."""
     return [run(benchmark_cfg(x1)) for x1 in STARTS]
+
+
+@pytest.fixture(scope="module")
+def table1_traces():
+    """The three 20-step runs of table 1."""
+    return [run(benchmark_cfg(x1, max_outer=20, tol_step=0.0)) for x1 in STARTS]
 
 
 def test_criterion_1_inner_solver_oracle_equivalence():
@@ -312,3 +319,42 @@ def test_criterion_9_vi_certificate(tmp_path, capsys):
         _report("9 VI certificate behavior", ok,
                 "; ".join(details) if details else
                 "holds at origin; exact -1 violation surfaced by reproduce-table1")
+
+
+def exact_twin(x1, steps):
+    """x_{steps+1} of the benchmark iteration from x1, in 40-digit decimals.
+
+    The recursion of ``ray_oracle`` (tests/test_solver.py): on the ray
+    through x1 the flip map's powers act as +/- identity, so x_n = t_n x1
+    with a scalar t_n. x1 is taken exactly as the float it is.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        u = [Decimal(float(v)) for v in x1]
+        fixed = u[0] * u[1] < 0
+        t = Decimal(1)
+        for n in range(1, steps + 1):
+            a, b, c = Decimal(1) / n, Decimal(n - 1) / (n * (n + 1)), Decimal(n - 1) / (n + 1)
+            s = 1 if fixed else (-1) ** n
+            t = t * (a / 2 + b + c * s / 2) / (1 - c * s / 2)
+        return [t * v for v in u]
+
+
+def test_trajectories_stay_within_the_drift_bound_of_an_exact_twin(benchmark_default_traces,
+                                                                   table1_traces):
+    # each accepted step is within tol_inner of the exact step from the
+    # accepted x_n, and the step map moves by at most L_n ||x_n - x'_n|| with
+    # L_n = (a_n alpha + |b_n| + q_n)/(1 - q_n), so the errors add up to at
+    # most e_{N+1}, with e_1 = 0 and e_{n+1} = L_n e_n + tol_inner
+    alpha, tol = 0.5, 1e-12
+    for trace in (*benchmark_default_traces, *table1_traces):
+        bound = 0.0
+        for a, b, q in zip(trace.a, trace.b, trace.q):
+            bound = (a * alpha + abs(b) + q) / (1.0 - q) * bound + tol
+        twin = exact_twin(trace.x[0], len(trace))
+        with localcontext() as ctx:
+            ctx.prec = 40
+            dist = sum((Decimal(float(v)) - w) ** 2 for v, w in zip(trace.final, twin)).sqrt()
+        assert float(dist) <= bound, (
+            f"run from {trace.x[0].tolist()} of {len(trace)} steps ends {float(dist) / tol:.1f} "
+            f"tol_inner from its exact twin, beyond the bound {bound / tol:.1f}")

@@ -183,6 +183,22 @@ class TestRunCommand:
         assert np.all(table[:, header.index("k_n")] == 1.0)
         assert np.linalg.norm(table[-1, 1:3]) <= 1e-7
 
+    def test_a_negative_operator_coefficient_writes_the_solved_step(self, tmp_path, capsys):
+        # c_n = -0.4: q_n = |cT| k_p / 2 = 0.2, and x_2 is the dense solve of
+        # (I - (cT/2) A) x = (cf/2 + cx) x_1 + (cT/2) A x_1
+        A = np.array([[0.0, -0.99], [0.99, 0.0]])
+        data = {**BENCHMARK, "scheme": "GVIM", "x1": [1.0, 2.0], "max_outer": 2, "tol_step": 0.0,
+                "mapping": {"kind": "affine", "A": A.tolist(), "b": [0.0, 0.0]},
+                "schedule": {"family": "custom", "table": [[0.5, 0.9, -0.4, 1.0]] * 2}}
+        path = write_config(tmp_path, data)
+        assert main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+        header, rows = read_csv(tmp_path / "trace.csv")
+        row = rows[1]
+        assert row[0] == "2" and float(row[header.index("q_n")]) == 0.2
+        x1 = np.array([1.0, 2.0])
+        x2 = np.linalg.solve(np.eye(2) + 0.2 * A, (0.25 + 0.9) * x1 - 0.2 * A @ x1)
+        assert np.linalg.norm(np.array(row[1:3], dtype=float) - x2) <= 1e-12
+
     def test_illposed_config_exits_one_citing_n(self, tmp_path, capsys):
         data = dict(BENCHMARK)
         data["schedule"] = {"family": "custom", "table": [[0.1, 0.0, 0.9, 4.0]] * 5}

@@ -257,6 +257,48 @@ class TestDeclaredEnvelopeValues:
         report = validate(cfg, horizon=20)
         assert (report.wellposed.status, report.wellposed.value) == ("pass", 0.0)
 
+    def test_a_negative_operator_coefficient_has_a_positive_q(self):
+        # c_n = -0.4: q_n is the step map's Lipschitz constant |cT| k_p / 2
+        cfg = SolverConfig(scheme=SCHEMES["GVIM"],
+                           mapping=make_affine([[0.0, -0.99], [0.99, 0.0]], [0.0, 0.0]),
+                           schedule=custom_schedule([[0.5, 0.9, -0.4, 1.0]] * 20), x1=[1.0, 2.0],
+                           contraction=make_scaling_contraction(0.5))
+        assert cfg.step_bound(1) == (0.2, 1.0)
+        report = validate(cfg, horizon=20)
+        assert (report.wellposed.status, report.wellposed.value) == ("pass", 0.2)
+
+
+def counting(cfg):
+    """``cfg`` with counting wrappers on ``Schedule.k`` and ``Mapping.envelope``,
+    and the dict of their call counts."""
+    calls = {"Schedule.k": 0, "Mapping.envelope": 0}
+
+    def counted(name, f):
+        def wrapped(n):
+            calls[name] += 1
+            return f(n)
+        return wrapped
+
+    return replace(cfg, schedule=replace(cfg.schedule, k=counted("Schedule.k", cfg.schedule.k)),
+                   mapping=replace(cfg.mapping, envelope=counted("Mapping.envelope",
+                                                                 cfg.mapping.envelope))), calls
+
+
+class TestValidateReadsTheEnvelope:
+    """validate reads the declared envelope once per n where the run's k_p
+    is k_n: a T^n scheme in the 2-norm. Elsewhere ``step_bound`` reads k_1,
+    or k_n in the run's norm, and condition (iii) reads k_n in the 2-norm."""
+
+    @pytest.mark.parametrize("scheme, norm_p, per_n", [
+        ("AGVIM", 2.0, 1), ("AVIM63", 2.0, 1), ("IMR", 2.0, 2), ("GVIM", 2.0, 2),
+        ("AGVIM", 3.0, 2),
+    ])
+    def test_calls_per_n(self, scheme, norm_p, per_n):
+        cfg, calls = counting(replace(agvim_flip(paper_schedule()), scheme=SCHEMES[scheme],
+                                      norm=NormSpec(norm_p)))
+        validate(cfg, horizon=100)
+        assert calls == {"Schedule.k": 100 * per_n, "Mapping.envelope": 100 * per_n}
+
 
 class TestValidateAgreesWithRun:
     """validate reads the q_n that run checks: mapping, scheme and norm."""

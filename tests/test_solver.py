@@ -247,6 +247,24 @@ class TestImplicitStep:
             run(cfg)
         assert err.value.n == 3
 
+    @pytest.mark.parametrize("path", ["affine", "picard"])
+    def test_a_negative_operator_coefficient_keeps_the_bound(self, path):
+        # c_1 = -0.4 (the simplex still holds): the step map's Lipschitz
+        # constant in y is |cT| k_p / 2 = 0.2, and a signed q_n = -0.2 made the
+        # bound negative, so the first Picard iterate was accepted unchecked
+        A = [[0.0, -0.99], [0.99, 0.0]]
+        mapping = make_affine(A, [0.0, 0.0])
+        cfg = SolverConfig(
+            scheme=SCHEMES["GVIM"], mapping=mapping if path == "affine" else picard_only(mapping),
+            schedule=custom_schedule([[0.5, 0.9, -0.4, 1.0]]), x1=[1.0, 2.0],
+            contraction=make_scaling_contraction(0.5),
+        )
+        step = implicit_step(cfg, 1, cfg.x1)
+        assert step.q == pytest.approx(0.2) and step.bound >= 0.0
+        want = implicit_step_affine_oracle(A, [0.0, 0.0], cfg.scheme, cfg.schedule, 1, cfg.x1,
+                                           cfg.contraction)
+        assert np.linalg.norm(step.x - want) <= cfg.tol_inner
+
     @pytest.mark.parametrize("norm_p", [math.inf, 1.5, 3.0])
     def test_rotation_runs_in_a_non_euclidean_norm(self, norm_p):
         # ||R||_2 = 1 but ||R||_inf = sqrt(2) for a 45 degree rotation: k_p
