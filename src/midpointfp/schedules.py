@@ -173,8 +173,9 @@ def _first(ns, bad) -> int | None:
 
 
 def _rises(vals, n) -> bool:
-    """Whether the 1-based sequence ``vals`` increases from n - 1 to n."""
-    return vals[n - 1] > vals[n - 2] * (1.0 + 1e-12) + 1e-300
+    """Whether the 1-based sequence ``vals`` increases from n - 1 to n (or
+    either value is NaN)."""
+    return not vals[n - 1] <= vals[n - 2] * (1.0 + 1e-12) + 1e-300
 
 
 def validate(cfg: SolverConfig, horizon: int) -> ValidationReport:
@@ -242,24 +243,28 @@ def validate(cfg: SolverConfig, horizon: int) -> ValidationReport:
                                f"tail ratio {r_end:.3e} exceeds {TOL_III:g}")
 
     # simplex, pointwise over the whole horizon: the first n off by more
-    # than 1e-12, else the largest deviation at its first n (None when all are 0)
+    # than 1e-12 or NaN, else the largest deviation at its first n (None
+    # when all are 0)
     dev = [abs(aa + bb + cc - 1.0) for aa, bb, cc in zip(a, b, c)]
-    worst = max([0.0, *dev])  # 0.0 first, so a NaN deviation is passed over
-    at = _first(ns, lambda n: dev[n - 1] > 1e-12) or _first(ns, lambda n: 0.0 < dev[n - 1] == worst)
-    value = dev[at - 1] if at else 0.0
-    if value > 1e-12:
-        simplex = CheckResult("fail", value, at, f"|a+b+c-1| = {value:.3e} at n={at}")
+    bad_n = _first(ns, lambda n: not dev[n - 1] <= 1e-12)
+    if bad_n is None:
+        worst = max(dev)
+        simplex = CheckResult("pass", worst, _first(ns, lambda n: 0.0 < dev[n - 1] == worst),
+                              "pointwise to 1e-12")
     else:
-        simplex = CheckResult("pass", value, at, "pointwise to 1e-12")
+        value = dev[bad_n - 1]
+        simplex = CheckResult("fail", value, bad_n, f"|a+b+c-1| = {value:.3e} at n={bad_n}")
 
     # wellposedness of the implicit step, by the q_n that run checks
-    q_max = max(q)
-    q_arg = q.index(q_max) + 1
-    if q_max < 1.0:
+    bad_n = _first(ns, lambda n: not q[n - 1] < 1.0)
+    if bad_n is None:
+        q_max = max(q)
+        q_arg = q.index(q_max) + 1
         wellposed = CheckResult("pass", q_max, q_arg, f"max q_n = {q_max:.6f} at n={q_arg}")
     else:
-        bad_n = _first(ns, lambda n: q[n - 1] >= 1.0)
-        wellposed = CheckResult("fail", q[bad_n - 1], bad_n, f"q_n >= 1 first at n={bad_n}")
+        q_bad = q[bad_n - 1]
+        wellposed = CheckResult("fail", q_bad, bad_n,
+                                f"q_n {'>= 1' if q_bad >= 1.0 else 'is nan'} first at n={bad_n}")
 
     # geometric bound on the envelope (warning only: the benchmark
     # example itself exceeds the Hilbert value)

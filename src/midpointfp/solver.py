@@ -7,8 +7,9 @@ Each outer step n solves the implicit equation
 for x, where the coefficient triple (cf, cx, cT) and the power p depend
 on the scheme (see :data:`SCHEMES`). The step map is a contraction with
 factor q_n = |cT| * k_p / 2 whenever q_n < 1, so the step is solved by
-Picard iteration warm-started at x_n with the standard a-posteriori
-error bound q/(1-q) * ||y_m - y_{m-1}|| as the stopping rule. q_n comes
+Picard iteration warm-started at x_n, with secant steps (Anderson
+acceleration, window 1), and stopped by the standard a-posteriori error
+bound q/(1-q) * ||G(y) - y||, which holds for G(y) at any y. q_n comes
 from ``SolverConfig.step_bound`` alone, its L_p from ``Mapping.lipschitz``,
 and q_n < 1 is checked as step n is reached.
 
@@ -172,8 +173,9 @@ class SolverConfig:
 
 @dataclass
 class StepResult:
-    """One solved step. ``deltas`` holds the first Picard delta and every
-    later one, from y* on the affine path (empty on a step with cT = 0).
+    """One solved step. ``deltas`` holds the first Picard delta and the
+    delta ||G(y) - y|| of every later pass, a dropped secant point's too,
+    from y* on the affine path (empty on a step with cT = 0).
     ``power_x`` is T^p x_n, the operator term of the first Picard iterate
     (None on a step with cT = 0, which evaluates no power). It is not
     frozen: a frozen dataclass's ``__init__`` takes about twice as long,
@@ -195,13 +197,18 @@ def implicit_step(cfg: SolverConfig, n: int, x_n,
     Returns the accepted iterate together with the inner iteration count
     and the final a-posteriori bound; the accepted iterate is within
     tol_inner of the exact step solution whenever the contraction bound
-    is valid. For a mapping with an ``affine`` power whose first iterate
-    y_1 = G(x_n) does not meet tol_inner, the step's linear system is
-    solved once and its solution y* only replaces the warm start: the
-    same loop runs from y*, inner_iters counts from there, and the first
-    pass also checks the pair (y_1, G(y*)). Raises IllPosedError if
-    q_n >= 1, if a Picard delta is non-finite or exceeds the first one,
-    if the linear system is singular, or if ||y_1 - G(y*)|| > q_n
+    is valid. From the third pass on, a pass at y that misses tol_inner
+    is followed by a secant step from the pairs (y, G(y) - y) of it and
+    of the kept pass before it; a secant point whose delta exceeds that
+    of the pass whose Picard iterate it replaced is dropped, and the loop
+    goes on with Picard from that iterate. For a mapping with an
+    ``affine`` power whose first iterate y_1 = G(x_n) does not meet
+    tol_inner, the step's linear system is solved once and its solution
+    y* only replaces the warm start: the same loop runs from y*,
+    inner_iters counts from there, and the first pass also checks the
+    pair (y_1, G(y*)). Raises IllPosedError if q_n >= 1, if the delta of
+    a plain Picard pass is non-finite or exceeds the first one, if the
+    linear system is singular, or if ||y_1 - G(y*)|| > q_n
     ||x_n - y*|| + tol_inner (no q_n-contraction does any of these), and
     InnerBudgetError if max_inner is hit first (the achieved bound is
     attached), and InvalidInputError if a step without the operator term
@@ -240,7 +247,7 @@ def implicit_step(cfg: SolverConfig, n: int, x_n,
     first = size(residual)
     if not math.isfinite(first):
         raise _bad_delta(n, q, first, first, 1)
-    # every later delta must be <= first, which NaN and inf fail too
+    # every later plain delta must be <= first, which NaN and inf fail too
     deltas = [first]
     bound = factor * first
     m, y1 = 1, None
@@ -253,6 +260,9 @@ def implicit_step(cfg: SolverConfig, n: int, x_n,
         except np.linalg.LinAlgError as exc:
             raise IllPosedError(f"singular implicit system at n={n}: {exc}", n=n, q=q) from exc
         m, bound = 0, math.inf
+    # prev: (y, G(y) - y) of the last kept pass; plain: the Picard iterate
+    # that a secant point y replaced, and the delta of the pass that made it
+    prev = plain = None
     while bound > tol:
         if m == max_inner:
             raise InnerBudgetError(
@@ -261,17 +271,31 @@ def implicit_step(cfg: SolverConfig, n: int, x_n,
             )
         m += 1
         y_new = base + cT * power(0.5 * (x_n + y))
-        delta = size(y_new - y)
-        if not delta <= first:
+        f = y_new - y
+        delta = size(f)
+        deltas.append(delta)
+        if plain is not None:  # y is a secant point: kept only if no worse
+            if not delta <= plain[1]:  # back to Picard from the iterate it replaced
+                y, prev, plain = plain[0], None, None
+                continue
+            plain = None
+        elif not delta <= first:
             raise _bad_delta(n, q, delta, first, m)
+        bound = factor * delta
         if y1 is not None:  # G(y*): the pair check, once
             gap, dist = size(y1 - y_new), size(x_n - y)
             if not gap <= q * dist + tol:
                 raise _diverges(n, q, f"||G(x_n) - G(y*)|| = {gap:.3e} for "
                                       f"||x_n - y*|| = {dist:.3e}")
             y1 = None
-        deltas.append(delta)
-        y, bound = y_new, factor * delta
+        elif prev is not None and bound > tol:  # secant step: G(y) - gamma (G(y) - G(y'))
+            df = f - prev[1]
+            dd = float(df @ df)
+            gamma = float(f @ df) / dd if dd > 0.0 else math.nan
+            if math.isfinite(gamma):
+                plain = y_new, delta
+                y_new = y_new - gamma * (y - prev[0] + df)
+        prev, y = (y, f), y_new
     return StepResult(x=y, inner_iters=m, q=q, k=k, bound=bound, deltas=deltas,
                       power_x=power_x)
 

@@ -113,30 +113,37 @@ class TestCompareSchemes:
     def test_two_scheme_report(self):
         report = compare_schemes(_flip_cfg([0.0, 1.0 / 3.0]), [SCHEMES["VIM"], SCHEMES["GVIM"]])
         assert [r.scheme for r in report.runs] == ["GVIM", "VIM"]  # name order
-        for r in report.runs:
+        # VIM's step 2 lands on the fixed point 0, so with tol_step = 0 it
+        # stops stationary after 3 steps; GVIM runs the whole budget
+        for r, steps, stop in zip(report.runs, (60, 3), ("max_outer", "stationary")):
             assert not r.failed
-            assert len(r.trace) == 60
+            assert (len(r.trace), r.trace.stop) == (steps, stop)
             assert r.iters_to[1e-2] is not None
             assert r.iters_to[1e-4] is not None
+        np.testing.assert_array_equal(report.runs[1].trace.final, [0.0, 0.0])
         csv_text = report.to_csv()
         lines = csv_text.strip().split("\n")
         assert lines[0] == "n,step_norm_GVIM,step_norm_VIM"
         assert len(lines) == 61
+        assert lines[3].endswith(",0") and lines[4].endswith(",")  # VIM's column ends at n = 3
         md = report.to_markdown()
         assert "GVIM" in md and "VIM" in md
 
     def test_schedule_values_shared_bitwise(self):
         cfg = _flip_cfg([0.5, 1.0], steps=20)
         report = compare_schemes(cfg, [SCHEMES["VIM"], SCHEMES["GVIM"], SCHEMES["AGVIM"]])
-        traces = [r.trace for r in report.runs]
-        for i in range(20):
-            a_vals = {t.a[i] for t in traces}
-            b_vals = {t.b[i] for t in traces}
-            c_vals = {t.c[i] for t in traces}
-            assert len(a_vals) == len(b_vals) == len(c_vals) == 1
+        # VIM and GVIM land on the fixed point 0 and stop stationary; every
+        # row of every run holds the schedule's own a_n, b_n and c_n
+        assert [(len(r.trace), r.trace.stop) for r in report.runs] == [
+            (20, "max_outer"), (6, "stationary"), (3, "stationary")]
+        for t in (r.trace for r in report.runs):
+            for i in range(len(t)):
+                n = i + 1
+                assert (t.a[i], t.b[i], t.c[i]) == (cfg.schedule.a(n), cfg.schedule.b(n),
+                                                    cfg.schedule.c(n))
         # k is each step's k_p: k_1 for single-application schemes, k_n for AGVIM
         for r in report.runs:
-            powers = [SCHEMES[r.scheme].power(n) for n in range(1, 21)]
+            powers = [SCHEMES[r.scheme].power(n) for n in range(1, len(r.trace) + 1)]
             assert r.trace.k.tolist() == [cfg.envelope(p) for p in powers]
 
     def test_fixed_start_hits_all_thresholds_immediately(self):

@@ -175,6 +175,28 @@ class TestValidate:
         assert report.simplex.at_n == 5
         assert not report.passed
 
+    @pytest.mark.parametrize("column", [0, 1, 2], ids=["a_n", "b_n", "c_n"])
+    def test_a_nan_coefficient_fails_the_report(self, column):
+        # a NaN passes every "value > tolerance" test, so each check must be
+        # written to fail it
+        rows = [[1.0 / n, 0.0, 1.0 - 1.0 / n, 1.0] for n in range(1, 41)]
+        rows[24][column] = math.nan
+        report = validate(agvim_flip(custom_schedule(rows)), horizon=40)
+        assert (report.simplex.status, report.simplex.at_n) == ("fail", 25)
+        assert math.isnan(report.simplex.value)
+        assert not report.passed
+        if column == 0:  # (i) and (iii) read a_n on the tail n = 20..40
+            assert (report.condition_i.status, report.condition_i.detail) == (
+                "fail", "a_n increases at n=25")
+            assert report.condition_iii.status == "fail"
+        wellposed = report.wellposed
+        if column == 2:  # AGVIM's cT is c_n, so q_25 is NaN
+            assert (wellposed.status, wellposed.at_n, wellposed.detail) == (
+                "fail", 25, "q_n is nan first at n=25")
+            assert math.isnan(wellposed.value)
+        else:
+            assert wellposed.status == "pass"
+
     def test_illposed_schedule_fails_wellposed(self):
         rows = [[0.1, 0.0, 0.9, 4.0]] * 20
         report = validate(agvim_flip(custom_schedule(rows)), horizon=20)

@@ -504,11 +504,12 @@ class TestPicardLoop:
         assert res.x[0] == pytest.approx(3.0 / 7.0, abs=cfg.tol_inner)
 
     def test_collected_deltas(self):
-        # G(y) = 0.5 + 0.25 y from x_n = 1: dyadic iterates, deltas 4^-m,
-        # accepted once (1/3) 4^-m <= 1e-12
+        # G(y) = 0.5 + 0.25 y from x_n = 1: three Picard passes with dyadic
+        # deltas 4^-m, then the secant step through the last two lands on the
+        # fixed point 2/3 of the affine G, where the fourth delta is 0
         res = implicit_step(one_d_identity_cfg(), 1, [1.0])
-        assert res.deltas == [0.25 ** m for m in range(1, 21)]
-        assert res.inner_iters == 20
+        assert res.deltas == [0.25, 0.0625, 0.015625, 0.0]
+        assert res.inner_iters == 4 and res.x[0] == 2.0 / 3.0
         # on the affine path the list holds the first delta, then the deltas from y*
         cfg = replace(one_d_identity_cfg(), mapping=make_affine([[1.0]], [0.0]))
         res = implicit_step(cfg, 1, [1.0])
@@ -517,6 +518,31 @@ class TestPicardLoop:
         assert res.deltas[1] <= 3.0 * cfg.tol_inner
         # a step without the operator term (c_1 = 0) makes no Picard iteration
         assert implicit_step(benchmark_cfg([0.0, 1.0]), 1, [0.0, 1.0]).deltas == []
+
+    def test_a_secant_step_across_a_kink_falls_back_to_picard(self):
+        # T u = |u| is nonexpansive with a kink at 0. From x_n = -2, GVIM's
+        # step map is G(y) = -0.05 + 0.95 |y - 2| (q = 0.95): the first Picard
+        # iterate lands past the kink at y = 2, so the secant through the next
+        # two pairs straddles it and lands where the residual is larger than
+        # that of the plain iterate it replaced
+        kink = Mapping(apply=np.abs, envelope=lambda n: 1.0, domain_dim=1,
+                       power=lambda n, u: np.abs(u))
+        cfg = SolverConfig(scheme=SCHEMES["GVIM"], mapping=kink,
+                           schedule=custom_schedule([[0.05, 0.0, 1.9, 1.0]]), x1=[-2.0],
+                           contraction=make_scaling_contraction(0.5))
+        res = implicit_step(cfg, 1, [-2.0])
+        picard = [-2.0]
+        for _ in range(5):
+            picard.append(-0.05 + 0.95 * abs(picard[-1] - 2.0))
+        # pass 4, at the secant point, is dropped, and passes 5 and 6
+        # go on with Picard from the iterate it replaced
+        assert res.deltas[3] > res.deltas[2]
+        assert res.deltas[:3] + res.deltas[4:6] == pytest.approx(np.abs(np.diff(picard)), rel=1e-12)
+        # both pairs then lie on the branch y < 2, where the secant step is
+        # exact (plain Picard takes 605 iterations on this step)
+        assert res.inner_iters == 7 and res.bound <= cfg.tol_inner
+        # the branch's step: y = -0.05 + 0.95 (2 - y), so y = 37/39
+        assert res.x[0] == pytest.approx(37.0 / 39.0, abs=cfg.tol_inner)
 
 
 def _orthogonal_d60():
@@ -809,16 +835,19 @@ class TestRun:
             run(cfg)
 
     def test_power_cap_only_degrades_diagnostics_without_powers(self):
+        # the secant step lands step 2 on the fixed point 0, so the run stops
+        # stationary at step 3, whose power T^3 is past the cap
         neg = Mapping(apply=lambda u: -u, envelope=lambda n: 1.0, domain_dim=2)
         cfg = SolverConfig(
             scheme=SCHEMES["GVIM"], mapping=neg, schedule=power_schedule(1.0, 0.0),
             x1=[1.0, 2.0], contraction=make_scaling_contraction(0.5),
-            power_cap=5, max_outer=10, tol_step=0.0,
+            power_cap=2, max_outer=10, tol_step=0.0,
         )
         trace = run(cfg)
-        assert len(trace) == 10
-        assert math.isnan(trace.res_power[7])
-        assert not math.isnan(trace.res_power[3])
+        assert (len(trace), trace.stop) == (3, "stationary")
+        np.testing.assert_array_equal(trace.final, [0.0, 0.0])
+        assert math.isnan(trace.res_power[2])
+        assert not math.isnan(trace.res_power[1])
 
     def test_buffers_grow_without_changing_the_trace(self, monkeypatch):
         cfg = benchmark_cfg([0.5, 1.0])
