@@ -2,7 +2,6 @@
 regularization: schemes, schedules, inner solver, and diagnostics."""
 
 from .diagnostics import (
-    ComparisonReport,
     VICertificate,
     check_vi,
     compare_schemes,

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _csv_writer
 from .config import load_config, parse_config
-from .diagnostics import check_vi, compare_schemes, sample_fixed_set_flip
+from .diagnostics import THRESHOLDS, check_vi, compare_schemes, sample_fixed_set_flip
 from .errors import ConfigError, InvalidInputError, MidpointError
 from .mappings import verify_envelope
 from .schedules import validate
@@ -59,22 +59,27 @@ def _row_format(width: int) -> str:
     return ",".join(["%.17g"] * width) + "\n"
 
 
-def _table(columns) -> np.ndarray:
-    """``columns`` (1-d, or 2-d for several) after n = 1, 2, ..., as one float64 table."""
-    return np.column_stack((np.arange(1, len(columns[0]) + 1), *columns))
-
-
-def _write_table(path: Path, header, table: np.ndarray):
-    """Write the rows of the C-ordered float64 ``table`` under ``n`` and
-    ``header``, by the trace writer helper's own loop."""
+def _write_columns(path: Path, header, columns):
+    """Write the 1-d ``columns`` under ``n`` and ``header``, one row per n up
+    to the longest column; a cell past the end of a shorter column stays
+    empty. Each run of rows with the same live columns goes through the
+    trace writer helper's loop with its own row format."""
+    ends = sorted({0, *map(len, columns)})
     with open(path, "w", newline="") as fh:
         fh.write(_header_line(header))
-        _csv_writer.write_rows(fh, _row_format(table.shape[1]), table.shape[1], table)
+        for start, stop in zip(ends, ends[1:]):
+            live = [len(c) >= stop for c in columns]
+            row = ",".join(["%.17g"] + ["%.17g" if on else "" for on in live]) + "\n"
+            table = np.column_stack((np.arange(start + 1, stop + 1, dtype=float),
+                                     *(c[start:stop] for c, on in zip(columns, live) if on)))
+            _csv_writer.write_rows(fh, row, table.shape[1], table)
 
 
-def _write_csv(path: Path, header, columns):
-    """Write ``columns`` under ``n`` and ``header``, one row per n."""
-    _write_table(path, header, _table(columns))
+def _md_table(header, rows) -> str:
+    """A markdown table of the ``header`` cells over ``rows`` of cell strings."""
+    lines = ["| " + " | ".join(cells) + " |" for cells in (header, *rows)]
+    lines.insert(1, "|" + "---|" * len(header))
+    return "\n".join(lines)
 
 
 def _trace_header(dim: int) -> list:
@@ -82,7 +87,11 @@ def _trace_header(dim: int) -> list:
 
 
 def _trace_csv(path: Path, trace: Trace):
-    _write_table(path, _trace_header(trace.final.size), trace.rows[:-1])
+    """Write the trace's rows in this process, by the trace writer helper's own loop."""
+    table = trace.rows[:-1]
+    with open(path, "w", newline="") as fh:
+        fh.write(_header_line(_trace_header(trace.final.size)))
+        _csv_writer.write_rows(fh, _row_format(table.shape[1]), table.shape[1], table)
 
 
 # a run's trace.csv is written by a helper process once the run has passed
@@ -237,15 +246,27 @@ def cmd_validate_schedule(args) -> int:
     return 0 if passed else 3
 
 
+def _compare_row(r) -> list:
+    """The cells of one scheme's row of compare.md."""
+    if r.failed:
+        return [r.scheme, f"failed: {r.error}"] + ["-"] * (len(THRESHOLDS) + 2)
+    status = "max_outer" if r.trace.stop == "max_outer" else "converged"
+    hits = ["-" if r.iters_to[t] is None else str(r.iters_to[t]) for t in THRESHOLDS]
+    rate = "-" if r.rate is None else f"{r.rate:+.3f}"
+    return [r.scheme, status, str(len(r.trace))] + hits + [rate]
+
+
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
-    report = compare_schemes(cfg.build_solver_config(), cfg.schemes())
+    runs = compare_schemes(cfg.build_solver_config(), cfg.schemes())
     out = _out_dir(args.out)
-    (out / "compare.csv").write_text(report.to_csv())
-    md = report.to_markdown()
+    _write_columns(out / "compare.csv", [f"step_norm_{r.scheme}" for r in runs],
+                   [[] if r.failed else r.trace.step_norm for r in runs])
+    header = ["scheme", "status", "iterations", *(f"n @ {t:g}" for t in THRESHOLDS), "rate"]
+    md = _md_table(header, map(_compare_row, runs)) + "\n"
     (out / "compare.md").write_text(md)
     print(md, end="")
-    failures = [r for r in report.runs if r.failed]
+    failures = [r for r in runs if r.failed]
     for r in failures:
         print(f"warning: scheme {r.scheme} failed: {r.error}", file=sys.stderr)
     print(f"reports written to {out / 'compare.csv'} and {out / 'compare.md'}")
@@ -262,16 +283,14 @@ def cmd_reproduce_table1(args) -> int:
     step_cols = [t.step_norm for t in traces]
     dist_cols = [_row_norms(t.x[1:] - t.final) for t in traces]
 
-    _write_csv(out / "table1_step_norm.csv", labels, step_cols)
-    _write_csv(out / "table1_dist_to_final.csv", labels, dist_cols)
+    _write_columns(out / "table1_step_norm.csv", labels, step_cols)
+    _write_columns(out / "table1_dist_to_final.csv", labels, dist_cols)
     for idx, t in enumerate(traces, start=1):
         _trace_csv(out / f"table1_trace_run{idx}.csv", t)
 
     def table(title, cols):
-        lines = [title, "| n | " + " | ".join(labels) + " |", "|---|" + "---|" * len(labels)]
-        for n, row in enumerate(zip(*cols), start=1):
-            lines.append(f"| {n} | " + " | ".join(f"{v:.4f}" for v in row) + " |")
-        return "\n".join(lines)
+        rows = ([str(n), *(f"{v:.4f}" for v in row)] for n, row in enumerate(zip(*cols), start=1))
+        return title + "\n" + _md_table(["n", *labels], rows)
 
     md_parts = [
         table("residual interpretation A: step norm ||x_(n+1) - x_n||, 4 decimals", step_cols),

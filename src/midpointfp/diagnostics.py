@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -10,7 +9,7 @@ import numpy as np
 from .errors import InsufficientDataError, InvalidInputError, MidpointError, RejectedSampleError
 from .mappings import SAMPLE_RADIUS, Contraction, Mapping
 from .solver import SolverConfig, Trace, run
-from .space import NormSpec, as_vector, duality_map, inner, norm
+from .space import NormSpec, as_vector, duality_map, norm, norm_kernel
 
 __all__ = [
     "VICertificate",
@@ -18,7 +17,6 @@ __all__ = [
     "sample_fixed_set_flip",
     "iterate_bound",
     "SchemeRun",
-    "ComparisonReport",
     "compare_schemes",
     "estimate_rate",
 ]
@@ -55,26 +53,30 @@ def check_vi(
     """Evaluate <(I - f) p, J(x - p)> on each sample and take the minimum.
 
     When ``mapping`` is given, every sample is first verified to be a
-    fixed point (||T x - x|| <= 1e-12); offenders raise
-    RejectedSampleError. The default tolerance scales as
-    1e-9 * (1 + ||p||) * (1 + max ||x - p||).
+    fixed point (||T x - x|| <= 1e-12), all of them in one stack through
+    :meth:`Mapping.images`; offenders, and samples whose image is not
+    finite, raise RejectedSampleError. The default tolerance scales as
+    1e-9 * (1 + ||p||) * (1 + max ||x - p||). Each input is checked once.
     """
-    pv = as_vector(p)
+    pv = as_vector(p, dim=None if mapping is None else mapping.domain_dim)
     samples = [as_vector(x, dim=pv.size) for x in fixed_samples]
     if not samples:
         raise InvalidInputError("need at least one fixed-point sample")
+    size = norm_kernel(norm_spec)
     if mapping is not None:
-        offenders = [x for x in samples if norm(mapping(x) - x, norm_spec) > 1e-12]
+        stack = np.array(samples)
+        moved = mapping.images(mapping.apply, stack) - stack
+        offenders = [x for x, d in zip(samples, moved) if not size(d) <= 1e-12]
         if offenders:
             raise RejectedSampleError(
                 f"{len(offenders)} sample(s) failed fixed-point verification",
                 offenders=offenders,
             )
-    g = pv - contraction(pv)  # (I - f) p
-    values = [inner(g, duality_map(x - pv, norm_spec)) for x in samples]
+    g = pv - np.asarray(contraction.apply(pv), dtype=float)  # (I - f) p
+    values = [float(np.dot(g, duality_map(x - pv, norm_spec))) for x in samples]
     if tol is None:
-        spread = max(norm(x - pv, norm_spec) for x in samples)
-        tol = 1e-9 * (1.0 + norm(pv, norm_spec)) * (1.0 + spread)
+        spread = max(size(x - pv) for x in samples)
+        tol = 1e-9 * (1.0 + size(pv)) * (1.0 + spread)
     min_value = min(values)
     verdict = "holds" if min_value >= -tol else "violated"
     return VICertificate(
@@ -129,47 +131,8 @@ class SchemeRun:
         return self.error is not None
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Aligned residual histories for several schemes on one problem, each
-    run's ``iters_to`` keyed by the step-norm levels of THRESHOLDS."""
-
-    runs: list
-
-    def to_csv(self) -> str:
-        """Columns: n, then one step_norm column per scheme (LF endings)."""
-        cols = [[] if r.failed else r.trace.step_norm for r in self.runs]
-        length = max(map(len, cols), default=0)
-        buf = io.StringIO()
-        header = ["n"] + [f"step_norm_{r.scheme}" for r in self.runs]
-        buf.write(",".join(header) + "\n")
-        for i in range(length):
-            row = [str(i + 1)] + [format(c[i], ".17g") if i < len(c) else "" for c in cols]
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
-
-    def to_markdown(self) -> str:
-        lines = [
-            "| scheme | status | iterations | "
-            + " | ".join(f"n @ {t:g}" for t in THRESHOLDS)
-            + " | rate |",
-            "|---|---|---|" + "---|" * len(THRESHOLDS) + "---|",
-        ]
-        for r in self.runs:
-            if r.failed:
-                cells = [r.scheme, f"failed: {r.error}", "-"] + ["-"] * len(THRESHOLDS) + ["-"]
-            else:
-                status = "max_outer" if r.trace.stop == "max_outer" else "converged"
-                hits = [str(r.iters_to[t]) if r.iters_to[t] is not None else "-"
-                        for t in THRESHOLDS]
-                rate = f"{r.rate:+.3f}" if r.rate is not None else "-"
-                cells = [r.scheme, status, str(len(r.trace))] + hits + [rate]
-            lines.append("| " + " | ".join(cells) + " |")
-        return "\n".join(lines) + "\n"
-
-
-def compare_schemes(base_cfg: SolverConfig, schemes) -> ComparisonReport:
-    """Run each scheme on the shared configuration and align residuals.
+def compare_schemes(base_cfg: SolverConfig, schemes) -> list:
+    """Run each scheme on the shared configuration: one SchemeRun each.
 
     The mapping, contraction, initial point, tolerances, and the single
     schedule object are shared, so schedule values agree bitwise across
@@ -198,7 +161,7 @@ def compare_schemes(base_cfg: SolverConfig, schemes) -> ComparisonReport:
         except InsufficientDataError:
             rate = None
         runs.append(SchemeRun(scheme.name, trace, None, iters_to, rate))
-    return ComparisonReport(runs=runs)
+    return runs
 
 
 def estimate_rate(residuals) -> float:

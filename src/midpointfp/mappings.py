@@ -379,12 +379,17 @@ class EnvelopeReport:
     samples: int
     tol: float
     per_power_excess: dict = field(default_factory=dict)
+    # max over n <= n_max of ||A_n||_2 - k_n for an affine map, else None
+    exact_excess: float | None = None
 
     def __str__(self):
         status = "pass" if self.passed else "FAIL"
+        exact = ("" if self.exact_excess is None
+                 else f"; exact ||A_n||_2 check: max excess {self.exact_excess:.3e}")
         return (
             f"envelope check: {status} in the 2-norm (max excess {self.max_excess:.3e} "
-            f"at n={self.worst_n}, {self.samples} pairs, n_max={self.n_max}, tol={self.tol:g})"
+            f"at n={self.worst_n}, {self.samples} pairs, n_max={self.n_max}, tol={self.tol:g}"
+            f"{exact})"
         )
 
 
@@ -397,7 +402,10 @@ def verify_envelope(mapping: Mapping, n_max: int, samples: int, seed: int) -> En
     one, else uniformly from [-SAMPLE_RADIUS, SAMPLE_RADIUS]^d (2); pairs
     closer than 1e-9 are discarded to avoid ratio blowup. Reports the
     maximum over samples and n <= n_max of ratio - k_n; passes iff
-    <= ENVELOPE_TOL (1e-10).
+    <= ENVELOPE_TOL (1e-10). For a map with ``affine``, whose expanding
+    direction sampling can miss, it also reports the maximum of
+    ||A_n||_2 - k_n, from the pair the powers are formed by (inf once A_n
+    overflows), as ``exact_excess``, and passes only if both do.
     Each drawn stack of sample points is checked once. Per n, the u side
     and the v side of the pairs each go through :meth:`Mapping.images`,
     T^n on the pairs or T on the previous images: 2 * n_max calls for a
@@ -438,6 +446,7 @@ def verify_envelope(mapping: Mapping, n_max: int, samples: int, seed: int) -> En
     worst_n = 1
     worst_pair = (us[0].copy(), vs[0].copy())
     per_power = {}
+    exact_excess = None if mapping.affine is None else -math.inf
     denoms = _row_norms(us - vs)
     tus, tvs = us, vs  # T^n of each side
     # n runs outermost so that each power is formed once, in the
@@ -451,7 +460,12 @@ def verify_envelope(mapping: Mapping, n_max: int, samples: int, seed: int) -> En
         diffs = tus - tvs
         if not np.isfinite(diffs).all():
             raise InvalidInputError(f"an image difference T^{n} u - T^{n} v contains NaN or Inf")
-        excess = _row_norms(diffs) / denoms - mapping.lipschitz(n)
+        k_n = mapping.lipschitz(n)
+        excess = _row_norms(diffs) / denoms - k_n
+        if mapping.affine is not None:
+            An = mapping.affine.pair(n)[0]
+            exact = float(np.linalg.norm(An, 2)) if np.isfinite(An).all() else math.inf
+            exact_excess = max(exact_excess, exact - k_n)
         i = int(np.argmax(excess))  # the first pair attaining the maximum
         if excess[i] > -np.inf:
             per_power[n] = float(excess[i])
@@ -460,7 +474,8 @@ def verify_envelope(mapping: Mapping, n_max: int, samples: int, seed: int) -> En
             worst_n = n
             worst_pair = (us[i].copy(), vs[i].copy())
     return EnvelopeReport(
-        passed=bool(max_excess <= ENVELOPE_TOL),
+        passed=bool(max_excess <= ENVELOPE_TOL
+                    and (exact_excess is None or exact_excess <= ENVELOPE_TOL)),
         max_excess=float(max_excess),
         worst_n=worst_n,
         worst_pair=worst_pair,
@@ -468,4 +483,5 @@ def verify_envelope(mapping: Mapping, n_max: int, samples: int, seed: int) -> En
         samples=samples,
         tol=ENVELOPE_TOL,
         per_power_excess=per_power,
+        exact_excess=exact_excess,
     )

@@ -369,6 +369,26 @@ class TestCompareCommand:
         assert len(rows) == 30
         assert (tmp_path / "compare.md").exists()
 
+    def test_a_column_ends_at_its_schemes_last_step(self, tmp_path, capsys):
+        # the runs of TestCompareSchemes.test_two_scheme_report: VIM's step 2
+        # lands on the fixed point 0, so it stops stationary after 3 steps,
+        # while GVIM runs all 60
+        data = {**BENCHMARK, "schedule": {"family": "power", "s": 1.0, "b_const": 0.25},
+                "scheme": ["VIM", "GVIM"], "max_outer": 60, "tol_step": 0.0}
+        path = write_config(tmp_path, data)
+        assert main(["compare", "--config", path, "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "compare.csv").read_text().split("\n")
+        assert lines[0] == "n,step_norm_GVIM,step_norm_VIM"
+        assert len(lines) == 62 and lines[-1] == ""  # 60 rows, each ending in LF
+        assert lines[3].endswith(",0") and lines[4].endswith(",")  # VIM's column ends at n = 3
+        assert all(line.count(",") == 2 for line in lines[1:-1])
+        md = (tmp_path / "compare.md").read_text()
+        assert md.splitlines()[:2] == [
+            "| scheme | status | iterations | n @ 0.01 | n @ 0.0001 | n @ 1e-06 | rate |",
+            "|---|---|---|---|---|---|---|"]
+        assert "\n| GVIM | max_outer | 60 | " in md and "\n| VIM | converged | 3 | " in md
+        assert capsys.readouterr().out.startswith(md)
+
     def test_partial_failure_exits_two(self, tmp_path, capsys):
         data = {
             "mapping": {"kind": "affine", "A": [[1.3, 0.0], [0.0, 1.3]], "b": [0.0, 0.0]},
@@ -385,6 +405,14 @@ class TestCompareCommand:
         code = main(["compare", "--config", path, "--out", str(tmp_path)])
         assert code == 2
         assert "failed" in capsys.readouterr().err
+        # the failed scheme's column is empty, its markdown row all dashes;
+        # VIM lands on the fixed point 0 at step 3
+        header, rows = read_csv(tmp_path / "compare.csv")
+        assert header == ["n", "step_norm_AGVIM", "step_norm_VIM"] and len(rows) == 3
+        assert all(row[1] == "" and row[2] != "" for row in rows)
+        failed = (tmp_path / "compare.md").read_text().splitlines()[2]
+        assert failed.startswith("| AGVIM | failed: implicit step not a contraction at n=")
+        assert failed.endswith(" | - | - | - | - | - |")
 
     def test_single_scheme_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, {**BENCHMARK, "scheme": ["VIM"], "max_outer": 10})
@@ -483,11 +511,9 @@ class TestVerifyMappingCommand:
         assert (code, err) == (3, "")
         assert "envelope check: FAIL" in out
 
-    @pytest.mark.xfail(raises=AssertionError, strict=True,
-                       reason="sampling misses the expanding direction of a non-normal A "
-                              "(ROADMAP item 12): a declared envelope below ||A_n|| passes")
     def test_a_non_normal_map_with_a_unit_envelope_fails(self, tmp_path, capsys):
-        # ||A||_2 = 2.118 > k_1 = 1, yet the worst of 200 sampled pairs has excess -0.197
+        # ||A||_2 = 2.118 > k_1 = 1, yet the worst of 200 sampled pairs has excess -0.197:
+        # sampling misses the expanding direction, the exact ||A_n||_2 check does not
         A = 0.5 * np.eye(60)
         A[0, 1] = 2.0
         data = {**BENCHMARK, "x1": [1.0] * 60,

@@ -12,6 +12,7 @@ from midpointfp.diagnostics import (
 )
 from midpointfp.errors import InsufficientDataError, InvalidInputError, RejectedSampleError
 from midpointfp.mappings import (
+    Mapping,
     make_affine,
     make_flip_map,
     make_scaling_contraction,
@@ -71,6 +72,31 @@ class TestCheckVI:
                      [np.zeros(2), np.array([1.0, 1.0])], mapping=flip)
         assert len(err.value.offenders) == 1
 
+    def test_fixed_points_are_verified_in_one_stacked_call(self):
+        flip, seen = make_flip_map(), []
+
+        def apply(u):
+            seen.append(u.shape)
+            return flip.apply(u)
+
+        samples = sample_fixed_set_flip(10, seed=2020)
+        cert = check_vi([0.0, 0.0], make_scaling_contraction(0.5), samples,
+                        mapping=replace(flip, apply=apply))
+        assert cert.holds and seen == [(10, 2)]
+
+    def test_a_sample_with_a_non_finite_image_is_rejected(self):
+        T = Mapping(apply=lambda u: u if u[0] < 1.0 else np.full(2, np.nan), envelope=lambda n: 1.0,
+                    domain_dim=2)
+        with pytest.raises(RejectedSampleError) as err:
+            check_vi([0.0, 0.0], make_scaling_contraction(0.5),
+                     [np.zeros(2), np.array([2.0, 1.0])], mapping=T)
+        np.testing.assert_array_equal(err.value.offenders, [[2.0, 1.0]])
+
+    def test_a_point_of_another_dimension_than_the_map_raises(self):
+        with pytest.raises(InvalidInputError, match="dimension mismatch"):
+            check_vi([0.0, 0.0, 0.0], make_scaling_contraction(0.5), [np.zeros(3)],
+                     mapping=make_flip_map())
+
     def test_needs_samples(self):
         with pytest.raises(InvalidInputError):
             check_vi([0.0, 0.0], make_scaling_contraction(0.5), [])
@@ -111,38 +137,32 @@ def _flip_cfg(x1, steps=60):
 
 class TestCompareSchemes:
     def test_two_scheme_report(self):
-        report = compare_schemes(_flip_cfg([0.0, 1.0 / 3.0]), [SCHEMES["VIM"], SCHEMES["GVIM"]])
-        assert [r.scheme for r in report.runs] == ["GVIM", "VIM"]  # name order
+        runs = compare_schemes(_flip_cfg([0.0, 1.0 / 3.0]), [SCHEMES["VIM"], SCHEMES["GVIM"]])
+        assert [r.scheme for r in runs] == ["GVIM", "VIM"]  # name order
         # VIM's step 2 lands on the fixed point 0, so with tol_step = 0 it
-        # stops stationary after 3 steps; GVIM runs the whole budget
-        for r, steps, stop in zip(report.runs, (60, 3), ("max_outer", "stationary")):
+        # stops stationary after 3 steps; GVIM runs the whole budget (the
+        # files compare writes of these runs: TestCompareCommand)
+        for r, steps, stop in zip(runs, (60, 3), ("max_outer", "stationary")):
             assert not r.failed
             assert (len(r.trace), r.trace.stop) == (steps, stop)
             assert r.iters_to[1e-2] is not None
             assert r.iters_to[1e-4] is not None
-        np.testing.assert_array_equal(report.runs[1].trace.final, [0.0, 0.0])
-        csv_text = report.to_csv()
-        lines = csv_text.strip().split("\n")
-        assert lines[0] == "n,step_norm_GVIM,step_norm_VIM"
-        assert len(lines) == 61
-        assert lines[3].endswith(",0") and lines[4].endswith(",")  # VIM's column ends at n = 3
-        md = report.to_markdown()
-        assert "GVIM" in md and "VIM" in md
+        np.testing.assert_array_equal(runs[1].trace.final, [0.0, 0.0])
 
     def test_schedule_values_shared_bitwise(self):
         cfg = _flip_cfg([0.5, 1.0], steps=20)
-        report = compare_schemes(cfg, [SCHEMES["VIM"], SCHEMES["GVIM"], SCHEMES["AGVIM"]])
+        runs = compare_schemes(cfg, [SCHEMES["VIM"], SCHEMES["GVIM"], SCHEMES["AGVIM"]])
         # VIM and GVIM land on the fixed point 0 and stop stationary; every
         # row of every run holds the schedule's own a_n, b_n and c_n
-        assert [(len(r.trace), r.trace.stop) for r in report.runs] == [
+        assert [(len(r.trace), r.trace.stop) for r in runs] == [
             (20, "max_outer"), (6, "stationary"), (3, "stationary")]
-        for t in (r.trace for r in report.runs):
+        for t in (r.trace for r in runs):
             for i in range(len(t)):
                 n = i + 1
                 assert (t.a[i], t.b[i], t.c[i]) == (cfg.schedule.a(n), cfg.schedule.b(n),
                                                     cfg.schedule.c(n))
         # k is each step's k_p: k_1 for single-application schemes, k_n for AGVIM
-        for r in report.runs:
+        for r in runs:
             powers = [SCHEMES[r.scheme].power(n) for n in range(1, len(r.trace) + 1)]
             assert r.trace.k.tolist() == [cfg.envelope(p) for p in powers]
 
@@ -152,8 +172,8 @@ class TestCompareSchemes:
             scheme=cfg.scheme, mapping=cfg.mapping, schedule=cfg.schedule,
             x1=[0.0, 0.0], contraction=cfg.contraction, max_outer=10,
         )
-        report = compare_schemes(cfg, [SCHEMES["VIM"], SCHEMES["GVIM"]])
-        for r in report.runs:
+        runs = compare_schemes(cfg, [SCHEMES["VIM"], SCHEMES["GVIM"]])
+        for r in runs:
             assert all(hit == 1 for hit in r.iters_to.values())
 
     def test_failing_scheme_reported_others_complete(self):
@@ -166,14 +186,11 @@ class TestCompareSchemes:
             x1=[0.5, 0.5], contraction=make_scaling_contraction(0.4),
             max_outer=40, tol_step=0.0,
         )
-        report = compare_schemes(cfg, [SCHEMES["AGVIM"], SCHEMES["VIM"]])
-        by_name = {r.scheme: r for r in report.runs}
+        runs = compare_schemes(cfg, [SCHEMES["AGVIM"], SCHEMES["VIM"]])
+        by_name = {r.scheme: r for r in runs}
         assert by_name["AGVIM"].failed
         assert "q_n" in by_name["AGVIM"].error
         assert not by_name["VIM"].failed
-        # failed column is empty in the CSV
-        lines = report.to_csv().strip().split("\n")
-        assert lines[1].split(",")[1] == ""
 
     def test_needs_two_schemes(self):
         with pytest.raises(InvalidInputError):
@@ -181,8 +198,8 @@ class TestCompareSchemes:
 
     def test_imr_and_vim_both_converge(self):
         cfg = _flip_cfg([0.0, 1.0 / 3.0], steps=200)
-        report = compare_schemes(cfg, [SCHEMES["IMR"], SCHEMES["VIM"]])
-        for r in report.runs:
+        runs = compare_schemes(cfg, [SCHEMES["IMR"], SCHEMES["VIM"]])
+        for r in runs:
             assert not r.failed
             assert r.iters_to[1e-4] is not None
 

@@ -348,6 +348,37 @@ class TestVerifyEnvelope:
         assert report.worst_n == 3
         assert "FAIL" in str(report)
 
+    def test_exact_check_catches_what_sampling_misses(self):
+        # d = 60, A = 0.5 I + 2 e1 e2^T: ||A||_2 = 2.118, but a random pair
+        # barely meets the expanding direction
+        A = 0.5 * np.eye(60)
+        A[0, 1] = 2.0
+        T = make_affine(A, np.zeros(60), envelope=lambda n: 1.0)
+        report = verify_envelope(T, n_max=20, samples=200, seed=7)
+        assert report.max_excess < 0.0  # the sampled check alone would pass
+        exact = max(np.linalg.norm(np.linalg.matrix_power(A, n), 2) for n in range(1, 21)) - 1.0
+        assert report.exact_excess == pytest.approx(exact, rel=1e-12)
+        assert not report.passed
+        assert str(report).startswith("envelope check: FAIL in the 2-norm (")
+        assert f"; exact ||A_n||_2 check: max excess {exact:.3e})" in str(report)
+
+    @pytest.mark.parametrize("build", [
+        # ||A^n||_2 <= ||A||_2^n, the default envelope
+        lambda: make_affine([[0.5, 2.0], [0.0, 0.5]], [0.0, 0.0]),
+        # ||Q^n||_2 exceeds 1 only by rounding
+        lambda: make_affine(np.linalg.qr(np.random.default_rng(3).standard_normal((20, 20)))[0],
+                            np.zeros(20), envelope=lambda n: 1.0),
+    ], ids=["non-normal, default envelope", "orthogonal, unit envelope"])
+    def test_exact_check_passes_an_honest_envelope(self, build):
+        report = verify_envelope(build(), n_max=20, samples=50, seed=3)
+        assert report.passed
+        assert report.exact_excess <= 1e-14
+
+    def test_no_exact_check_without_affine(self):
+        report = verify_envelope(make_flip_map(), n_max=3, samples=20, seed=1)
+        assert report.exact_excess is None
+        assert "exact" not in str(report)
+
     def test_bad_parameters(self):
         with pytest.raises(InvalidInputError):
             verify_envelope(make_flip_map(), n_max=0, samples=10, seed=1)

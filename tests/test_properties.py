@@ -1,6 +1,6 @@
 """Property-based checks (Hypothesis) of the implicit step on affine maps,
 of validate's well-posedness verdict, of the config round-trip and of the
-two trace.csv writers.
+CSV writers.
 
 The profile is fixed (``derandomize=True``, a set ``max_examples``, no
 example database), so every run draws the same examples.
@@ -256,7 +256,7 @@ def test_a_malformed_value_names_its_key(data, draw):
     assert err.value.key == key
 
 
-# -- (e) the serial writer and the helper write the same bytes ---------------
+# -- (e) the column writer, cell by cell, and the helper agree --------------
 
 cells = st.one_of(st.floats(), st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
@@ -265,32 +265,37 @@ cells = st.one_of(st.floats(), st.sampled_from(
 
 @st.composite
 def columns(draw):
-    """A 2-d x column and a 1-d one, 1 to 100 rows (the helper reads 64 at a time)."""
-    rows, dim = draw(st.integers(1, 100)), draw(st.integers(1, 3))
-    return (draw(arrays(np.float64, (rows, dim), elements=cells)),
-            draw(arrays(np.float64, rows, elements=cells)))
+    """1 to 4 columns of 0 to 100 cells each (the helper reads 64 rows at a time)."""
+    return [draw(arrays(np.float64, draw(st.integers(0, 100)), elements=cells))
+            for _ in range(draw(st.integers(1, 4)))]
 
 
 @settings(FIXED, max_examples=30)
 @given(columns())
 def test_the_writers_agree_and_round_trip_bit_for_bit(cols):
-    header = [f"x{i}" for i in range(cols[0].shape[1])] + ["v"]
-    table = cli._table(cols)  # the rows the helper is sent, n first
-    width = table.shape[1]
+    header = [f"c{i}" for i in range(len(cols))]
+    # the reference, cell by cell: n, then each cell as format(v, ".17g"),
+    # and an empty cell past the end of a column
+    rows = [[str(n), *(format(c[n - 1], ".17g") if n <= len(c) else "" for c in cols)]
+            for n in range(1, max(map(len, cols)) + 1)]
+    lines = [",".join(cells) + "\n" for cells in [["n", *header], *rows]]
+    # the helper is sent the rows on which every column is live, n first
+    common = min(map(len, cols))
+    table = np.column_stack((np.arange(1, common + 1, dtype=float), *(c[:common] for c in cols)))
     with tempfile.TemporaryDirectory() as tmp:
         serial, helper = Path(tmp, "serial.csv"), Path(tmp, "helper.csv")
-        cli._write_csv(serial, header, cols)
+        cli._write_columns(serial, header, cols)
         stdin = SimpleNamespace(buffer=io.BytesIO(table.tobytes()))
         with mock.patch.object(sys, "stdin", stdin):
-            _csv_writer.main(str(helper), str(width), cli._header_line(header),
-                             cli._row_format(width))
-        written = serial.read_bytes()
-        assert helper.read_bytes() == written
-    lines = written.decode().splitlines()
-    assert lines[0] == ",".join(["n", *header]) and len(lines) == len(table) + 1
-    for line, row in zip(lines[1:], table.tolist()):
-        for text, value in zip(line.split(","), row):
-            if math.isfinite(value):
-                assert float(text).hex() == value.hex()
+            _csv_writer.main(str(helper), str(table.shape[1]), cli._header_line(header),
+                             cli._row_format(table.shape[1]))
+        assert serial.read_bytes() == "".join(lines).encode()
+        assert helper.read_bytes() == "".join(lines[:common + 1]).encode()
+    for n, cells in enumerate(rows, start=1):
+        for text, c in zip(cells[1:], cols):
+            if n > len(c):
+                assert text == ""
+            elif math.isfinite(c[n - 1]):
+                assert float(text).hex() == c[n - 1].hex()
             else:
                 assert text in ("nan", "inf", "-inf")
