@@ -41,6 +41,7 @@ from .solver import (
     SCHEMES,
     Scheme,
     SolverConfig,
+    StepValues,
     Trace,
     implicit_step,
     run,

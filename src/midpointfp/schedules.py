@@ -4,8 +4,8 @@ A :class:`Schedule` provides the four sequences a_n, b_n, c_n (simplex:
 a + b + c = 1) and k_n >= 1. :func:`validate` checks a run's
 configuration over a finite horizon: the three convergence conditions,
 the simplex identity, well-posedness of the implicit step (q_n < 1) and
-a geometric bound on sup k_n, with k_n and q_n read from the run's
-:class:`SolverConfig`.
+a geometric bound on sup k_n, with step n's values read from the run's
+:class:`SolverConfig` (``step_values``, which ``run`` reads too).
 """
 
 from __future__ import annotations
@@ -181,11 +181,12 @@ def _rises(vals, n) -> bool:
 def validate(cfg: SolverConfig, horizon: int) -> ValidationReport:
     """Check a run's configuration over n = 1..horizon.
 
-    Conditions (i), (ii) and the simplex identity read the schedule, and
-    well-posedness the q_n that ``run`` checks, in the run's norm (one
-    ``cfg.step_bound`` call per n). Condition (iii), the normal-structure
-    bound and k >= 1 read the declared 2-norm k_n = ``cfg.envelope(n)``,
-    which is that call's k_p for a T^n scheme in the 2-norm.
+    One ``cfg.step_values(n)`` call per n gives the row that ``run``
+    reads at step n: conditions (i), (ii) and the simplex identity read its
+    a_n, b_n, c_n, and well-posedness its q_n, in the run's norm. Condition
+    (iii), the normal-structure bound and k >= 1 read the declared 2-norm
+    k_n = ``cfg.envelope(n)``, which is the row's k_p for a T^n scheme in
+    the 2-norm. An error that a row raises names its n.
     Tail-limit conditions are checked on the second half of the horizon,
     since the underlying requirements only bind for sufficiently large n.
     Divergence of sum(a_n) is the schedule's own symbolic verdict
@@ -195,14 +196,9 @@ def validate(cfg: SolverConfig, horizon: int) -> ValidationReport:
     """
     if horizon < 10:
         raise InvalidInputError(f"validation horizon must be >= 10, got {horizon}")
-    sched, scheme = cfg.schedule, cfg.scheme
     ns = range(1, horizon + 1)
-    a = [sched.a(n) for n in ns]
-    b = [sched.b(n) for n in ns]
-    c = [sched.c(n) for n in ns]
-    q, k_p = zip(*(cfg.step_bound(n, scheme.coefficients_from(*abc)[2])
-                   for n, abc in zip(ns, zip(a, b, c))))
-    k = k_p if scheme.use_power and cfg.norm.p == 2.0 else [cfg.envelope(n) for n in ns]
+    a, b, c, *_, k_p, q = zip(*(cfg.step_values(n) for n in ns))
+    k = k_p if cfg.scheme.use_power and cfg.norm.p == 2.0 else [cfg.envelope(n) for n in ns]
 
     half = horizon // 2
     tail = range(half, horizon + 1)
@@ -223,7 +219,7 @@ def validate(cfg: SolverConfig, horizon: int) -> ValidationReport:
 
     # (ii) divergence of sum(a_n): the family's own verdict, else unknown.
     partial = math.fsum(a)
-    status, reason = sched.sum_a or (
+    status, reason = cfg.schedule.sum_a or (
         "unknown", f"series not classified; partial sum at horizon = {partial:.6g}")
     cond_ii = CheckResult(status, partial, horizon, reason)
 
@@ -285,13 +281,4 @@ def validate(cfg: SolverConfig, horizon: int) -> ValidationReport:
     else:
         ranges = CheckResult("warn", None, bad_n, f"range violation at n={bad_n}")
 
-    return ValidationReport(
-        condition_i=cond_i,
-        condition_ii=cond_ii,
-        condition_iii=cond_iii,
-        simplex=simplex,
-        wellposed=wellposed,
-        normal_structure_bound=nsb,
-        ranges=ranges,
-        horizon=horizon,
-    )
+    return ValidationReport(cond_i, cond_ii, cond_iii, simplex, wellposed, nsb, ranges, horizon)

@@ -2,19 +2,17 @@
 
 They share no code with the library's affine powers or its implicit
 step: powers come by binary powering rather than the library's product
-chain, and the step's linear system is solved directly by LU.
+chain, and the step's linear system is solved directly by LU. Step n's
+coefficients and power are those the library's step reads,
+``SolverConfig.step_values(n)``.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from midpointfp.errors import IllPosedError, InvalidInputError
-from midpointfp.mappings import Contraction
-from midpointfp.schedules import Schedule
-from midpointfp.solver import Scheme
+from midpointfp.solver import SolverConfig
 from midpointfp.space import as_vector
 
 
@@ -37,31 +35,22 @@ def affine_power_pair(A: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray,
     return rA, rb
 
 
-def implicit_step_affine_oracle(
-    A,
-    b,
-    scheme: Scheme,
-    schedule: Schedule,
-    n: int,
-    x_n,
-    contraction: Optional[Contraction] = None,
-) -> np.ndarray:
-    """Exact implicit step for an affine mapping u -> A u + b.
+def implicit_step_affine_oracle(A, b, cfg: SolverConfig, n: int, x_n) -> np.ndarray:
+    """Exact implicit step n of ``cfg``'s scheme for the affine map u -> A u + b.
 
     Solves (I - (cT/2) A_p) x = cf f(x_n) + cx x_n + cT (A_p x_n / 2 + b_p)
-    directly, with (A_p, b_p) the affine p-th power by binary powering.
+    directly, with (cf, cx, cT) and p from ``cfg.step_values(n)``, f the
+    config's contraction, and (A_p, b_p) the affine p-th power by binary
+    powering.
     """
     A = np.asarray(A, dtype=float)
     x_n = as_vector(x_n, dim=A.shape[0])
-    cf, cx, cT = scheme.coefficients(schedule, n)
-    p = scheme.power(n)
-    Ap, bp = affine_power_pair(A, b, p)
-    rhs = cx * x_n + cT * (Ap @ x_n / 2.0 + bp)
-    if cf != 0.0:
-        if contraction is None:
-            raise InvalidInputError("scheme uses a contraction but none was given")
-        rhs = rhs + cf * contraction(x_n)
-    M = np.eye(A.shape[0]) - 0.5 * cT * Ap
+    v = cfg.step_values(n)
+    Ap, bp = affine_power_pair(A, b, v.p)
+    rhs = v.cx * x_n + v.cT * (Ap @ x_n / 2.0 + bp)
+    if v.cf != 0.0:
+        rhs = rhs + v.cf * cfg.contraction(x_n)
+    M = np.eye(A.shape[0]) - 0.5 * v.cT * Ap
     try:
         return np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError as exc:

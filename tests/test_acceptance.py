@@ -91,11 +91,11 @@ def test_criterion_1_inner_solver_oracle_equivalence():
             contraction=make_scaling_contraction(float(rng.uniform(0.0, 0.6))),
             tol_inner=tol_inner,
         )
-        if cfg.step_bound(n)[0] > 0.9:
+        if cfg.step_values(n).q > 0.9:
             continue
         x_n = rng.standard_normal(d)
         got = implicit_step(cfg, n, x_n).x
-        want = implicit_step_affine_oracle(A, b, cfg.scheme, sched, n, x_n, cfg.contraction)
+        want = implicit_step_affine_oracle(A, b, cfg, n, x_n)
         worst = max(worst, float(np.linalg.norm(got - want)))
         checked += 1
     elapsed = time.perf_counter() - t0

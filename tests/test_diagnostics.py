@@ -163,7 +163,8 @@ class TestCompareSchemes:
                                                     cfg.schedule.c(n))
         # k is each step's k_p: k_1 for single-application schemes, k_n for AGVIM
         for r in runs:
-            powers = [SCHEMES[r.scheme].power(n) for n in range(1, len(r.trace) + 1)]
+            use_power = SCHEMES[r.scheme].use_power
+            powers = [n if use_power else 1 for n in range(1, len(r.trace) + 1)]
             assert r.trace.k.tolist() == [cfg.envelope(p) for p in powers]
 
     def test_fixed_start_hits_all_thresholds_immediately(self):

@@ -89,11 +89,10 @@ def test_a_step_is_a_typed_error_or_the_oracle_step(problem):
     except MidpointError:
         return
     affine = cfg.mapping.affine
-    want = implicit_step_affine_oracle(affine.A, affine.b, cfg.scheme, cfg.schedule, n, x_n,
-                                       contraction=cfg.contraction)
-    p = cfg.scheme.power(n)
-    size = sum(norm(v, cfg.norm) for v in (x_n, want, affine.pair(p)[1], step.x))
-    allowance = ALLOWANCE * p * EPS * size / (1.0 - step.q)
+    want = implicit_step_affine_oracle(affine.A, affine.b, cfg, n, x_n)
+    row = cfg.step_values(n)
+    size = sum(norm(v, cfg.norm) for v in (x_n, want, affine.pair(row.p)[1], step.x))
+    allowance = ALLOWANCE * row.p * EPS * size / (1.0 - row.q)
     assert norm(step.x - want, cfg.norm) <= cfg.tol_inner + allowance
 
 

@@ -37,8 +37,8 @@ class TestBenchmarkFamily:
         s = paper_schedule()
         assert s.k(2) == 1.25
         cfg = agvim_flip(s)
-        assert cfg.step_bound(2)[0] == pytest.approx(5.0 / 24.0, abs=1e-15)
-        assert cfg.step_bound(1)[0] == 0.0
+        assert cfg.step_values(2).q == pytest.approx(5.0 / 24.0, abs=1e-15)
+        assert cfg.step_values(1).q == 0.0
 
     def test_simplex_over_horizon(self):
         s = paper_schedule()
@@ -54,7 +54,7 @@ class TestBenchmarkFamily:
         s = paper_schedule()
         cfg = agvim_flip(s)
         for n in range(1, 100_001, 97):
-            q = cfg.step_bound(n)[0]
+            q = cfg.step_values(n).q
             assert q < 1.0
             assert s.c(n) * s.k(n) <= 1.0 + 1e-12
 
@@ -240,7 +240,7 @@ class TestDeclaredEnvelopeValues:
             cfg = replace(cfg, mapping=overflowing_affine(), norm=NormSpec(math.inf))
             n = 3
         with pytest.raises(InvalidInputError, match=f"NaN at n={n}"):
-            cfg.step_bound(n)
+            cfg.step_values(n)
         with pytest.raises(InvalidInputError, match="NaN at n=1"):
             run(cfg)
         with pytest.raises(InvalidInputError, match="NaN at n=1"):
@@ -254,11 +254,11 @@ class TestDeclaredEnvelopeValues:
                            schedule=replace(paper_schedule(), k=lambda n: 10.0 ** n),
                            x1=[0.5, 1.0], contraction=make_scaling_contraction(0.5),
                            norm=NormSpec(math.inf))
-        assert cfg.step_bound(400) == (math.inf, math.inf)
+        assert cfg.step_values(400)[-2:] == (math.inf, math.inf)
         # A_2 overflows to NaN entries, which read as inf too, and are no
         # RuntimeWarning
         cfg = replace(cfg, mapping=overflowing_affine(), schedule=paper_schedule())
-        assert cfg.step_bound(3) == (math.inf, math.inf)
+        assert cfg.step_values(3)[-2:] == (math.inf, math.inf)
         with pytest.raises(IllPosedError, match="not a contraction at n=2") as err:
             run(cfg)
         assert err.value.q == math.inf
@@ -285,7 +285,7 @@ class TestDeclaredEnvelopeValues:
                            mapping=make_affine([[0.0, -0.99], [0.99, 0.0]], [0.0, 0.0]),
                            schedule=custom_schedule([[0.5, 0.9, -0.4, 1.0]] * 20), x1=[1.0, 2.0],
                            contraction=make_scaling_contraction(0.5))
-        assert cfg.step_bound(1) == (0.2, 1.0)
+        assert cfg.step_values(1)[-2:] == (1.0, 0.2)
         report = validate(cfg, horizon=20)
         assert (report.wellposed.status, report.wellposed.value) == ("pass", 0.2)
 
@@ -308,7 +308,7 @@ def counting(cfg):
 
 class TestValidateReadsTheEnvelope:
     """validate reads the declared envelope once per n where the run's k_p
-    is k_n: a T^n scheme in the 2-norm. Elsewhere ``step_bound`` reads k_1,
+    is k_n: a T^n scheme in the 2-norm. Elsewhere ``step_values`` reads k_1,
     or k_n in the run's norm, and condition (iii) reads k_n in the 2-norm."""
 
     @pytest.mark.parametrize("scheme, norm_p, per_n", [
@@ -395,5 +395,5 @@ class TestValidateAgreesWithRun:
             assert report.passed
             assert report.condition_iii.status == "pass"
             assert report.normal_structure_bound.value == 1.5
-            assert report.wellposed.value == max(cfg.step_bound(n)[0]
+            assert report.wellposed.value == max(cfg.step_values(n).q
                                                  for n in range(1, 1001))

@@ -87,9 +87,7 @@ class TestImplicitStep:
         # first Picard iterates are 0.75 then 0.6875
         assert res.deltas[0] == 0.25
         assert res.deltas[1] == 0.0625
-        oracle = implicit_step_affine_oracle(
-            [[1.0]], [0.0], cfg.scheme, cfg.schedule, 1, [1.0], cfg.contraction
-        )
+        oracle = implicit_step_affine_oracle([[1.0]], [0.0], cfg, 1, [1.0])
         assert oracle[0] == pytest.approx(2.0 / 3.0, abs=1e-15)
         assert abs(res.x[0] - oracle[0]) <= cfg.tol_inner
 
@@ -127,7 +125,7 @@ class TestImplicitStep:
         res = implicit_step(cfg, 1, [0.0, 1.0 / 3.0])
         np.testing.assert_array_equal(res.x, [0.0, 1.0 / 6.0])
         assert res.inner_iters == 1
-        assert res.q == 0.0
+        assert cfg.step_values(1).q == 0.0
 
     def test_illposed_raises(self):
         sched = custom_schedule([[0.1, 0.0, 0.9, 4.0]] * 5)
@@ -158,7 +156,7 @@ class TestImplicitStep:
         with pytest.raises(IllPosedError, match="diverges") as err:
             run(cfg)
         assert err.value.n == 3
-        assert err.value.q == cfg.step_bound(3)[0]
+        assert err.value.q == cfg.step_values(3).q
 
     def test_understated_envelope_caught_by_the_affine_solve(self):
         # the solve finds the exact step solution whatever the envelope,
@@ -172,7 +170,7 @@ class TestImplicitStep:
         with pytest.raises(IllPosedError, match="diverges") as err:
             run(cfg)
         assert err.value.n == 2
-        assert err.value.q == cfg.step_bound(2)[0]
+        assert err.value.q == cfg.step_values(2).q
 
     def test_singular_affine_system_raises_illposed(self):
         # (I - (cT/2) A) is singular for A = 2I/cT; the declared envelope
@@ -210,8 +208,7 @@ class TestImplicitStep:
         assert len(trace) == 200
         assert np.all(trace.inner_iters == 1)
         for n in (2, 3, 200):
-            want = implicit_step_affine_oracle(Q, b, cfg.scheme, cfg.schedule, n,
-                                               trace.x[n - 1], cfg.contraction)
+            want = implicit_step_affine_oracle(Q, b, cfg, n, trace.x[n - 1])
             assert np.linalg.norm(trace.x[n] - want) <= cfg.tol_inner
 
     @pytest.mark.xfail(raises=IllPosedError, strict=True,
@@ -237,11 +234,10 @@ class TestImplicitStep:
             scheme=SCHEMES["AGVIM"], mapping=make_affine(A, [0.0, 0.0]),
             schedule=paper_schedule(), x1=[1.0, 1.0], contraction=make_scaling_contraction(0.5),
         )
-        assert cfg.step_bound(2)[0] == 0.5 * cfg.schedule.c(2) * 1.9 ** 2
+        assert cfg.step_values(2).q == 0.5 * cfg.schedule.c(2) * 1.9 ** 2
         x2 = implicit_step(cfg, 1, cfg.x1).x
         got = implicit_step(cfg, 2, x2).x
-        want = implicit_step_affine_oracle(A, [0.0, 0.0], cfg.scheme, cfg.schedule, 2, x2,
-                                           cfg.contraction)
+        want = implicit_step_affine_oracle(A, [0.0, 0.0], cfg, 2, x2)
         assert np.linalg.norm(got - want) <= cfg.tol_inner
         with pytest.raises(IllPosedError, match="not a contraction") as err:
             run(cfg)
@@ -260,9 +256,8 @@ class TestImplicitStep:
             contraction=make_scaling_contraction(0.5),
         )
         step = implicit_step(cfg, 1, cfg.x1)
-        assert step.q == pytest.approx(0.2) and step.bound >= 0.0
-        want = implicit_step_affine_oracle(A, [0.0, 0.0], cfg.scheme, cfg.schedule, 1, cfg.x1,
-                                           cfg.contraction)
+        assert cfg.step_values(1).q == pytest.approx(0.2) and step.bound >= 0.0
+        want = implicit_step_affine_oracle(A, [0.0, 0.0], cfg, 1, cfg.x1)
         assert np.linalg.norm(step.x - want) <= cfg.tol_inner
 
     @pytest.mark.parametrize("norm_p", [math.inf, 1.5, 3.0])
@@ -284,8 +279,7 @@ class TestImplicitStep:
         assert max(trace.q) < 1.0
         np.testing.assert_array_equal(trace.q, 0.5 * trace.c * trace.k)
         for n in range(1, 201):
-            want = implicit_step_affine_oracle(R, [0.0, 0.0], cfg.scheme, cfg.schedule, n,
-                                               trace.x[n - 1], cfg.contraction)
+            want = implicit_step_affine_oracle(R, [0.0, 0.0], cfg, n, trace.x[n - 1])
             assert norm(trace.x[n] - want, spec) <= cfg.tol_inner
 
     def test_max_norm_bound_of_an_affine_map_is_exact(self):
@@ -298,9 +292,9 @@ class TestImplicitStep:
                                 schedule=paper_schedule(), x1=np.ones(100),
                                 contraction=make_scaling_contraction(0.5), norm=NormSpec(r))
         for n in range(1, 50):
-            assert cfg(math.inf).step_bound(n) == cfg(2.0).step_bound(n)
+            assert cfg(math.inf).step_values(n) == cfg(2.0).step_values(n)
         assert run(cfg(math.inf)).converged
-        assert cfg(3.0).step_bound(2)[1] == 100 ** (1.0 / 6.0)
+        assert cfg(3.0).step_values(2).k == 100 ** (1.0 / 6.0)
         with pytest.raises(IllPosedError, match="not a contraction") as err:
             run(cfg(3.0))
         assert err.value.n == 14
@@ -315,7 +309,7 @@ class TestImplicitStep:
         with pytest.raises(IllPosedError) as err:
             implicit_step(cfg, 2, [1.0, 1.0])
         assert err.value.n == 2
-        assert err.value.q == cfg.step_bound(2)[0]
+        assert err.value.q == cfg.step_values(2).q
 
     @pytest.mark.parametrize("schedule, error, message", [
         # c_1 = 0: step 1 has no operator term, so no Picard delta sees the NaN
@@ -346,26 +340,28 @@ class TestImplicitStep:
             )
             n = int(rng.integers(2, 6))
             res = implicit_step(cfg, n, rng.standard_normal(d))
+            q = cfg.step_values(n).q
             for prev, cur in zip(res.deltas, res.deltas[1:]):
                 if prev == 0.0:
                     assert cur == 0.0
                 else:
-                    assert cur <= prev * (res.q + 1e-10)
+                    assert cur <= prev * (q + 1e-10)
 
     def test_oracle_explicit_reduction(self):
         # cT = 0 collapses the linear system to the explicit combination
-        sched = custom_schedule([[1.0, 0.0, 0.0, 1.0]])
-        f = make_scaling_contraction(0.5)
-        got = implicit_step_affine_oracle([[1.0]], [0.0], SCHEMES["GVIM"], sched, 1, [3.0], f)
+        cfg = SolverConfig(scheme=SCHEMES["GVIM"], mapping=make_affine([[1.0]], [0.0]),
+                           schedule=custom_schedule([[1.0, 0.0, 0.0, 1.0]]), x1=[3.0],
+                           contraction=make_scaling_contraction(0.5))
+        got = implicit_step_affine_oracle([[1.0]], [0.0], cfg, 1, [3.0])
         assert got[0] == 1.5
 
     def test_oracle_constant_mapping(self):
         # A = 0: the operator contributes only its shift
-        sched = custom_schedule([[0.5, 0.25, 0.25, 1.0]])
-        f = make_scaling_contraction(0.5)
-        got = implicit_step_affine_oracle(
-            [[0.0, 0.0], [0.0, 0.0]], [2.0, -4.0], SCHEMES["GVIM"], sched, 1, [1.0, 1.0], f
-        )
+        A, b = [[0.0, 0.0], [0.0, 0.0]], [2.0, -4.0]
+        cfg = SolverConfig(scheme=SCHEMES["GVIM"], mapping=make_affine(A, b),
+                           schedule=custom_schedule([[0.5, 0.25, 0.25, 1.0]]), x1=[1.0, 1.0],
+                           contraction=make_scaling_contraction(0.5))
+        got = implicit_step_affine_oracle(A, b, cfg, 1, [1.0, 1.0])
         # x = 0.5*f(x_n) + 0.25*x_n + 0.25*b
         np.testing.assert_allclose(got, [0.25 + 0.25 + 0.5, 0.25 + 0.25 - 1.0], atol=1e-15)
 
@@ -385,7 +381,7 @@ class TestImplicitStep:
             n = int(rng.integers(1, 6))
             x_n = rng.standard_normal(d)
             got = implicit_step(cfg, n, x_n).x
-            want = implicit_step_affine_oracle(A, b, cfg.scheme, sched, n, x_n, cfg.contraction)
+            want = implicit_step_affine_oracle(A, b, cfg, n, x_n)
             assert np.linalg.norm(got - want) <= cfg.tol_inner
 
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
@@ -406,8 +402,9 @@ class TestImplicitStep:
             x_n = rng.standard_normal(d)
             res = implicit_step(cfg, n, x_n)
             assert res.inner_iters == 1
-            assert res.bound <= cfg.tol_inner < res.deltas[0] * res.q / (1.0 - res.q)
-            want = implicit_step_affine_oracle(A, b, cfg.scheme, sched, n, x_n, cfg.contraction)
+            q = cfg.step_values(n).q
+            assert res.bound <= cfg.tol_inner < res.deltas[0] * q / (1.0 - q)
+            want = implicit_step_affine_oracle(A, b, cfg, n, x_n)
             assert np.linalg.norm(res.x - want) <= cfg.tol_inner
 
 
@@ -500,7 +497,8 @@ class TestPicardLoop:
         assert len(res.deltas) == 3 and res.deltas[0] == 0.5
         assert res.deltas[1] == pytest.approx(0.875e-11, rel=1e-4)
         assert res.deltas[2] == pytest.approx(0.125 * 0.875e-11, rel=1e-3)
-        assert res.bound == res.q / (1.0 - res.q) * res.deltas[2] <= cfg.tol_inner
+        q = cfg.step_values(1).q
+        assert res.bound == q / (1.0 - q) * res.deltas[2] <= cfg.tol_inner
         assert res.x[0] == pytest.approx(3.0 / 7.0, abs=cfg.tol_inner)
 
     def test_collected_deltas(self):
@@ -603,8 +601,7 @@ class TestAffineSolve:
         assert np.all(trace.inner_iters == 1)
         assert bool(cfg.mapping.affine._eig) == eigen
         for n in range(1, steps + 1):
-            want = implicit_step_affine_oracle(A, b, cfg.scheme, cfg.schedule, n,
-                                               trace.x[n - 1], cfg.contraction)
+            want = implicit_step_affine_oracle(A, b, cfg, n, trace.x[n - 1])
             assert np.linalg.norm(trace.x[n] - want) <= cfg.tol_inner, n
 
     @staticmethod
@@ -625,7 +622,7 @@ class TestAffineSolve:
         affine = make_affine(cfg.mapping.affine.A, cfg.mapping.affine.b).affine
         for p in range(1, 2001):
             x_n = xs[p - 1]
-            cf, cx, cT = cfg.scheme.coefficients(cfg.schedule, p)
+            _, _, _, cf, cx, cT, *_ = cfg.step_values(p)
             Ap, bp = affine.pair(p)
             base = cf * cfg.contraction(x_n) + cx * x_n
             r = base + cT * (0.5 * (Ap @ x_n) + bp)
@@ -656,10 +653,9 @@ class TestAffineSolve:
         for n in range(1, 2001):
             x_n = trace.x[n - 1]
             if n <= 500:
-                want = implicit_step_affine_oracle(A, b, cfg.scheme, cfg.schedule, n,
-                                                   x_n, cfg.contraction)
+                want = implicit_step_affine_oracle(A, b, cfg, n, x_n)
                 assert np.linalg.norm(trace.x[n] - want) <= cfg.tol_inner, n
-            cf, cx, cT = cfg.scheme.coefficients(cfg.schedule, n)
+            _, _, _, cf, cx, cT, *_ = cfg.step_values(n)
             Ap, bp = affine.pair(n)
             r = cf * cfg.contraction(x_n) + cx * x_n + cT * (0.5 * (Ap @ x_n) + bp)
             want = np.linalg.solve(np.eye(60) - 0.5 * cT * Ap, r)
@@ -1024,7 +1020,7 @@ class TestSchemeAlgebra:
         res = implicit_step(cfg, 1, [1.0])
         assert res.x[0] == pytest.approx(5.0 / 7.0, abs=1e-12)
         # IMR's inner factor is a_n k_1 / 2, not c_n k_n / 2
-        assert res.q == 0.25
+        assert cfg.step_values(1).q == 0.25
 
     def test_imr_needs_no_contraction(self):
         SolverConfig(
