@@ -47,6 +47,6 @@ from .solver import (
     run,
     scheme_by_name,
 )
-from .space import NormSpec, duality_map, inner, norm
+from .space import NormSpec, duality_map, norm
 
 __version__ = "0.1.0"

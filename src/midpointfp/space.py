@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInputError, UnsupportedNormError
 
-__all__ = ["NormSpec", "as_vector", "norm_kernel", "norm", "inner", "duality_map"]
+__all__ = ["NormSpec", "as_vector", "norm_kernel", "norm", "duality_map"]
 
 # v . v as ndarray.dot sums it, bit for bit, but without a warning when the sum
 # overflows: np.vdot, called past its __array_function__ dispatch, which costs
@@ -110,13 +110,6 @@ def _row_norms(E: np.ndarray) -> np.ndarray:
 def norm(x, spec: NormSpec = NormSpec()) -> float:
     """p-norm of ``x``; 0 iff x = 0."""
     return norm_kernel(spec)(as_vector(x))
-
-
-def inner(x, y) -> float:
-    """Euclidean dot product; rejects dimension mismatch."""
-    u = as_vector(x)
-    v = as_vector(y, dim=u.size)
-    return float(np.dot(u, v))
 
 
 def duality_map(x, spec: NormSpec = NormSpec()) -> np.ndarray:

@@ -19,7 +19,7 @@ from midpointfp.mappings import (
 )
 from midpointfp.schedules import power_schedule
 from midpointfp.solver import SCHEMES, SolverConfig
-from midpointfp.space import NormSpec, duality_map, inner
+from midpointfp.space import NormSpec, duality_map
 
 
 class TestCheckVI:
@@ -54,7 +54,7 @@ class TestCheckVI:
         spec = NormSpec(3.0)
         cert = check_vi(p_vec, f, xs, spec)
         g = p_vec - f(p_vec)
-        expected = [inner(g, duality_map(x - p_vec, spec)) for x in xs]
+        expected = [float(np.dot(g, duality_map(x - p_vec, spec))) for x in xs]
         np.testing.assert_allclose(cert.values, expected, atol=1e-14)
 
     def test_order_invariance(self):

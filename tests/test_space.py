@@ -5,7 +5,7 @@ import pytest
 
 from midpointfp.errors import InvalidInputError, UnsupportedNormError
 from midpointfp.space import (
-    NormSpec, _row_norms, as_vector, duality_map, inner, norm, norm_kernel,
+    NormSpec, _row_norms, as_vector, duality_map, norm, norm_kernel,
 )
 
 
@@ -102,17 +102,6 @@ class TestAsVector:
             as_vector(x)
 
 
-class TestInner:
-    def test_values(self):
-        assert inner([1.0, -1.0], [-1.0, 1.0]) == -2.0
-        assert inner([2.0, 5.0], [0.0, 0.0]) == 0.0
-        assert inner([0.5, -0.5], [-1.0, 1.0]) == -1.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            inner([1.0, 2.0], [1.0, 2.0, 3.0])
-
-
 class TestDualityMap:
     def test_identity_in_hilbert_case(self):
         x = np.array([1.0, -1.0])
@@ -129,7 +118,7 @@ class TestDualityMap:
         j = duality_map(x, spec)
         np.testing.assert_allclose(j, [0.7071067811865475] * 2, atol=1e-15)
         nx = norm(x, spec)
-        assert inner(x, j) == pytest.approx(nx**2, abs=1e-12)
+        assert np.dot(x, j) == pytest.approx(nx**2, abs=1e-12)
         assert norm(j, NormSpec(spec.q)) == pytest.approx(nx, abs=1e-12)
 
     def test_rejects_infinite_exponent(self):
@@ -146,7 +135,7 @@ class TestDualityMap:
                 x = rng.uniform(-10.0, 10.0, size=rng.integers(1, 7))
                 j = duality_map(x, spec)
                 nx = norm(x, spec)
-                assert abs(inner(x, j) - nx**2) <= 1e-10 * (1.0 + nx**2)
+                assert abs(np.dot(x, j) - nx**2) <= 1e-10 * (1.0 + nx**2)
                 assert abs(norm(j, dual) - nx) <= 1e-10 * (1.0 + nx)
 
     def test_zero_coordinates_small_p(self):
