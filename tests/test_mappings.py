@@ -167,14 +167,35 @@ class TestAffine:
         assert shrink.envelope(4) == 1.0  # clamped below at 1
 
     def test_operator_norm_estimate(self):
-        # the default envelope is max(1, ||A||_2)^n
+        # the default envelope is max(1, min(||A||_2^n, sqrt(||A^n||_1 ||A^n||_inf)))
         rng = np.random.default_rng(31)
         for _ in range(10):
             A = rng.standard_normal((3, 3))
             T = make_affine(A, np.zeros(3))
-            for n in (1, 3):
-                want = max(1.0, np.linalg.norm(A, 2)) ** n
+            for n in (1, 3, 8):
+                An = np.linalg.matrix_power(A, n)
+                by_pair = math.sqrt(np.linalg.norm(An, 1) * np.linalg.norm(An, np.inf))
+                want = max(1.0, min(np.linalg.norm(A, 2) ** n, by_pair))
                 assert T.envelope(n) == pytest.approx(want, rel=1e-6)
+                assert T.envelope(n) >= np.linalg.norm(An, 2)
+
+    def test_a_norm_within_rounding_of_one_reads_as_one(self):
+        # QR's orthogonal Q at d = 60 reads ||Q||_2 = 1 + 2 eps; the envelope
+        # would be 1.0000000000000004^n, not 1, without the rounding margin
+        Q = np.linalg.qr(np.random.default_rng(0).standard_normal((60, 60)))[0]
+        assert np.linalg.norm(Q, 2) > 1.0
+        T = make_affine(Q, np.zeros(60))
+        assert [T.envelope(n) for n in (1, 46, 2000)] == [1.0] * 3
+
+    def test_a_map_whose_powers_shrink_has_an_envelope_that_does(self):
+        # ||A||_2 = 2.12, but A^n = 2^-n (I + 4 n N) with N = e1 e2^T, whose
+        # sqrt(||.||_1 ||.||_inf) is 2^-n (1 + 4 n), rounded up
+        T = make_affine([[0.5, 2.0], [0.0, 0.5]], [0.0, 0.0])
+        k = [T.envelope(n) for n in range(1, 9)]
+        assert k[0] == np.linalg.norm(T.affine.A, 2)
+        for got, exact in zip(k[1:4], [2.25, 1.625, 1.0625]):
+            assert exact < got <= exact * (1.0 + 1e-15)
+        assert k[4:] == [1.0] * 4
 
     def test_operator_norm_exact_where_power_iteration_stalls(self):
         # the all-ones vector lies in the kernel of this A, whose 2-norm is 2

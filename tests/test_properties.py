@@ -1,6 +1,6 @@
 """Property-based checks (Hypothesis) of the implicit step on affine maps,
-of validate's well-posedness verdict, of the config round-trip and of the
-CSV writers.
+of validate's well-posedness verdict, of the config round-trip, of the
+CSV writers and of the default affine envelope.
 
 The profile is fixed (``derandomize=True``, a set ``max_examples``, no
 example database), so every run draws the same examples.
@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -298,3 +298,41 @@ def test_the_writers_agree_and_round_trip_bit_for_bit(cols):
                 assert float(text).hex() == c[n - 1].hex()
             else:
                 assert text in ("nan", "inf", "-inf")
+
+
+# -- (f) the default affine envelope bounds every power ---------------------
+
+# the maps' entries are multiples of 1/SCALE, so A and A^n are exact rationals
+SCALE = 1024
+
+
+@st.composite
+def shrinking_non_normal_maps(draw):
+    """Integer matrices M, A = M / SCALE upper triangular with |a_ii| < 1 and a
+    non-zero strict upper part: non-normal, with powers that shrink in the
+    end. Every square matrix is unitarily similar to a triangular one
+    (Schur), and the 2-norm is unitarily invariant."""
+    d = draw(st.integers(2, 4))
+    M = np.diag(draw(arrays(np.int64, d, elements=st.integers(1 - SCALE, SCALE - 1))))
+    upper = draw(arrays(np.int64, (d, d), elements=st.integers(-3 * SCALE, 3 * SCALE)))
+    assume(np.triu(upper, 1).any())
+    return M + np.triu(upper, 1)
+
+
+@settings(FIXED, max_examples=100)
+@given(shrinking_non_normal_maps())
+def test_the_default_affine_envelope_bounds_each_power(M):
+    # the reference ||A^n||_2 is the SVD 2-norm of A^n formed exactly in
+    # integers and rounded once per entry; it is within the SVD's own
+    # rounding, d eps relatively, of the exact value
+    d = len(M)
+    T = make_affine(M / SCALE, np.zeros(d))
+    rows = [[int(v) for v in row] for row in M]
+    power = rows
+    for n in range(1, 51):
+        if n > 1:
+            power = [[sum(power[i][m] * rows[m][j] for m in range(d)) for j in range(d)]
+                     for i in range(d)]
+        exact = float(np.linalg.norm([[v / SCALE ** n for v in row] for row in power], 2))
+        assert T.envelope(n) >= exact * (1.0 - d * EPS), n
+

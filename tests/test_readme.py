@@ -47,3 +47,11 @@ def test_table1_config_writes_the_table1_traces(tmp_path):
             assert main(["run", "--config", str(path), "--out", str(tmp_path / f"run{i}")]) == 2
         got = (tmp_path / f"run{i}" / "trace.csv").read_bytes()
         assert got == (GOLDEN / "table1" / f"table1_trace_run{i}.csv").read_bytes()
+
+
+def test_compare_example_writes_its_table(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(block("json", "A `compare` example"))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert (tmp_path / "compare.md").read_text() == block("markdown", "A `compare` example")
