@@ -1,6 +1,7 @@
 """Property-based checks (Hypothesis) of the implicit step on affine maps,
 of validate's well-posedness verdict, of the config round-trip, of the
-CSV writers and of the default affine envelope.
+CSV writers, of the default affine envelope, and of the step values that
+validate and run share.
 
 The profile is fixed (``derandomize=True``, a set ``max_examples``, no
 example database), so every run draws the same examples.
@@ -25,7 +26,7 @@ from hypothesis.extra.numpy import arrays
 from midpointfp import _csv_writer, cli
 from midpointfp.config import parse_config
 from midpointfp.errors import ConfigError, IllPosedError, MidpointError
-from midpointfp.mappings import make_affine, make_scaling_contraction
+from midpointfp.mappings import make_affine, make_flip_map, make_scaling_contraction
 from midpointfp.schedules import custom_schedule, paper_schedule, power_schedule, validate
 from midpointfp.solver import SCHEMES, SolverConfig, implicit_step, run
 from midpointfp.space import NormSpec, norm
@@ -336,3 +337,47 @@ def test_the_default_affine_envelope_bounds_each_power(M):
         exact = float(np.linalg.norm([[v / SCALE ** n for v in row] for row in power], 2))
         assert T.envelope(n) >= exact * (1.0 - d * EPS), n
 
+
+# -- (g) validate and run read the same step values -------------------------
+
+@st.composite
+def shared_row_problems(draw):
+    """A SolverConfig whose horizon H is max_outer: the flip map, or an affine
+    map with ||A||_2 <= 1, both under their default envelopes, so that no
+    step diverges. A custom table's rows may have c_n < 0 and k_n up to 3."""
+    horizon = draw(st.integers(10, 20))
+    row = st.tuples(st.floats(0.01, 1.0), st.floats(0.0, 1.0), st.floats(-1.0, 1.0),
+                    st.floats(1.0, 3.0))
+    table = st.lists(row, min_size=horizon, max_size=horizon).map(custom_schedule)
+    if draw(st.booleans()):
+        mapping, d = make_flip_map(), 2
+    else:
+        d = draw(st.integers(1, 4))
+        b = draw(arrays(np.float64, d, elements=st.floats(-1.0, 1.0)))
+        mapping = make_affine(affine_matrix(draw, d, 1.0), b)
+    return SolverConfig(
+        scheme=SCHEMES[draw(st.sampled_from(sorted(SCHEMES)))], mapping=mapping,
+        schedule=draw(st.one_of(SCHEDULES, table)),
+        x1=draw(arrays(np.float64, d, elements=st.floats(-10.0, 10.0))),
+        contraction=draw(CONTRACTIONS), norm=NormSpec(draw(st.sampled_from([2.0, 3.0, math.inf]))), max_outer=horizon,
+        tol_step=0.0,
+    )
+
+
+@settings(FIXED, max_examples=150)
+@given(shared_row_problems())
+def test_validate_and_run_read_the_same_q_n(cfg):
+    # run's q_n of each step it solves, or of the step it refuses
+    try:
+        trace = run(cfg)
+    except IllPosedError as err:
+        assert "not a contraction" in str(err)
+        wellposed = validate(cfg, cfg.max_outer).wellposed
+        assert (wellposed.status, wellposed.at_n, wellposed.value) == ("fail", err.n, err.q)
+        return
+    # a run whose steps stand still stops early: validate its steps
+    assume(len(trace) >= 10)
+    wellposed = validate(cfg, len(trace)).wellposed
+    q = trace.q.tolist()
+    assert (wellposed.status, wellposed.value) == ("pass", max(q))
+    assert wellposed.at_n == q.index(max(q)) + 1

@@ -127,6 +127,22 @@ class TestImplicitStep:
         assert res.inner_iters == 1
         assert cfg.step_values(1).q == 0.0
 
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    @pytest.mark.parametrize("mapping", ["flip", "affine"])
+    def test_a_step_makes_the_values_run_passes_it(self, scheme, mapping):
+        # run passes each step cfg.step_values(n); without them the step
+        # makes the same row itself, so it returns the same bits
+        cfg = benchmark_cfg([0.5, 1.0], scheme, max_outer=20, tol_step=0.0)
+        if mapping == "affine":  # ||A||_2 = 1.06, so k_p comes from the pair A_p
+            cfg = replace(cfg, mapping=make_affine([[0.25, 1.0], [0.0, 0.25]], [0.1, 0.0]))
+        xs = run(cfg).x
+        for n in range(1, len(xs)):
+            own = implicit_step(cfg, n, xs[n - 1])
+            given = implicit_step(cfg, n, xs[n - 1], cfg.step_values(n))
+            assert own.x.tobytes() == given.x.tobytes() == xs[n].tobytes()
+            assert (own.inner_iters, own.bound, own.deltas) == (
+                given.inner_iters, given.bound, given.deltas)
+
     def test_illposed_raises(self):
         sched = custom_schedule([[0.1, 0.0, 0.9, 4.0]] * 5)
         cfg = replace(one_d_identity_cfg(), schedule=sched)
