@@ -41,7 +41,6 @@ from .solver import (
     SCHEMES,
     Scheme,
     SolverConfig,
-    StepValues,
     Trace,
     implicit_step,
     run,
