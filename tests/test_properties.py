@@ -346,7 +346,7 @@ def shared_row_problems(draw):
     map with ||A||_2 <= 1, both under their default envelopes, so that no
     step diverges. A custom table's rows may have c_n < 0 and k_n up to 3."""
     horizon = draw(st.integers(10, 20))
-    row = st.tuples(st.floats(0.01, 1.0), st.floats(0.0, 1.0), st.floats(-1.0, 1.0),
+    row = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-1.0, 1.0),
                     st.floats(1.0, 3.0))
     table = st.lists(row, min_size=horizon, max_size=horizon).map(custom_schedule)
     if draw(st.booleans()):
@@ -359,8 +359,8 @@ def shared_row_problems(draw):
         scheme=SCHEMES[draw(st.sampled_from(sorted(SCHEMES)))], mapping=mapping,
         schedule=draw(st.one_of(SCHEDULES, table)),
         x1=draw(arrays(np.float64, d, elements=st.floats(-10.0, 10.0))),
-        contraction=draw(CONTRACTIONS), norm=NormSpec(draw(st.sampled_from([2.0, 3.0, math.inf]))), max_outer=horizon,
-        tol_step=0.0,
+        contraction=draw(CONTRACTIONS), norm=NormSpec(draw(st.sampled_from([2.0, 3.0, math.inf]))),
+        max_outer=horizon, tol_step=0.0,
     )
 
 
