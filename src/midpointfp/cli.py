@@ -28,7 +28,7 @@ import numpy as np
 from . import _csv_writer
 from .config import load_config, parse_config
 from .diagnostics import THRESHOLDS, check_vi, compare_schemes, sample_fixed_set_flip
-from .errors import ConfigError, InvalidInputError, MidpointError
+from .errors import ConfigError, MidpointError
 from .mappings import verify_envelope
 from .schedules import validate
 from .solver import STEP_COLUMNS, Trace, run
@@ -228,10 +228,7 @@ def cmd_run(args) -> int:
 def cmd_validate_schedule(args) -> int:
     cfg = load_config(args.config)
     first = cfg.build_solver_config()  # of the first scheme; the others' derive from it
-    try:  # a later scheme's error, e.g. a missing contraction, is a config error too
-        solver_cfgs = [first] + [replace(first, scheme=scheme) for scheme in cfg.schemes()[1:]]
-    except InvalidInputError as exc:
-        raise ConfigError(str(exc)) from exc
+    solver_cfgs = [first] + [replace(first, scheme=scheme) for scheme in cfg.schemes()[1:]]
     reports = [validate(c, horizon=args.horizon) for c in solver_cfgs]
     width = max(len(label) for label, *_ in reports[0].rows())
     for c, report in zip(solver_cfgs, reports):

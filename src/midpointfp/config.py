@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .errors import ConfigError, InvalidInputError, MidpointError
@@ -208,18 +208,22 @@ class ExperimentConfig:
 
     @_as_config_error
     def build_solver_config(self) -> SolverConfig:
-        """The first scheme's; ``dataclasses.replace`` derives the others'."""
+        """The first scheme's configuration, made with the others' in name order:
+        a scheme the file cannot serve is the same ConfigError in any order."""
         settings = dict(self.settings)
         if "norm_p" in settings:
             settings["norm"] = NormSpec(settings.pop("norm_p"))
-        return SolverConfig(
-            scheme=self.schemes()[0],
+        schemes = self.schemes()
+        first, *others = sorted(schemes, key=lambda s: s.name)
+        cfg = SolverConfig(
+            scheme=first,
             mapping=self.build_mapping(),
             schedule=self.build_schedule(),
             x1=self.x1,
             contraction=self.build_contraction(),
             **settings,
         )
+        return {scheme: replace(cfg, scheme=scheme) for scheme in others}.get(schemes[0], cfg)
 
 
 def parse_config(data: dict) -> ExperimentConfig:

@@ -219,8 +219,8 @@ class _AffinePower:
     itself), a request for an earlier n restarts the chain at T, and one
     for n < 1 raises InvalidInputError.
     :meth:`solve` works in A's eigenbasis A = V diag(lam) V^-1, computed
-    on its first call, which restarts the chain too; lam^n and
-    rho^n = max|lam|^n then come from the same steps as (A_n, b_n).
+    on its first call, which restarts the chain too; lam^n then comes from
+    the same steps as (A_n, b_n).
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
@@ -229,10 +229,10 @@ class _AffinePower:
         self._restart()
 
     def _restart(self):
-        # T^1: (A_n, b_n) and, while _eig is set, lam^n and rho^n at n = 1
+        # T^1: (A_n, b_n) and, while _eig is set, lam^n at n = 1
         self._n, self._An, self._bn = 1, self.A, self.b
         if self._eig:
-            self._lam_n, self._rho_n = self._eig[0], self._eig[3]
+            self._lam_n = self._eig[0]
 
     def pair(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         if n == self._n:  # the pair held: a step asks for it more than once
@@ -247,7 +247,6 @@ class _AffinePower:
             self._An, self._bn = self.A.dot(self._An), self.A.dot(self._bn) + self.b
             if self._eig:
                 self._lam_n = self._eig[0] * self._lam_n
-                self._rho_n = self._eig[3] * self._rho_n
             self._n += 1
         return self._An, self._bn
 
@@ -273,7 +272,7 @@ class _AffinePower:
         if self._eig:
             lam, V, Vinv, rho = self._eig
             if p != 1:
-                lam, rho = self._lam_n, self._rho_n
+                lam, rho = self._lam_n, rho ** p  # NumPy: inf once it overflows, as lam^p
             if abs(s) * rho <= _EIGEN_SCALE_MAX:  # NaN fails too
                 return V.dot(Vinv.dot(r) / (1.0 - s * lam)).real
         return np.linalg.solve(np.eye(r.size) - s * Ap, r)
@@ -298,7 +297,7 @@ def _eigenbasis(A: np.ndarray):
     kappa = np.linalg.norm(V, 1) * np.linalg.norm(Vinv, 1)
     if not kappa <= _EIGEN_KAPPA_MAX:  # also when NaN
         return False
-    return lam, V, Vinv, float(np.abs(lam).max())
+    return lam, V, Vinv, np.abs(lam).max()
 
 
 def _affine_parts(A, b) -> tuple[np.ndarray, np.ndarray]:

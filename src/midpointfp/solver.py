@@ -395,13 +395,12 @@ def run(cfg: SolverConfig,
     table = np.empty((rows + 1, 1 + d + len(STEP_COLUMNS)))
     size = norm_kernel(cfg.norm)
     apply = cfg.mapping.apply
-    use_power = cfg.scheme.use_power
     x = table[0, 1:1 + d] = cfg.x1
     start, block = 0, []  # block: the STEP_COLUMNS values of the block's steps
     for n in range(1, total + 1):
         v = cfg.step_values(n)
         step = implicit_step(cfg, n, x, v)  # checks x_n, then q_n < 1
-        if use_power and step.power_x is not None:  # T^n x_n, evaluated by the step
+        if v.p == n and step.power_x is not None:  # T^n x_n, evaluated by the step
             res_power = size(x - step.power_x)
         else:
             try:

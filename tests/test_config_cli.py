@@ -729,6 +729,18 @@ def test_error_exits_one_with_its_prefix(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_later_scheme_without_its_contraction_is_a_config_error(tmp_path, capsys, command):
+    # validate-schedule's case of ERRORS: the builder checks every scheme, not
+    # just the first one that run takes, before anything is written
+    data = {key: value for key, value in BENCHMARK.items() if key != "contraction"}
+    path = write_config(tmp_path, {**data, "scheme": ["IMR", "VIM"]})
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "config error: scheme VIM needs a contraction\n")
+    assert not out.exists()
+
+
 def test_each_call_sets_its_own_log_level(tmp_path, monkeypatch, caplog):
     argv = ["verify-mapping", "--config", write_config(tmp_path, BENCHMARK),
             "--seed", "1", "--horizon", "1", "--samples", "1"]

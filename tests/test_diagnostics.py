@@ -193,6 +193,14 @@ class TestCompareSchemes:
         assert "q_n" in by_name["AGVIM"].error
         assert not by_name["VIM"].failed
 
+    def test_a_scheme_without_its_contraction_is_a_failed_run(self):
+        # the CLI's config builder refuses such a file; the library reports the run
+        cfg = replace(_flip_cfg([0.0, 1.0 / 3.0], steps=5), scheme=SCHEMES["IMR"],
+                      contraction=None)
+        imr, vim = compare_schemes(cfg, [SCHEMES["IMR"], SCHEMES["VIM"]])
+        assert not imr.failed and len(imr.trace) == 5
+        assert (vim.scheme, vim.trace, vim.error) == ("VIM", None, "scheme VIM needs a contraction")
+
     def test_needs_two_schemes(self):
         with pytest.raises(InvalidInputError):
             compare_schemes(_flip_cfg([0.0, 1.0]), [SCHEMES["VIM"]])

@@ -1,12 +1,13 @@
 """Property-based checks (Hypothesis) of the implicit step on affine maps,
 of validate's well-posedness verdict, of the config round-trip, of the
-CSV writers, of the default affine envelope, and of the step values that
-validate and run share.
+CSV writers, of the default affine envelope, of the step values that
+validate and run share, and of the CLI's outcome in any scheme order.
 
 The profile is fixed (``derandomize=True``, a set ``max_examples``, no
 example database), so every run draws the same examples.
 """
 
+import contextlib
 import copy
 import io
 import json
@@ -381,3 +382,33 @@ def test_validate_and_run_read_the_same_q_n(cfg):
     q = trace.q.tolist()
     assert (wellposed.status, wellposed.value) == ("pass", max(q))
     assert wellposed.at_n == q.index(max(q)) + 1
+
+
+# -- (h) the order of a config's schemes does not change a command's outcome
+
+# every scheme runs its 2 steps (none stands still), so run exits 2 whichever
+# scheme comes first, and compare exits 0
+ORDER_BASE = {"mapping": {"kind": "flip"}, "schedule": {"family": "paper"}, "x1": [0.5, 1.0],
+              "max_outer": 2, "tol_step": 0.0}
+
+
+def cli_outcome(command, data):
+    """The exit code and first stderr line of ``command`` on the config ``data``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "config.json")
+        path.write_text(json.dumps(data))
+        flags = ["--horizon", "10"] if command == "validate-schedule" else ["--out", tmp]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", str(path), *flags])
+    return code, err.getvalue().partition("\n")[0]
+
+
+@settings(FIXED, max_examples=40)
+@given(st.lists(st.sampled_from(sorted(SCHEMES)), min_size=2, max_size=5, unique=True)
+       .flatmap(st.permutations), st.booleans())
+def test_the_scheme_order_does_not_change_a_commands_outcome(schemes, anchor):
+    data = {**ORDER_BASE, **({"contraction": {"kind": "half"}} if anchor else {})}
+    for command in ("run", "compare", "validate-schedule"):
+        assert (cli_outcome(command, {**data, "scheme": schemes})
+                == cli_outcome(command, {**data, "scheme": sorted(schemes)})), command

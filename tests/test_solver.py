@@ -907,7 +907,17 @@ def rotate_into_ball(apply_calls):
 
 
 class TestPowerReuse:
-    """On p = n schemes, res_power reuses the step's T^n x_n."""
+    """On every step whose power p is n, res_power reuses the step's T^n x_n."""
+
+    def test_step_one_of_a_single_power_scheme_evaluates_t_x1_once(self):
+        # IMR applies T, which is T^n at n = 1 (a_1 = 1, so cT = a_1 != 0)
+        x1 = [1.0, 2.0]
+        flip, seen = make_flip_map(), []
+        counted = replace(flip, power=lambda n, u: seen.append((n, u.tolist())) or flip.power(n, u))
+        cfg = replace(benchmark_cfg(x1, "IMR", max_outer=3, tol_step=0.0), mapping=counted)
+        trace = run(cfg)
+        assert seen.count((1, x1)) == 1
+        assert trace.res_power.tolist() == self.res_power_direct(benchmark_cfg(x1, "IMR"), trace)
 
     @staticmethod
     def res_power_direct(cfg, trace):
