@@ -96,13 +96,29 @@ class Mapping:
         """L_p, bounding the Lipschitz constant of T^p in the r-norm: an affine
         map's exact ||A_p||_inf at r = inf (inf once A_p overflows), else
         envelope(p) times rho = d^|1/r - 1/2| (rho = 1 at r = 2; Higham,
-        Accuracy and Stability of Numerical Algorithms, ch. 6)."""
+        Accuracy and Stability of Numerical Algorithms, ch. 6). At r != 2 an
+        affine map takes the smaller of that and the Riesz-Thorin bound
+        ||A_p||_1^(1/r) ||A_p||_inf^(1 - 1/r), rounded up (inf once it overflows;
+        unused when A_p is 0)."""
         if math.isinf(r) and self.affine is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 lip = float(np.linalg.norm(self.affine.pair(p)[0], np.inf))
             return math.inf if math.isnan(lip) else lip
         rho = 1.0 if r == 2.0 else self.domain_dim ** abs(1.0 / r - 0.5)
-        return rho * _declared_k(self.envelope, p)
+        bound = rho * _declared_k(self.envelope, p)
+        if r == 2.0 or self.affine is None:
+            return bound
+        # as row (col / row)^(1/r), whose rounded exponent moves it by at most
+        # ln(d) eps / 2 (col / row lies in [1/d, d]); the sums' errors, up to
+        # (d - 1) eps / 2 each, the quotient, the power and the product stay
+        # within (1.5 d + 0.5 ln d) eps, so it is rounded up by 2 (d + 1) eps
+        with np.errstate(over="ignore", invalid="ignore"):
+            Ap = self.affine.pair(p)[0]
+            row = np.linalg.norm(Ap, np.inf)
+            riesz = float(row * (np.linalg.norm(Ap, 1) / row) ** (1.0 / r)
+                          * (1.0 + 2 * (self.domain_dim + 1) * _EPS))
+        # a NaN, from an A_p that is 0 or overflowed, leaves rho k_p
+        return riesz if riesz < bound else bound
 
 
 @dataclass(frozen=True)

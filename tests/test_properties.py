@@ -1,7 +1,8 @@
 """Property-based checks (Hypothesis) of the implicit step on affine maps,
 of validate's well-posedness verdict, of the config round-trip, of the
 CSV writers, of the default affine envelope, of the step values that
-validate and run share, and of the CLI's outcome in any scheme order.
+validate and run share, of the CLI's outcome in any scheme order, and of
+an affine map's Lipschitz bound in a p-norm.
 
 The profile is fixed (``derandomize=True``, a set ``max_examples``, no
 example database), so every run draws the same examples.
@@ -14,13 +15,15 @@ import json
 import math
 import sys
 import tempfile
+from decimal import Decimal, localcontext
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -412,3 +415,50 @@ def test_the_scheme_order_does_not_change_a_commands_outcome(schemes, anchor):
     for command in ("run", "compare", "validate-schedule"):
         assert (cli_outcome(command, {**data, "scheme": schemes})
                 == cli_outcome(command, {**data, "scheme": sorted(schemes)})), command
+
+
+# -- (i) an affine map's Lipschitz bound holds in the run's norm -----------
+
+@st.composite
+def powers_and_points(draw):
+    """An affine map on R^d, entries on a grid of 1/1000, declared with the
+    envelope inf, so that at r != 2 its L_p is the Riesz-Thorin bound alone,
+    a power p whose matrix A_p is not 0, and 10 non-zero points."""
+    d = draw(st.integers(1, 5))
+    grid = partial(arrays, np.int64, elements=st.integers(-2000, 2000))
+    T = make_affine(draw(grid((d, d))) / 1000, np.zeros(d), envelope=lambda n: math.inf)
+    p = draw(st.integers(1, 8))
+    assume(T.affine.pair(p)[0].any())
+    U = draw(grid((10, d))) / 1000
+    assume(U.any(axis=1).all())
+    return T, p, U
+
+
+def exact_norm(v, r: Decimal) -> Decimal:
+    """The r-norm of the Decimal vector v, to 60 digits."""
+    return sum(abs(x) ** r for x in v) ** (1 / r)
+
+
+# a diagonal map's norm is its largest |entry| in every r-norm, attained at a
+# unit vector, which is also its Riesz-Thorin bound
+DIAGONAL = (make_affine(np.diag([0.3, -0.9, 0.5]), np.zeros(3), envelope=lambda n: math.inf),
+            7, np.eye(3))
+
+
+@settings(FIXED, max_examples=60)
+@given(powers_and_points(), st.sampled_from([1.25, 1.5, 3.0, 8.0]))
+@example(DIAGONAL, 1.25)
+@example(DIAGONAL, 8.0)
+def test_the_lipschitz_bound_of_an_affine_power_holds_in_the_run_norm(problem, r):
+    # the ratio ||A_p u||_r / ||u||_r of the power the map applies, worked
+    # out in 60-digit decimals from its float entries
+    T, p, U = problem
+    bound = T.lipschitz(p, r)
+    assert math.isfinite(bound)
+    Ap = [[Decimal(a) for a in row] for row in T.affine.pair(p)[0].tolist()]
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for u in U.tolist():
+            u = [Decimal(x) for x in u]
+            image = [sum(a * x for a, x in zip(row, u)) for row in Ap]
+            assert Decimal(bound) >= exact_norm(image, Decimal(r)) / exact_norm(u, Decimal(r))
