@@ -287,9 +287,9 @@ class _AffinePower:
         Ap = self.pair(p)[0]
         if self._eig:
             lam, V, Vinv, rho = self._eig
-            if p != 1:
-                lam, rho = self._lam_n, rho ** p  # NumPy: inf once it overflows, as lam^p
-            if abs(s) * rho <= _EIGEN_SCALE_MAX:  # NaN fails too
+            if p != 1:  # lam^p; below, |s| rho^p <= MAX as p-th roots, which cannot overflow
+                lam = self._lam_n
+            if abs(s) ** (1.0 / p) * rho <= _EIGEN_SCALE_MAX ** (1.0 / p):  # NaN fails too
                 return V.dot(Vinv.dot(r) / (1.0 - s * lam)).real
         return np.linalg.solve(np.eye(r.size) - s * Ap, r)
 
@@ -313,7 +313,7 @@ def _eigenbasis(A: np.ndarray):
     kappa = np.linalg.norm(V, 1) * np.linalg.norm(Vinv, 1)
     if not kappa <= _EIGEN_KAPPA_MAX:  # also when NaN
         return False
-    return lam, V, Vinv, np.abs(lam).max()
+    return lam, V, Vinv, float(np.abs(lam).max())
 
 
 def _affine_parts(A, b) -> tuple[np.ndarray, np.ndarray]:
