@@ -20,7 +20,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -227,8 +226,7 @@ def cmd_run(args) -> int:
 
 def cmd_validate_schedule(args) -> int:
     cfg = load_config(args.config)
-    first = cfg.build_solver_config()  # of the first scheme; the others' derive from it
-    solver_cfgs = [first] + [replace(first, scheme=scheme) for scheme in cfg.schemes()[1:]]
+    solver_cfgs = cfg.build_solver_configs()
     reports = [validate(c, horizon=args.horizon) for c in solver_cfgs]
     width = max(len(label) for label, *_ in reports[0].rows())
     for c, report in zip(solver_cfgs, reports):

@@ -207,9 +207,9 @@ class ExperimentConfig:
         return [scheme_by_name(name) for name in self.scheme]
 
     @_as_config_error
-    def build_solver_config(self) -> SolverConfig:
-        """The first scheme's configuration, made with the others' in name order:
-        a scheme the file cannot serve is the same ConfigError in any order."""
+    def build_solver_configs(self) -> list[SolverConfig]:
+        """Each scheme's configuration, in the file's order, made in name order: a
+        scheme the file cannot serve is the same ConfigError in any order."""
         settings = dict(self.settings)
         if "norm_p" in settings:
             settings["norm"] = NormSpec(settings.pop("norm_p"))
@@ -223,7 +223,12 @@ class ExperimentConfig:
             contraction=self.build_contraction(),
             **settings,
         )
-        return {scheme: replace(cfg, scheme=scheme) for scheme in others}.get(schemes[0], cfg)
+        cfgs = {first: cfg, **{scheme: replace(cfg, scheme=scheme) for scheme in others}}
+        return [cfgs[scheme] for scheme in schemes]
+
+    def build_solver_config(self) -> SolverConfig:
+        """The first scheme's configuration, made with the others' (:meth:`build_solver_configs`)."""
+        return self.build_solver_configs()[0]
 
 
 def parse_config(data: dict) -> ExperimentConfig:

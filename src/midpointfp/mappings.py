@@ -92,20 +92,22 @@ class Mapping:
                                     f"{images.shape} for points of shape {U.shape}")
         return images
 
-    def lipschitz(self, p: int, r: float = 2.0) -> float:
+    def lipschitz(self, p: int, r: float = 2.0, k: float | None = None) -> float:
         """L_p, bounding the Lipschitz constant of T^p in the r-norm: an affine
         map's exact ||A_p||_inf at r = inf (inf once A_p overflows), else
         envelope(p) times rho = d^|1/r - 1/2| (rho = 1 at r = 2; Higham,
         Accuracy and Stability of Numerical Algorithms, ch. 6). At r != 2 an
         affine map takes the smaller of that and the Riesz-Thorin bound
         ||A_p||_1^(1/r) ||A_p||_inf^(1 - 1/r), rounded up (inf once it overflows;
-        unused when A_p is 0)."""
+        unused when A_p is 0). ``k`` is envelope(p) when the caller has read it
+        (by ``_declared_k``); where no affine pair is read (r = 2, or a map
+        without ``affine``), p and k may be columns, and so is L_p."""
         if math.isinf(r) and self.affine is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 lip = float(np.linalg.norm(self.affine.pair(p)[0], np.inf))
             return math.inf if math.isnan(lip) else lip
         rho = 1.0 if r == 2.0 else self.domain_dim ** abs(1.0 / r - 0.5)
-        bound = rho * _declared_k(self.envelope, p)
+        bound = rho * (_declared_k(self.envelope, p) if k is None else k)
         if r == 2.0 or self.affine is None:
             return bound
         # as row (col / row)^(1/r), whose rounded exponent moves it by at most
@@ -223,6 +225,10 @@ def make_flip_map(envelope: Callable[[int], float] | None = None) -> Mapping:
 _EIGEN_KAPPA_MAX = 1e3
 # largest |s| max|lam^p| of an eigenbasis solve: every 1 - s lam_j^p is >= 2^-20
 _EIGEN_SCALE_MAX = 1.0 - 2.0 ** -20
+# while no entry of A_n or b_n can exceed this, neither the chain's next
+# products nor lam^n (|lam^n| <= d max|A_n|) can leave the float range: the
+# margin of 1e8 below it also covers d and the products' rounding
+_POWER_ROOM = 1e300
 
 
 class _AffinePower:
@@ -233,7 +239,8 @@ class _AffinePower:
     ``pair(n)`` is the same bits whatever was asked before: a run asks
     for n = 1, 2, 3, ... (possibly interleaved with n = 1, which is T
     itself), a request for an earlier n restarts the chain at T, and one
-    for n < 1 raises InvalidInputError.
+    for n < 1 raises InvalidInputError. A power past the float range holds
+    inf or NaN entries, formed without a RuntimeWarning.
     :meth:`solve` works in A's eigenbasis A = V diag(lam) V^-1, computed
     on its first call, which restarts the chain too; lam^n then comes from
     the same steps as (A_n, b_n).
@@ -241,12 +248,15 @@ class _AffinePower:
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
         self.A, self.b = A, b
+        # max|A B| <= ||A||_inf max|B|, and b_(m+1) = A b_m + b adds max|b|
+        self._grow, self._shift = float(np.linalg.norm(A, np.inf)), float(np.abs(b).max())
         self._eig = None  # (lam, V, V^-1, rho) once solve has run; False if unusable
         self._restart()
 
     def _restart(self):
-        # T^1: (A_n, b_n) and, while _eig is set, lam^n at n = 1
+        # T^1: (A_n, b_n), a bound on their entries and, while _eig is set, lam^n at n = 1
         self._n, self._An, self._bn = 1, self.A, self.b
+        self._size = max(float(np.abs(self.A).max()), self._shift)
         if self._eig:
             self._lam_n = self._eig[0]
 
@@ -259,12 +269,25 @@ class _AffinePower:
             if n < 1:
                 raise InvalidInputError(f"power must be a positive integer, got {n}")
             self._restart()
-        while self._n < n:  # T^(m+1) = T o T^m
-            self._An, self._bn = self.A.dot(self._An), self.A.dot(self._bn) + self.b
-            if self._eig:
-                self._lam_n = self._eig[0] * self._lam_n
-            self._n += 1
+        while self._n < n:
+            size = self._grow * self._size + self._shift  # bounds the next pair's entries
+            if not size <= _POWER_ROOM:  # bound them again from the pair held (NaN stays)
+                size = self._shift + self._grow * float(
+                    np.maximum(np.abs(self._An).max(), np.abs(self._bn).max()))
+            if size <= _POWER_ROOM:
+                self._next()
+            else:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    self._next()
+            self._size = size
         return self._An, self._bn
+
+    def _next(self):
+        """T^(m+1) = T o T^m, and lam^(m+1)."""
+        self._An, self._bn = self.A.dot(self._An), self.A.dot(self._bn) + self.b
+        if self._eig:
+            self._lam_n = self._eig[0] * self._lam_n
+        self._n += 1
 
     def __call__(self, n: int, u: np.ndarray) -> np.ndarray:
         An, bn = self.pair(n)
@@ -279,12 +302,16 @@ class _AffinePower:
         its residual at x_n as r. LU is used instead when eig or inv fails,
         when kappa_1(V) > _EIGEN_KAPPA_MAX (Bauer-Fike: V then amplifies
         rounding), or when |s| max|lam^p| > _EIGEN_SCALE_MAX. Raises
-        np.linalg.LinAlgError when the LU system is singular.
+        np.linalg.LinAlgError when the LU system is singular, and
+        InvalidInputError naming p when A_p or lam^p is past the float range.
         """
         if self._eig is None:
             self._eig = _eigenbasis(self.A)
             self._restart()
         Ap = self.pair(p)[0]
+        if p != 1 and not self._size <= _POWER_ROOM and not (
+                np.isfinite(Ap).all() and (not self._eig or np.isfinite(self._lam_n).all())):
+            raise InvalidInputError(f"power {p} of the affine map is past the float range")
         if self._eig:
             lam, V, Vinv, rho = self._eig
             if p != 1:  # lam^p; below, |s| rho^p <= MAX as p-th roots, which cannot overflow

@@ -4,8 +4,9 @@ A :class:`Schedule` provides the four sequences a_n, b_n, c_n (simplex:
 a + b + c = 1) and k_n >= 1. :func:`validate` checks a run's
 configuration over a finite horizon: the three convergence conditions,
 the simplex identity, well-posedness of the implicit step (q_n < 1) and
-a geometric bound on sup k_n, with step n's values read from the run's
-:class:`SolverConfig` (``step_values``, which ``run`` reads too).
+a geometric bound on sup k_n, with steps 1..H read from the run's
+:class:`SolverConfig` as one table (``step_table``, whose row n is the
+``step_values(n)`` that ``run`` reads at step n).
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
+
+import numpy as np
 
 from .errors import InvalidInputError
 
@@ -167,26 +170,34 @@ class ValidationReport:
         return [(label, r.status, r.value, r.at_n, r.detail) for label, r in named]
 
 
-def _first(ns, bad) -> int | None:
-    """The first n in ``ns`` with ``bad(n)``, or None."""
-    return next((n for n in ns if bad(n)), None)
+def _first(bad, start: int = 1) -> int | None:
+    """The n of the first true entry of the mask ``bad``, whose entry 0 is n =
+    ``start``, or None."""
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) + start if hits.size else None
 
 
-def _rises(vals, n) -> bool:
-    """Whether the 1-based sequence ``vals`` increases from n - 1 to n (or
-    either value is NaN)."""
-    return not vals[n - 1] <= vals[n - 2] * (1.0 + 1e-12) + 1e-300
+def _rises(vals) -> np.ndarray:
+    """Whether the column ``vals`` increases at each of its entries after the
+    first (or either value is NaN)."""
+    return ~(vals[1:] <= vals[:-1] * (1.0 + 1e-12) + 1e-300)
+
+
+def _largest(vals) -> tuple[float, int]:
+    """The largest entry of the column ``vals`` and the n of its first, n = 1..."""
+    i = int(np.argmax(vals))
+    return float(vals[i]), i + 1
 
 
 def validate(cfg: SolverConfig, horizon: int) -> ValidationReport:
     """Check a run's configuration over n = 1..horizon.
 
-    One ``cfg.step_values(n)`` call per n gives the row that ``run``
-    reads at step n: conditions (i), (ii) and the simplex identity read its
-    a_n, b_n, c_n, and well-posedness its q_n, in the run's norm. Condition
-    (iii), the normal-structure bound and k >= 1 read the declared 2-norm
-    k_n = ``cfg.envelope(n)``, which is the row's k_p for a T^n scheme in
-    the 2-norm. An error that a row raises names its n.
+    One ``cfg.step_table(horizon)`` gives, as columns, the rows that ``run``
+    reads at steps 1..horizon: conditions (i), (ii) and the simplex identity
+    read its a_n, b_n, c_n, and well-posedness its q_n, in the run's norm.
+    Condition (iii), the normal-structure bound and k >= 1 read the declared
+    2-norm k_n = ``cfg.envelope(n)``, which ``step_table`` gives with it. An
+    error that a row raises names its n, the first such row's.
     Tail-limit conditions are checked on the second half of the horizon,
     since the underlying requirements only bind for sufficiently large n.
     Divergence of sum(a_n) is the schedule's own symbolic verdict
@@ -196,20 +207,23 @@ def validate(cfg: SolverConfig, horizon: int) -> ValidationReport:
     """
     if horizon < 10:
         raise InvalidInputError(f"validation horizon must be >= 10, got {horizon}")
-    ns = range(1, horizon + 1)
-    a, b, c, *_, k_p, q = zip(*(cfg.step_values(n) for n in ns))
-    k = k_p if cfg.scheme.use_power and cfg.norm.p == 2.0 else [cfg.envelope(n) for n in ns]
+    values, k = cfg.step_table(horizon)
+    return _report(cfg, horizon, values.a, values.b, values.c, values.q, k)
 
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # as float arithmetic does
+def _report(cfg, horizon, a, b, c, q, k) -> ValidationReport:
+    """:func:`validate`'s report on the columns a, b, c, q and k of n = 1..horizon."""
     half = horizon // 2
-    tail = range(half, horizon + 1)
+    tail = slice(half - 1, None)  # n = half..horizon
 
     # (i) a_n -> 0: monotone tail and endpoint below ten times the
     # observed half-horizon decrement (a trend-extrapolation threshold).
-    bad_n = _first(tail[1:], lambda n: _rises(a, n))
-    a_mid, a_end = a[half - 1], a[-1]
+    bad_n = _first(_rises(a[tail]), half + 1)
+    a_mid, a_end = float(a[half - 1]), float(a[-1])
     threshold = 10.0 * (a_mid - a_end) + 1e-12
     if bad_n is not None:
-        cond_i = CheckResult("fail", a[bad_n - 1], bad_n, f"a_n increases at n={bad_n}")
+        cond_i = CheckResult("fail", float(a[bad_n - 1]), bad_n, f"a_n increases at n={bad_n}")
     elif a_end <= threshold:
         cond_i = CheckResult("pass", a_end, horizon,
                              f"monotone tail, a({horizon}) = {a_end:.3e} <= {threshold:.3e}")
@@ -218,20 +232,20 @@ def validate(cfg: SolverConfig, horizon: int) -> ValidationReport:
                              f"a({horizon}) = {a_end:.3e} exceeds trend threshold {threshold:.3e}")
 
     # (ii) divergence of sum(a_n): the family's own verdict, else unknown.
-    partial = math.fsum(a)
+    partial = math.fsum(a.tolist())
     status, reason = cfg.schedule.sum_a or (
         "unknown", f"series not classified; partial sum at horizon = {partial:.6g}")
     cond_ii = CheckResult(status, partial, horizon, reason)
 
     # (iii) (k_n^2 - 1)/a_n -> 0 on the tail; a zero a_n makes the ratio inf.
-    ratio = [(kk * kk - 1.0) / aa if aa else math.inf for kk, aa in zip(k, a)]
-    bad_n = _first(tail[1:], lambda n: _rises(ratio, n))
-    r_end = ratio[-1]
+    ratio = np.where(a != 0.0, (k * k - 1.0) / a, math.inf)
+    bad_n = _first(_rises(ratio[tail]), half + 1)
+    r_end = float(ratio[-1])
     if bad_n is not None:
         cond_iii = CheckResult("fail", r_end, horizon,
                                f"ratio increases at n={bad_n}; tail value {r_end:.3e}")
     elif r_end <= TOL_III:
-        first_ok = _first(tail, lambda n: ratio[n - 1] <= TOL_III)
+        first_ok = _first(ratio[tail] <= TOL_III, half)
         cond_iii = CheckResult("pass", r_end, horizon,
                                f"tail ratio {r_end:.3e} <= {TOL_III:g} (holds from n={first_ok})")
     else:
@@ -241,31 +255,28 @@ def validate(cfg: SolverConfig, horizon: int) -> ValidationReport:
     # simplex, pointwise over the whole horizon: the first n off by more
     # than 1e-12 or NaN, else the largest deviation at its first n (None
     # when all are 0)
-    dev = [abs(aa + bb + cc - 1.0) for aa, bb, cc in zip(a, b, c)]
-    bad_n = _first(ns, lambda n: not dev[n - 1] <= 1e-12)
+    dev = np.abs(a + b + c - 1.0)
+    bad_n = _first(~(dev <= 1e-12))
     if bad_n is None:
-        worst = max(dev)
-        simplex = CheckResult("pass", worst, _first(ns, lambda n: 0.0 < dev[n - 1] == worst),
-                              "pointwise to 1e-12")
+        worst, at_n = _largest(dev)
+        simplex = CheckResult("pass", worst, at_n if worst > 0.0 else None, "pointwise to 1e-12")
     else:
-        value = dev[bad_n - 1]
+        value = float(dev[bad_n - 1])
         simplex = CheckResult("fail", value, bad_n, f"|a+b+c-1| = {value:.3e} at n={bad_n}")
 
     # wellposedness of the implicit step, by the q_n that run checks
-    bad_n = _first(ns, lambda n: not q[n - 1] < 1.0)
+    bad_n = _first(~(q < 1.0))
     if bad_n is None:
-        q_max = max(q)
-        q_arg = q.index(q_max) + 1
+        q_max, q_arg = _largest(q)
         wellposed = CheckResult("pass", q_max, q_arg, f"max q_n = {q_max:.6f} at n={q_arg}")
     else:
-        q_bad = q[bad_n - 1]
+        q_bad = float(q[bad_n - 1])
         wellposed = CheckResult("fail", q_bad, bad_n,
                                 f"q_n {'>= 1' if q_bad >= 1.0 else 'is nan'} first at n={bad_n}")
 
     # geometric bound on the envelope (warning only: the benchmark
     # example itself exceeds the Hilbert value)
-    sup_k = max(k)
-    sup_arg = k.index(sup_k) + 1
+    sup_k, sup_arg = _largest(k)
     bound = HILBERT_NORMAL_STRUCTURE ** 0.5
     if sup_k <= bound:
         nsb = CheckResult("pass", sup_k, sup_arg, f"sup k_n = {sup_k:.6g} <= {bound:.6f}")
@@ -274,8 +285,9 @@ def validate(cfg: SolverConfig, horizon: int) -> ValidationReport:
                           f"sup k_n = {sup_k:.6g} exceeds N^(1/2) = {bound:.6f}")
 
     # informational range check on the tail half
-    bad_n = _first(tail, lambda n: not (0.0 < a[n - 1] < 1.0 and 0.0 <= b[n - 1] < 1.0
-                                        and 0.0 < c[n - 1] < 1.0 and k[n - 1] >= 1.0))
+    at, bt, ct = a[tail], b[tail], c[tail]
+    bad_n = _first(~((0.0 < at) & (at < 1.0) & (0.0 <= bt) & (bt < 1.0)
+                     & (0.0 < ct) & (ct < 1.0) & (k[tail] >= 1.0)), half)
     if bad_n is None:
         ranges = CheckResult("pass", None, None, "a in (0,1), b in [0,1), c in (0,1), k >= 1 on tail")
     else:

@@ -163,24 +163,77 @@ class SolverConfig:
         that overflows a float reads as inf, and a NaN one raises InvalidInputError."""
         return max(_declared_k(self.schedule.k, p), self.mapping.lipschitz(p, r))
 
+    def _bounds(self, p: int) -> tuple[float, float]:
+        """The schedule's k_p and L_p of T^p in the run's norm."""
+        return _declared_k(self.schedule.k, p), self.mapping.lipschitz(p, self.norm.p)
+
     def step_values(self, n: int) -> StepValues:
-        """Step n's :class:`StepValues`, the only code that makes them: a_n, b_n,
-        c_n, then (cf, cx, cT) and p as the :class:`Scheme` says, k_p = :meth:`envelope`
-        of T^p in the run's norm, and q_n = |cT| * k_p / 2 (cT < 0 comes from, e.g.,
-        a custom c_n < 0), which is 0 on a step without the operator term (cT = 0)."""
-        sched, scheme = self.schedule, self.scheme
-        a, b, c = sched.a(n), sched.b(n), sched.c(n)
-        if not scheme.viscosity:
-            cf, cx, cT = 0.0, 1.0 - a, a
-        elif scheme.keep_inertia:
-            cf, cx, cT = a, b, c
-        else:
-            cf, cx, cT = a, 0.0, 1.0 - a
-        p = n if scheme.use_power else 1
-        k = self.envelope(p, self.norm.p)
+        """Step n's :class:`StepValues`: a_n, b_n, c_n and what :func:`_step_row` makes
+        of them, with k_p the :meth:`envelope` of T^p in the run's norm. ``run`` makes
+        one per step, as step n is reached, so an error names its n."""
+        sched = self.schedule
         # tuple.__new__ skips StepValues' Python-level __new__: 0.2 us a row, not 0.56
-        return _new_row(StepValues, (a, b, c, cf, cx, cT, p, k,
-                                     0.5 * abs(cT) * k if cT != 0.0 else 0.0))
+        return _new_row(StepValues, _step_row(self.scheme, n, sched.a(n), sched.b(n),
+                                              sched.c(n), self._bounds))
+
+    def step_table(self, horizon: int) -> tuple[StepValues, np.ndarray]:
+        """Steps n = 1..horizon as columns: the :class:`StepValues` whose row n - 1 is
+        ``step_values(n)`` bit for bit, and the 2-norm k_n = ``envelope(n)``.
+
+        The schedule's a, b, c and k and the mapping's envelope are each called once
+        per n, with n an int, row by row in the order ``step_values`` calls them, so
+        the first row that raises names its n. L_p goes through ``Mapping.lipschitz``
+        per p only where that reads affine pairs (an affine map at r != 2), and the
+        schemes of p = 1 read k_1 and L_1 once. The rest is column arithmetic."""
+        if horizon < 1:
+            raise InvalidInputError(f"a step table needs a horizon >= 1, got {horizon}")
+        sched, mapping, r = self.schedule, self.mapping, self.norm.p
+        seq_a, seq_b, seq_c, seq_k, seq_env = sched.a, sched.b, sched.c, sched.k, mapping.envelope
+        per_p = mapping.affine is not None and r != 2.0 and self.scheme.use_power
+        a, b, c, k, env, lip = [], [], [], [], [], []
+        for n in range(1, horizon + 1):
+            a.append(seq_a(n))
+            b.append(seq_b(n))
+            c.append(seq_c(n))
+            k.append(_declared_k(seq_k, n))
+            env.append(_declared_k(seq_env, n))
+            if per_p:
+                lip.append(mapping.lipschitz(n, r, env[-1]))
+        a, b, c, k, env = np.array((a, b, c, k, env), dtype=float)
+        ns = np.arange(1, horizon + 1)
+        if not self.scheme.use_power:
+            bounds = (float(k[0]), mapping.lipschitz(1, r, float(env[0])))
+        else:
+            bounds = (k, np.array(lip) if per_p else mapping.lipschitz(ns, r, env))
+        with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic does
+            row = _step_row(self.scheme, ns, a, b, c, lambda p: bounds, np.where)
+        # envelope(n) at r = 2: the larger of the schedule's k_n and the mapping's
+        return (StepValues._make(np.broadcast_to(v, (horizon,)) for v in row),
+                np.where(env > k, env, k))
+
+
+def _pick(cond, x, y):
+    """x if cond else y: np.where of one step's values."""
+    return x if cond else y
+
+
+def _step_row(scheme: Scheme, n, a, b, c, bounds, where=_pick) -> tuple:
+    """The :class:`StepValues` fields of step n from a_n, b_n, c_n, the one derivation
+    of :meth:`SolverConfig.step_values` and :meth:`SolverConfig.step_table`: (cf, cx,
+    cT) and p as the :class:`Scheme` says, k_p = max of the pair ``bounds(p)`` (the
+    schedule's k_p and L_p), and q_n = |cT| * k_p / 2 (cT < 0 comes from, e.g., a
+    custom c_n < 0), which is 0 on a step without the operator term (cT = 0), also
+    where k_p is inf. Of one step with floats, or of columns with ``where=np.where``."""
+    if not scheme.viscosity:
+        cf, cx, cT = 0.0, 1.0 - a, a
+    elif scheme.keep_inertia:
+        cf, cx, cT = a, b, c
+    else:
+        cf, cx, cT = a, 0.0, 1.0 - a
+    p = n if scheme.use_power else 1
+    k_p, lip = bounds(p)
+    k = where(lip > k_p, lip, k_p)  # max(k_p, lip), the first of equals
+    return a, b, c, cf, cx, cT, p, k, 0.5 * abs(cT) * where(cT != 0.0, k, 0.0)
 
 
 @dataclass
@@ -218,8 +271,9 @@ def implicit_step(cfg: SolverConfig, n: int, x_n,
     inner_iters counts from there, and the first pass also checks the
     pair (y_1, G(y*)). Raises IllPosedError if q_n >= 1, if the delta of
     a plain Picard pass is non-finite or exceeds the first one, if the
-    linear system is singular, or if ||y_1 - G(y*)|| > q_n
-    ||x_n - y*|| + tol_inner (no q_n-contraction does any of these), and
+    linear system is singular or its A_p or lam^p is past the float range,
+    or if ||y_1 - G(y*)|| > q_n ||x_n - y*|| + tol_inner (no
+    q_n-contraction does any of these), and
     InnerBudgetError if max_inner is hit first (the achieved bound is
     attached), and InvalidInputError if a step without the operator term
     (cT = 0) comes out non-finite. ``x_n`` is checked once; the loop and
@@ -267,6 +321,9 @@ def implicit_step(cfg: SolverConfig, n: int, x_n,
             y1, y = y, x_n + cfg.mapping.affine.solve(p, 0.5 * cT, residual)
         except np.linalg.LinAlgError as exc:
             raise IllPosedError(f"singular implicit system at n={n}: {exc}", n=n, q=q) from exc
+        except InvalidInputError as exc:  # A_p or lam^p past the float range
+            raise IllPosedError(f"cannot solve the implicit system at n={n}: {exc}",
+                                n=n, q=q) from exc
         m, bound = 0, math.inf
     # prev: (y, G(y) - y) of the last kept pass; plain: the Picard iterate
     # that a secant point y replaced, and the delta of the pass that made it

@@ -356,6 +356,23 @@ class TestValidateScheduleCommand:
             f"overall: {'PASS' if passed else 'FAIL'}\n")
         assert code == (0 if passed else 3)
 
+    def test_each_schemes_configuration_is_derived_once(self, tmp_path, capsys, monkeypatch):
+        # every SolverConfig evaluates the anchor at x1 once, to check its
+        # dimension: one per scheme, none made again after the builder
+        evals = []
+        make = config.make_scaling_contraction
+
+        def counted(factor):
+            f = make(factor)
+            return dataclasses.replace(f, apply=lambda u: evals.append(1) or f.apply(u))
+
+        monkeypatch.setattr(config, "make_scaling_contraction", counted)
+        path = write_config(tmp_path, {**BENCHMARK, "scheme": ["IMR", "VIM", "GVIM", "AGVIM",
+                                                               "AVIM63"]})
+        assert main(["validate-schedule", "--config", path, "--horizon", "20"]) == 0
+        assert capsys.readouterr().out.count("scheme ") == 5
+        assert len(evals) == 5
+
 
 class TestCompareCommand:
     def test_three_scheme_csv(self, tmp_path):

@@ -232,7 +232,7 @@ class TestLipschitz:
     def test_bound_in_the_run_norm(self, build, r, want):
         mapping = build()
         for p in range(1, 10):
-            assert mapping.lipschitz(p, r) == pytest.approx(want(p), rel=1e-14)
+            assert mapping.lipschitz(p, r) == pytest.approx(want(p), rel=1e-14, abs=0)
 
     def test_declared_values(self):
         nan = make_flip_map(envelope=lambda n: math.nan)
@@ -332,6 +332,38 @@ class TestAffinePowerRequests:
                     call()
         # a refused request leaves the chain as it was
         assert_bitwise(T.power(2, u), power_operator(make_affine(*affine[:2]), 2)(u))
+
+
+class TestAffinePowerOverflow:
+    """Powers past the float range are formed without a RuntimeWarning (the
+    suite makes one an error), and ``solve`` refuses them, naming p."""
+
+    @staticmethod
+    def expanding():
+        return make_affine([[3.0, 1.0], [0.0, 2.0]], [0.0, 0.0], envelope=lambda n: 1.0).affine
+
+    def test_solve_refuses_a_power_past_the_float_range(self):
+        # 3^700 overflows; the solve takes the LU path (|s| 3^p > 1)
+        with pytest.raises(InvalidInputError, match="power 700 of the affine map is past"):
+            self.expanding().solve(700, 0.1, np.ones(2))
+
+    def test_the_chain_overflows_quietly(self):
+        power = self.expanding()
+        power.solve(2, 0.1, np.ones(2))  # lam^n is chained from here on
+        for n in (700, 1000, 2000):
+            assert not np.isfinite(power.pair(n)[0]).all()
+        assert not np.isfinite(power._lam_n).all()
+        assert_bitwise(power.pair(5)[0], np.linalg.matrix_power(power.A, 5))
+
+    def test_a_finite_power_with_an_infinite_lam_p_is_refused(self):
+        # A = [[1, 1], [1, 1]]: A^p = 2^(p-1) A is finite at p = 1024, while
+        # lam^p = 2^p is not; |s| is small enough for the eigenbasis path
+        power = make_affine([[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0]).affine
+        r = np.array([1.0, -1.0])
+        assert_bitwise(power.solve(1023, 1e-310, r), r)
+        with pytest.raises(InvalidInputError, match="power 1024 of the affine map is past"):
+            power.solve(1024, 1e-310, r)
+        assert np.isfinite(power.pair(1024)[0]).all()
 
 
 class TestPowerCap:

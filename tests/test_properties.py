@@ -1,8 +1,8 @@
 """Property-based checks (Hypothesis) of the implicit step on affine maps,
 of validate's well-posedness verdict, of the config round-trip, of the
 CSV writers, of the default affine envelope, of the step values that
-validate and run share, of the CLI's outcome in any scheme order, and of
-an affine map's Lipschitz bound in a p-norm.
+validate and run share, of the CLI's outcome in any scheme order, of
+an affine map's Lipschitz bound in a p-norm, and of the step table.
 
 The profile is fixed (``derandomize=True``, a set ``max_examples``, no
 example database), so every run draws the same examples.
@@ -462,3 +462,49 @@ def test_the_lipschitz_bound_of_an_affine_power_holds_in_the_run_norm(problem, r
             u = [Decimal(x) for x in u]
             image = [sum(a * x for a, x in zip(row, u)) for row in Ap]
             assert Decimal(bound) >= exact_norm(image, Decimal(r)) / exact_norm(u, Decimal(r))
+
+
+# -- (j) row n of the step table is step_values(n), bit for bit --------------
+
+TABLE_MAPPINGS = {
+    "flip": make_flip_map,
+    "diag(1.9, 0.1)": lambda: make_affine(np.diag([1.9, 0.1]), [0.0, 0.0]),
+    "non-normal": lambda: make_affine([[0.5, 2.0], [0.0, 0.5]], [0.0, 0.0]),
+}
+
+
+@st.composite
+def table_problems(draw):
+    """A SolverConfig of any scheme, norm_p 2, 3 or inf, schedule (`paper`,
+    `power` s = 0.5 or 2, or a custom table whose a_n, c_n may be 0 and k_n
+    inf) and mapping of TABLE_MAPPINGS, and a horizon H."""
+    horizon = draw(st.integers(1, 50))
+    row = st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), st.floats(0.0, 1.0),
+                    st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+                    st.one_of(st.just(math.inf), st.floats(1.0, 3.0)))
+    table = st.lists(row, min_size=horizon, max_size=horizon).map(custom_schedule)
+    return SolverConfig(
+        scheme=SCHEMES[draw(st.sampled_from(sorted(SCHEMES)))],
+        mapping=TABLE_MAPPINGS[draw(st.sampled_from(sorted(TABLE_MAPPINGS)))](),
+        schedule=draw(st.one_of(st.just(paper_schedule()), st.just(power_schedule(0.5)),
+                                st.just(power_schedule(2.0)), table)),
+        x1=[0.5, 1.0], contraction=make_scaling_contraction(0.5),
+        norm=NormSpec(draw(st.sampled_from([2.0, 3.0, math.inf]))),
+    ), horizon
+
+
+def bits(values) -> list:
+    """The float64 bytes of each value."""
+    return [np.float64(v).tobytes() for v in values]
+
+
+@settings(FIXED, max_examples=150)
+@given(table_problems())
+def test_row_n_of_the_step_table_is_step_n(problem):
+    cfg, horizon = problem
+    values, k_2 = cfg.step_table(horizon)
+    assert all(len(column) == horizon for column in values) and len(k_2) == horizon
+    assert (values.q[values.cT == 0.0] == 0.0).all()  # also where k_p is inf
+    for n in range(1, horizon + 1):
+        assert bits(column[n - 1] for column in values) == bits(cfg.step_values(n)), n
+        assert bits([k_2[n - 1]]) == bits([cfg.envelope(n)]), n

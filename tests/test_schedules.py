@@ -307,19 +307,86 @@ def counting(cfg):
 
 
 class TestValidateReadsTheEnvelope:
-    """validate reads the declared envelope once per n where the run's k_p
-    is k_n: a T^n scheme in the 2-norm. Elsewhere ``step_values`` reads k_1,
-    or k_n in the run's norm, and condition (iii) reads k_n in the 2-norm."""
+    """validate reads the schedule's k and the mapping's envelope once per n,
+    in every scheme and norm: its step table reads each once per n, k_1 and
+    L_1 of the p = 1 schemes come from row 1, and condition (iii)'s 2-norm
+    k_n from the same calls. An affine map at r != 2 is given envelope(p) by
+    the table for its ``Mapping.lipschitz``."""
 
     @pytest.mark.parametrize("scheme, norm_p, per_n", [
         ("AGVIM", 2.0, 1), ("AVIM63", 2.0, 1), ("IMR", 2.0, 2), ("GVIM", 2.0, 2),
         ("AGVIM", 3.0, 2),
     ])
     def test_calls_per_n(self, scheme, norm_p, per_n):
+        # per_n: what the same values cost per n read row by row, by
+        # step_values(n) and, where k_p is not the 2-norm k_n, envelope(n)
         cfg, calls = counting(replace(agvim_flip(paper_schedule()), scheme=SCHEMES[scheme],
                                       norm=NormSpec(norm_p)))
         validate(cfg, horizon=100)
+        assert calls == {"Schedule.k": 100, "Mapping.envelope": 100}
+        calls.update({"Schedule.k": 0, "Mapping.envelope": 0})
+        for n in range(1, 101):
+            cfg.step_values(n)
+            if not (cfg.scheme.use_power and norm_p == 2.0):
+                cfg.envelope(n)
         assert calls == {"Schedule.k": 100 * per_n, "Mapping.envelope": 100 * per_n}
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    @pytest.mark.parametrize("norm_p", [2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("mapping", [make_flip_map(envelope=lambda n: 1.0),
+                                         make_affine([[0.5, 2.0], [0.0, 0.5]], [0.0, 0.0])],
+                             ids=["flip", "affine"])
+    def test_once_per_n_in_every_scheme_and_norm(self, scheme, norm_p, mapping):
+        cfg, calls = counting(replace(agvim_flip(paper_schedule()), scheme=SCHEMES[scheme],
+                                      mapping=mapping, norm=NormSpec(norm_p)))
+        validate(cfg, horizon=100)
+        assert calls == {"Schedule.k": 100, "Mapping.envelope": 100}
+
+
+class TestStepTable:
+    """``step_table(H)`` reads the sequences row by row, so the first row that
+    raises is the error, named by its n, as a loop of ``step_values(n)``
+    gives it; an envelope that overflows reads inf from there on."""
+
+    @staticmethod
+    def table_cfg(scheme, rows):
+        return replace(agvim_flip(custom_schedule(rows)), scheme=SCHEMES[scheme])
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_the_first_failing_row_wins(self, scheme):
+        rows = [[1.0 / n, 0.0, 1.0 - 1.0 / n, 1.0] for n in range(1, 41)]
+        rows[6][3] = math.nan  # k_7; the table ends at n = 40
+        cfg = self.table_cfg(scheme, rows)
+        for call in (lambda: cfg.step_table(60), lambda: validate(cfg, 60)):
+            with pytest.raises(InvalidInputError, match=r"k_n is NaN at n=7$"):
+                call()
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_a_short_custom_table_names_the_requested_n(self, scheme):
+        cfg = self.table_cfg(scheme, [[0.5, 0.25, 0.25, 1.0]] * 30)
+        with pytest.raises(InvalidInputError, match=r"\[1, 30\], requested n=31$"):
+            cfg.step_table(40)
+        with pytest.raises(InvalidInputError, match=r"\[1, 30\], requested n=31$"):
+            cfg.step_values(31)
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_an_empty_horizon_is_refused(self, horizon):
+        cfg = replace(agvim_flip(paper_schedule()), scheme=SCHEMES["IMR"])
+        with pytest.raises(InvalidInputError, match=f"horizon >= 1, got {horizon}"):
+            cfg.step_table(horizon)
+
+    @pytest.mark.parametrize("scheme", ["AGVIM", "IMR"])
+    @pytest.mark.parametrize("norm_p", [2.0, 3.0])
+    def test_an_overflowing_envelope_reads_inf(self, scheme, norm_p):
+        # 1.9 ** n raises OverflowError from n = 1106 on; no RuntimeWarning
+        # either (the suite makes one an error)
+        cfg = replace(agvim_flip(paper_schedule()), scheme=SCHEMES[scheme], norm=NormSpec(norm_p),
+                      mapping=make_flip_map(envelope=lambda n: 1.9 ** n))
+        values, k = cfg.step_table(1200)
+        assert np.isfinite(k[:1105]).all() and (k[1105:] == math.inf).all()
+        for n in (1, 1105, 1106, 1200):
+            assert tuple(col[n - 1] for col in values) == cfg.step_values(n)
+        assert (values.k[1105:] == math.inf).all() == SCHEMES[scheme].use_power
 
 
 class TestValidateAgreesWithRun:

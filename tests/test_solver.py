@@ -18,7 +18,7 @@ from midpointfp.mappings import (
     make_scaling_contraction,
     power_operator,
 )
-from midpointfp.schedules import custom_schedule, paper_schedule, power_schedule
+from midpointfp.schedules import Schedule, custom_schedule, paper_schedule, power_schedule
 from midpointfp.solver import (
     SCHEMES,
     SolverConfig,
@@ -627,6 +627,23 @@ class TestAffineSolve:
             scheme=SCHEMES["AGVIM"], mapping=make_affine(A, b), schedule=paper_schedule(),
             x1=x1, contraction=make_scaling_contraction(0.5), max_outer=steps, tol_step=0.0,
         )
+
+    def test_a_power_past_the_float_range_names_the_step(self):
+        # A = [[1, 1], [1, 1]] and x_n on its null space: A_p x_n = 0, but
+        # lam^1024 = 2^1024 overflows; with c_n = 1e-309, |s| 2^p stays
+        # below 1, so the solve takes the eigenbasis path and refuses it
+        cfg = SolverConfig(
+            scheme=SCHEMES["AGVIM"],
+            mapping=make_affine([[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0], envelope=lambda n: 1.0),
+            schedule=Schedule(a=lambda n: 0.5, b=lambda n: 0.5, c=lambda n: 1e-309,
+                              k=lambda n: 1.0),
+            x1=[1.0, -1.0], contraction=make_scaling_contraction(0.5), tol_inner=1e-320,
+            tol_step=0.0,
+        )
+        assert implicit_step(cfg, 1023, cfg.x1).x.tolist() == [0.75, -0.75]
+        with pytest.raises(IllPosedError, match="at n=1024: power 1024 of the affine map") as err:
+            implicit_step(cfg, 1024, cfg.x1)
+        assert err.value.n == 1024
 
     def test_defect_correction_keeps_the_residual_at_rounding_level(self):
         # lam^p and the A_p formed by products drift apart by rounding as p
