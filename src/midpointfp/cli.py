@@ -253,7 +253,7 @@ def _compare_row(r) -> list:
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
-    runs = compare_schemes(cfg.build_solver_config(), cfg.schemes())
+    runs = compare_schemes(cfg.build_solver_configs())
     out = _out_dir(args.out)
     _write_columns(out / "compare.csv", [f"step_norm_{r.scheme}" for r in runs],
                    [[] if r.failed else r.trace.step_norm for r in runs])

@@ -36,7 +36,7 @@ from .mappings import (
     make_scaling_contraction,
 )
 from .schedules import Schedule, custom_schedule, paper_schedule, power_schedule
-from .solver import Scheme, SolverConfig, scheme_by_name
+from .solver import SolverConfig, scheme_by_name
 from .space import NormSpec
 
 __all__ = ["ExperimentConfig", "load_config", "parse_config"]
@@ -203,9 +203,6 @@ class ExperimentConfig:
     def build_schedule(self) -> Schedule:
         return self._build("schedule")
 
-    def schemes(self) -> list[Scheme]:
-        return [scheme_by_name(name) for name in self.scheme]
-
     @_as_config_error
     def build_solver_configs(self) -> list[SolverConfig]:
         """Each scheme's configuration, in the file's order, made in name order: a
@@ -213,7 +210,7 @@ class ExperimentConfig:
         settings = dict(self.settings)
         if "norm_p" in settings:
             settings["norm"] = NormSpec(settings.pop("norm_p"))
-        schemes = self.schemes()
+        schemes = [scheme_by_name(name) for name in self.scheme]
         first, *others = sorted(schemes, key=lambda s: s.name)
         cfg = SolverConfig(
             scheme=first,

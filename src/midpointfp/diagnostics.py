@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError, MidpointError, RejectedSampleError
 from .mappings import SAMPLE_RADIUS, Contraction, Mapping
-from .solver import SolverConfig, Trace, run
+from .solver import Trace, run
 from .space import NormSpec, as_vector, duality_map, norm, norm_kernel
 
 __all__ = [
@@ -131,25 +131,21 @@ class SchemeRun:
         return self.error is not None
 
 
-def compare_schemes(base_cfg: SolverConfig, schemes) -> list:
-    """Run each scheme on the shared configuration: one SchemeRun each.
-
-    The mapping, contraction, initial point, tolerances, and the single
-    schedule object are shared, so schedule values agree bitwise across
-    columns. Each run records the first step n whose step norm reaches
-    each level of THRESHOLDS (1e-2, 1e-4, 1e-6). A scheme that raises is
-    reported failed while the others complete. Runs are ordered by scheme
-    name for deterministic output.
-    """
-    schemes = list(schemes)
-    if len(schemes) < 2:
+def compare_schemes(cfgs) -> list:
+    """Run the SolverConfigs of one problem, one per scheme, as ``build_solver_configs``
+    makes them, in scheme-name order: one SchemeRun each. Their shared schedule object
+    makes schedule values agree bitwise across columns. Each run records the first step
+    n whose step norm reaches each level of THRESHOLDS (1e-2, 1e-4, 1e-6). A run that
+    raises is reported failed while the others complete."""
+    cfgs = sorted(cfgs, key=lambda c: c.scheme.name)
+    if len(cfgs) < 2:
         raise InvalidInputError("need at least two schemes to compare")
     runs = []
-    for scheme in sorted(schemes, key=lambda s: s.name):
+    for cfg in cfgs:
         try:
-            trace = run(replace(base_cfg, scheme=scheme))
+            trace = run(cfg)
         except MidpointError as exc:
-            runs.append(SchemeRun(scheme.name, None, str(exc), dict.fromkeys(THRESHOLDS), None))
+            runs.append(SchemeRun(cfg.scheme.name, None, str(exc), dict.fromkeys(THRESHOLDS), None))
             continue
         steps = trace.step_norm
         iters_to = {}
@@ -160,7 +156,7 @@ def compare_schemes(base_cfg: SolverConfig, schemes) -> list:
             rate = estimate_rate(steps)
         except InsufficientDataError:
             rate = None
-        runs.append(SchemeRun(scheme.name, trace, None, iters_to, rate))
+        runs.append(SchemeRun(cfg.scheme.name, trace, None, iters_to, rate))
     return runs
 
 

@@ -36,6 +36,7 @@ __all__ = [
 SAMPLE_RADIUS = 2.0
 # largest ratio - k_n that the envelope check passes
 ENVELOPE_TOL = 1e-10
+POWER_CAP = 1_000  # largest n of a power formed by n-fold application (no closed form)
 _EPS = float(np.finfo(float).eps)
 
 
@@ -138,24 +139,19 @@ class Contraction:
         return np.asarray(self.apply(as_vector(u)), dtype=float)
 
 
-def power_operator(
-    mapping: Mapping, n: int, cap: int | None = None
-) -> Callable[[np.ndarray], np.ndarray]:
+def power_operator(mapping: Mapping, n: int) -> Callable[[np.ndarray], np.ndarray]:
     """u -> T^n u on vectors the caller has already checked.
 
     The closed form bound to n when the mapping has one, else n-fold
-    application. ``cap`` bounds the n of a fold; exceeding it raises
-    InvalidInputError so that O(n) per-step cost stays an explicit choice.
+    application, for n up to POWER_CAP: a larger n raises InvalidInputError.
     """
     if n < 1:
         raise InvalidInputError(f"power must be a positive integer, got {n}")
     if mapping.power is not None:
         return partial(mapping.power, n)
-    if cap is not None and n > cap:
-        raise InvalidInputError(
-            f"power {n} exceeds the n-fold application cap {cap} "
-            f"for mapping {mapping.name!r} (no closed-form power)"
-        )
+    if n > POWER_CAP:
+        raise InvalidInputError(f"power {n} exceeds the n-fold application cap {POWER_CAP} "
+                                f"for mapping {mapping.name!r} (no closed-form power)")
     apply = mapping.apply
 
     def fold(u: np.ndarray) -> np.ndarray:
@@ -240,7 +236,8 @@ class _AffinePower:
     for n = 1, 2, 3, ... (possibly interleaved with n = 1, which is T
     itself), a request for an earlier n restarts the chain at T, and one
     for n < 1 raises InvalidInputError. A power past the float range holds
-    inf or NaN entries, formed without a RuntimeWarning.
+    inf or NaN entries, formed without a RuntimeWarning; ``__call__`` and
+    :meth:`solve` refuse it.
     :meth:`solve` works in A's eigenbasis A = V diag(lam) V^-1, computed
     on its first call, which restarts the chain too; lam^n then comes from
     the same steps as (A_n, b_n).
@@ -289,8 +286,17 @@ class _AffinePower:
             self._lam_n = self._eig[0] * self._lam_n
         self._n += 1
 
+    def _refuse_past_range(self, n: int, lam: bool = False):
+        """InvalidInputError naming n if the held pair, or with ``lam`` lam^n, is not
+        finite; called once n != 1 and the bound on the pair passes _POWER_ROOM."""
+        held = (self._An, self._bn, self._lam_n) if lam and self._eig else (self._An, self._bn)
+        if not all(np.isfinite(v).all() for v in held):
+            raise InvalidInputError(f"power {n} of the affine map is past the float range")
+
     def __call__(self, n: int, u: np.ndarray) -> np.ndarray:
         An, bn = self.pair(n)
+        if n != 1 and not self._size <= _POWER_ROOM:
+            self._refuse_past_range(n)
         return _affine_apply(An, bn, u)
 
     def solve(self, p: int, s: float, r: np.ndarray) -> np.ndarray:
@@ -309,9 +315,8 @@ class _AffinePower:
             self._eig = _eigenbasis(self.A)
             self._restart()
         Ap = self.pair(p)[0]
-        if p != 1 and not self._size <= _POWER_ROOM and not (
-                np.isfinite(Ap).all() and (not self._eig or np.isfinite(self._lam_n).all())):
-            raise InvalidInputError(f"power {p} of the affine map is past the float range")
+        if p != 1 and not self._size <= _POWER_ROOM:
+            self._refuse_past_range(p, lam=True)
         if self._eig:
             lam, V, Vinv, rho = self._eig
             if p != 1:  # lam^p; below, |s| rho^p <= MAX as p-th roots, which cannot overflow
@@ -488,9 +493,9 @@ def verify_envelope(mapping: Mapping, n_max: int, samples: int, seed: int) -> En
     T^n on the pairs or T on the previous images: 2 * n_max calls for a
     ``rowwise`` map, 2 * samples * n_max otherwise. An exceeded envelope,
     also a distance that overflows to inf, yields a failing report; a
-    malformed or non-finite sample stack, a malformed stack of images, or
-    a NaN or Inf entry in an image difference T^n u - T^n v, raises
-    InvalidInputError.
+    malformed or non-finite sample stack, a malformed stack of images, a
+    NaN or Inf entry in an image difference T^n u - T^n v, or an affine
+    power past the float range, raises InvalidInputError.
     """
     if n_max < 1 or samples < 1:
         raise InvalidInputError("n_max and samples must be >= 1")

@@ -83,11 +83,10 @@ def power_schedule(s: float, b_const: float = 0.0) -> Schedule:
     if not (0.0 <= b_const < 1.0):
         raise InvalidInputError(f"b_const must lie in [0, 1), got {b_const}")
     a = lambda n: float(n) ** (-s)
-    b = lambda n: b_const * (1.0 - a(n))
     return Schedule(
         a=a,
-        b=b,
-        c=lambda n: 1.0 - a(n) - b(n),
+        b=lambda n: b_const * (1.0 - a(n)),
+        c=lambda n: 1.0 - (a_n := a(n)) - b_const * (1.0 - a_n),  # 1 - a_n - b_n, one a(n)
         k=lambda n: 1.0,
         family="power",
         sum_a=("pass", f"power family with s={float(s)} <= 1 diverges") if s <= 1.0

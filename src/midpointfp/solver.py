@@ -117,8 +117,8 @@ class SolverConfig:
     ``tol_step = 0`` stops a run only at a step norm of 0
     (see :func:`run`); with a positive tol_step, tol_inner must be
     strictly smaller so the inner error cannot pollute the outer stopping
-    decision. ``power_cap`` bounds n-fold power evaluation for mappings
-    without a closed form (built in code: every config mapping kind has one).
+    decision. T^p of a mapping without a closed form (built in code) is a
+    p-fold application, for p up to ``mappings.POWER_CAP``.
     """
 
     scheme: Scheme
@@ -131,7 +131,6 @@ class SolverConfig:
     tol_inner: float = 1e-12
     max_inner: int = 10_000
     norm: NormSpec = field(default_factory=NormSpec)
-    power_cap: int = 1_000
 
     def __post_init__(self):
         object.__setattr__(self, "x1", as_vector(self.x1, dim=self.mapping.domain_dim))
@@ -271,7 +270,7 @@ def implicit_step(cfg: SolverConfig, n: int, x_n,
     inner_iters counts from there, and the first pass also checks the
     pair (y_1, G(y*)). Raises IllPosedError if q_n >= 1, if the delta of
     a plain Picard pass is non-finite or exceeds the first one, if the
-    linear system is singular or its A_p or lam^p is past the float range,
+    linear system is singular, if T^p or lam^p is past the float range,
     or if ||y_1 - G(y*)|| > q_n ||x_n - y*|| + tol_inner (no
     q_n-contraction does any of these), and
     InnerBudgetError if max_inner is hit first (the achieved bound is
@@ -298,12 +297,15 @@ def implicit_step(cfg: SolverConfig, n: int, x_n,
             raise InvalidInputError(f"step {n} is not finite: the contraction gave NaN or Inf")
         return StepResult(x=base, inner_iters=1, bound=0.0)
 
-    power = power_operator(cfg.mapping, p, cap=cfg.power_cap)
+    power = power_operator(cfg.mapping, p)
     size = norm_kernel(cfg.norm)
     factor = q / (1.0 - q)
     tol, max_inner = cfg.tol_inner, cfg.max_inner
     # the first iterate's midpoint is x_n itself: 0.5 * (x_n + x_n) == x_n
-    power_x = power(x_n)
+    try:
+        power_x = power(x_n)
+    except InvalidInputError as exc:  # an affine T^p past the float range
+        raise IllPosedError(f"cannot evaluate the step at n={n}: {exc}", n=n, q=q) from exc
     y = base + cT * power_x
     residual = y - x_n  # of the affine system at x_n too
     first = size(residual)
@@ -395,9 +397,9 @@ class Trace:
     Row n - 1 of ``rows`` is n, x_n and step n's :data:`STEP_COLUMNS`, and
     a last row is N + 1, x_{N+1} and NaNs. ``x`` (x_1 .. x_{N+1}), ``final``
     and the step columns are views of it. res_map is ||x_n - T x_n||,
-    res_power is ||x_n - T^n x_n|| (NaN when the power is uncomputable
-    under the configured cap), inner_iters holds whole numbers, and q, a,
-    b, c and k are step n's :class:`StepValues` q_n, a_n, b_n, c_n and k_p.
+    res_power is ||x_n - T^n x_n|| (NaN for an n-fold power past POWER_CAP
+    or an affine one past the float range), inner_iters holds whole numbers,
+    and q, a, b, c and k are step n's :class:`StepValues` q_n, a_n, b_n, c_n and k_p.
     ``stop`` is why :func:`run` ended it, and ``converged`` is stop != "max_outer".
     """
 
@@ -461,8 +463,8 @@ def run(cfg: SolverConfig,
             res_power = size(x - step.power_x)
         else:
             try:
-                res_power = size(x - power_operator(cfg.mapping, n, cfg.power_cap)(x))
-            except InvalidInputError:  # n-fold power beyond the cap
+                res_power = size(x - power_operator(cfg.mapping, n)(x))
+            except InvalidInputError:  # n-fold power beyond the cap, or past the float range
                 res_power = math.nan
         step_norm = size(step.x - x)
         if n > rows:  # table full: double it

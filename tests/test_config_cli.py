@@ -557,14 +557,14 @@ MAPPING_VALUES = {"A": [[0.5, 0.0], [0.0, 0.5]], "b": [0.0, 0.0]}
 
 @pytest.mark.parametrize("kind", sorted(config._SECTIONS["mapping"][1]))
 def test_every_config_mapping_has_a_closed_form_power(kind):
-    # why a config has no power_cap key: SolverConfig.power_cap only bounds
+    # why a config has no power_cap key: mappings.POWER_CAP only bounds
     # the n-fold powers of a mapping without a closed form
     keys = config._SECTIONS["mapping"][1][kind][0]
     section = {"kind": kind, **{k: MAPPING_VALUES[k] for k, required in keys.items() if required}}
     mapping = parse_config({**BENCHMARK, "mapping": section}).build_mapping()
     assert mapping.power is not None, (
         f"mapping kind {kind!r} has no closed-form power: give the config a power_cap "
-        "setting again, so that a file can bound its n-fold powers")
+        "setting, so that a file can bound its n-fold powers")
 
 
 def test_config_file_loader(tmp_path):
@@ -744,6 +744,26 @@ def test_error_exits_one_with_its_prefix(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith(prefix)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("compare", ["--out", "{tmp}"]),
+    ("validate-schedule", ["--horizon", "20"]),
+    ("run", ["--out", "{tmp}"]),
+])
+def test_each_command_makes_one_solver_config_per_scheme(tmp_path, capsys, monkeypatch,
+                                                         command, flags):
+    # the config builder makes every scheme's SolverConfig, and no command makes another
+    made = []
+    post_init = SolverConfig.__post_init__
+    monkeypatch.setattr(SolverConfig, "__post_init__",
+                        lambda self: made.append(self.scheme.name) or post_init(self))
+    schemes = ["IMR", "VIM", "GVIM", "AGVIM", "AVIM63"]
+    path = write_config(tmp_path, {**BENCHMARK, "scheme": schemes, "max_outer": 20})
+    argv = [command, "--config", path, *(f.replace("{tmp}", str(tmp_path)) for f in flags)]
+    assert main(argv) in (0, 2)
+    capsys.readouterr()
+    assert sorted(made) == sorted(schemes)
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])

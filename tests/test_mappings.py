@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from midpointfp import mappings
 from midpointfp.errors import InvalidInputError
 from midpointfp.mappings import (
     Mapping,
@@ -364,17 +365,28 @@ class TestAffinePowerOverflow:
         with pytest.raises(InvalidInputError, match="power 1024 of the affine map is past"):
             power.solve(1024, 1e-310, r)
         assert np.isfinite(power.pair(1024)[0]).all()
+        assert_bitwise(power(1024, r), np.zeros(2))  # only the solve reads lam^p
+
+    def test_a_power_past_the_float_range_is_refused(self):
+        # A^1025 = 2^1024 A overflows, and A^1025 (1, -1) would be inf - inf
+        power = make_affine([[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0]).affine
+        u = np.array([1.0, -1.0])
+        with pytest.raises(InvalidInputError, match="power 1025 of the affine map is past"):
+            power(1025, u)
+        assert not np.isfinite(power.pair(1025)[0]).all()
+        assert_bitwise(power(1, u), np.zeros(2))  # T itself, with the overflowed pair held
 
 
 class TestPowerCap:
-    def test_cap_only_binds_without_closed_form(self):
+    def test_cap_only_binds_without_closed_form(self, monkeypatch):
+        monkeypatch.setattr(mappings, "POWER_CAP", 10)
         flip = make_flip_map()
         u = np.array([1.0, 1.0])
-        power_operator(flip, 50, cap=10)(u)  # closed form, cap ignored
+        power_operator(flip, 50)(u)  # closed form, cap ignored
         folded = Mapping(apply=lambda u: -u, envelope=lambda n: 1.0, domain_dim=2)
-        np.testing.assert_array_equal(power_operator(folded, 10, cap=10)(u), u)
+        np.testing.assert_array_equal(power_operator(folded, 10)(u), u)
         with pytest.raises(InvalidInputError):
-            power_operator(folded, 11, cap=10)
+            power_operator(folded, 11)
 
 
 class TestVerifyEnvelope:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from midpointfp import solver
+from midpointfp import mappings, solver
 from midpointfp.errors import IllPosedError, InnerBudgetError, InvalidInputError
 from midpointfp.mappings import (
     Contraction,
@@ -710,6 +710,20 @@ class TestAffineSolve:
         assert (err.value.n, err.value.q) == (1, 0.5)
         assert cfg.mapping.affine._eig
 
+    def test_a_power_past_the_float_range_raises_illposed(self):
+        # A^n = 2^(n-1) A overflows at n = 1025, where A_n x_n would be inf - inf
+        cfg = SolverConfig(
+            scheme=SCHEMES["AGVIM"], mapping=make_affine([[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0],
+                                                         envelope=lambda n: 1.0),
+            schedule=custom_schedule([[0.5, 0.5, 0.5, 1.0]] * 1025), x1=[1.0, -1.0],
+            contraction=make_scaling_contraction(0.5),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(IllPosedError, match="power 1025 of the affine map is past") as err:
+                implicit_step(cfg, 1025, [1.0, -1.0])
+        assert (err.value.n, err.value.q) == (1025, 0.25)
+
 
 class TestRun:
     def test_trajectory_matches_rational_oracle(self):
@@ -853,30 +867,45 @@ class TestRun:
             )
             assert lhs <= rhs + 1e-12
 
-    def test_power_cap_errors_for_foldonly_mapping(self):
+    def test_power_cap_errors_for_foldonly_mapping(self, monkeypatch):
+        monkeypatch.setattr(mappings, "POWER_CAP", 5)
         neg = Mapping(apply=lambda u: -u, envelope=lambda n: 1.0, domain_dim=2)
         cfg = SolverConfig(
             scheme=SCHEMES["AGVIM"], mapping=neg, schedule=power_schedule(1.0, 0.0),
             x1=[1.0, 2.0], contraction=make_scaling_contraction(0.5),
-            power_cap=5, max_outer=10, tol_step=0.0,
+            max_outer=10, tol_step=0.0,
         )
         with pytest.raises(InvalidInputError):
             run(cfg)
 
-    def test_power_cap_only_degrades_diagnostics_without_powers(self):
+    def test_power_cap_only_degrades_diagnostics_without_powers(self, monkeypatch):
         # the secant step lands step 2 on the fixed point 0, so the run stops
         # stationary at step 3, whose power T^3 is past the cap
+        monkeypatch.setattr(mappings, "POWER_CAP", 2)
         neg = Mapping(apply=lambda u: -u, envelope=lambda n: 1.0, domain_dim=2)
         cfg = SolverConfig(
             scheme=SCHEMES["GVIM"], mapping=neg, schedule=power_schedule(1.0, 0.0),
             x1=[1.0, 2.0], contraction=make_scaling_contraction(0.5),
-            power_cap=2, max_outer=10, tol_step=0.0,
+            max_outer=10, tol_step=0.0,
         )
         trace = run(cfg)
         assert (len(trace), trace.stop) == (3, "stationary")
         np.testing.assert_array_equal(trace.final, [0.0, 0.0])
         assert math.isnan(trace.res_power[2])
         assert not math.isnan(trace.res_power[1])
+
+    def test_a_power_past_the_float_range_reads_nan_in_res_power(self):
+        # cT = 0 and b_n = 1 hold x_n = (1, -1), and A^n = 2^(n-1) A overflows
+        # at n = 1025, where A_n x_n would be inf - inf
+        cfg = SolverConfig(
+            scheme=SCHEMES["GVIM"], mapping=make_affine([[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0]),
+            schedule=custom_schedule([[0.0, 1.0, 0.0, 1.0]] * 1025), x1=[1.0, -1.0],
+            contraction=make_scaling_contraction(0.5), max_outer=1025,
+        )
+        trace = run(cfg)
+        assert (len(trace), trace.stop) == (1025, "max_outer")
+        assert trace.res_power[1023] == math.sqrt(2.0)
+        assert math.isnan(trace.res_power[1024])
 
     def test_buffers_grow_without_changing_the_trace(self, monkeypatch):
         cfg = benchmark_cfg([0.5, 1.0])
