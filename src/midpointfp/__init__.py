@@ -5,7 +5,6 @@ from .diagnostics import (
     VICertificate,
     check_vi,
     compare_schemes,
-    estimate_rate,
     iterate_bound,
     sample_fixed_set_flip,
 )
@@ -13,7 +12,6 @@ from .errors import (
     ConfigError,
     IllPosedError,
     InnerBudgetError,
-    InsufficientDataError,
     InvalidInputError,
     MidpointError,
     RejectedSampleError,

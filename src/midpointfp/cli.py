@@ -241,14 +241,17 @@ def cmd_validate_schedule(args) -> int:
     return 0 if passed else 3
 
 
+# the columns of compare.md
+COMPARE_HEADER = ("scheme", "status", "iterations", *(f"n @ {t:g}" for t in THRESHOLDS))
+
+
 def _compare_row(r) -> list:
     """The cells of one scheme's row of compare.md."""
     if r.failed:
-        return [r.scheme, f"failed: {r.error}"] + ["-"] * (len(THRESHOLDS) + 2)
+        return [r.scheme, f"failed: {r.error}"] + ["-"] * (len(COMPARE_HEADER) - 2)
     status = "max_outer" if r.trace.stop == "max_outer" else "converged"
     hits = ["-" if r.iters_to[t] is None else str(r.iters_to[t]) for t in THRESHOLDS]
-    rate = "-" if r.rate is None else f"{r.rate:+.3f}"
-    return [r.scheme, status, str(len(r.trace))] + hits + [rate]
+    return [r.scheme, status, str(len(r.trace))] + hits
 
 
 def cmd_compare(args) -> int:
@@ -257,8 +260,7 @@ def cmd_compare(args) -> int:
     out = _out_dir(args.out)
     _write_columns(out / "compare.csv", [f"step_norm_{r.scheme}" for r in runs],
                    [[] if r.failed else r.trace.step_norm for r in runs])
-    header = ["scheme", "status", "iterations", *(f"n @ {t:g}" for t in THRESHOLDS), "rate"]
-    md = _md_table(header, map(_compare_row, runs)) + "\n"
+    md = _md_table(COMPARE_HEADER, map(_compare_row, runs)) + "\n"
     (out / "compare.md").write_text(md)
     print(md, end="")
     failures = [r for r in runs if r.failed]

@@ -1,4 +1,4 @@
-"""Limit certificates, fixed-set sampling, scheme comparison, rate fits."""
+"""Limit certificates, fixed-set sampling, scheme comparison."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidInputError, MidpointError, RejectedSampleError
+from .errors import InvalidInputError, MidpointError, RejectedSampleError
 from .mappings import SAMPLE_RADIUS, Contraction, Mapping
 from .solver import Trace, run
 from .space import NormSpec, as_vector, duality_map, norm, norm_kernel
@@ -18,7 +18,6 @@ __all__ = [
     "iterate_bound",
     "SchemeRun",
     "compare_schemes",
-    "estimate_rate",
 ]
 
 # step-norm levels a comparison reports the first step n to reach
@@ -124,7 +123,6 @@ class SchemeRun:
     trace: Trace | None
     error: str | None
     iters_to: dict  # threshold -> first n with step_norm <= threshold (or None)
-    rate: float | None
 
     @property
     def failed(self) -> bool:
@@ -145,33 +143,13 @@ def compare_schemes(cfgs) -> list:
         try:
             trace = run(cfg)
         except MidpointError as exc:
-            runs.append(SchemeRun(cfg.scheme.name, None, str(exc), dict.fromkeys(THRESHOLDS), None))
+            runs.append(SchemeRun(cfg.scheme.name, None, str(exc), dict.fromkeys(THRESHOLDS)))
             continue
         steps = trace.step_norm
         iters_to = {}
         for t in THRESHOLDS:
             hit = np.nonzero(steps <= t)[0]
             iters_to[t] = int(hit[0]) + 1 if hit.size else None
-        try:
-            rate = estimate_rate(steps)
-        except InsufficientDataError:
-            rate = None
-        runs.append(SchemeRun(cfg.scheme.name, trace, None, iters_to, rate))
+        runs.append(SchemeRun(cfg.scheme.name, trace, None, iters_to))
     return runs
 
-
-def estimate_rate(residuals) -> float:
-    """Power-law exponent: least-squares slope of log r_n against log n.
-
-    Non-positive residuals are excluded; fewer than five usable points
-    raise InsufficientDataError.
-    """
-    r = np.asarray(residuals, dtype=float)
-    ns = np.arange(1, r.size + 1)
-    keep = r > 0.0
-    if int(keep.sum()) < 5:
-        raise InsufficientDataError(
-            f"need at least 5 positive residuals, got {int(keep.sum())}"
-        )
-    slope = np.polyfit(np.log(ns[keep]), np.log(r[keep]), 1)[0]
-    return float(slope)

@@ -40,10 +40,6 @@ class RejectedSampleError(MidpointError):
         self.offenders = list(offenders)
 
 
-class InsufficientDataError(MidpointError):
-    """Not enough usable data points for an estimate."""
-
-
 class ConfigError(MidpointError):
     """Configuration file violates the schema."""
 

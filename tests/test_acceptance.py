@@ -8,6 +8,7 @@ see the README for the measured behaviour of the faithful runs.
 import time
 from dataclasses import replace
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,11 +21,14 @@ from midpointfp.mappings import (
     make_scaling_contraction,
     verify_envelope,
 )
-from midpointfp.schedules import paper_schedule, power_schedule, validate
+from midpointfp.schedules import custom_schedule, paper_schedule, power_schedule, validate
 from midpointfp.solver import SCHEMES, SolverConfig, implicit_step, run
 from midpointfp.space import NormSpec, duality_map, norm
 
 from affine_oracle import implicit_step_affine_oracle
+from test_solver import ray_oracle
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 STARTS = [
     np.array([0.0, 1.0 / 3.0]),
@@ -376,3 +380,86 @@ def test_trajectories_end_within_a_hundredth_of_tol_inner_of_their_exact_twin(
         assert dist <= 0.01 * tol, (
             f"run from {trace.x[0].tolist()} of {len(trace)} steps ends {dist / tol:.3g} "
             f"tol_inner from its exact twin")
+
+
+def ray_iterates(x1, cf, cx, cT, p):
+    """x_1 .. x_{N+1} of a flip-map run with f(x) = x/2 from x1, in closed form, from
+    the coefficient columns (cf, cx, cT) and powers p of steps 1 .. N.
+
+    f keeps rays and the flip map sends u to +/- u, so every iterate and every
+    midpoint is a multiple of x1, on which T^p acts as s = +1 if x1 lies in the
+    fixed region u1 u2 < 0 and as s = (-1)^p elsewhere. Step n is then
+    x_{n+1} = r_n x_n with r_n = (cf / 2 + cx + s cT / 2) / (1 - s cT / 2).
+    """
+    x1 = np.asarray(x1, dtype=float)
+    s = 1.0 if x1[0] * x1[1] < 0 else (-1.0) ** p
+    r = (cf / 2 + cx + s * cT / 2) / (1 - s * cT / 2)
+    return np.multiply.outer(np.cumprod(np.concatenate([[1.0], r])), x1)
+
+
+def closed_form_table1(scheme: str, schedule) -> list:
+    """ray_iterates of the 20-step runs from STARTS, with f(x) = x/2 and each step's
+    coefficients as the library derives them for ``scheme`` under ``schedule``."""
+    cfg = SolverConfig(scheme=SCHEMES[scheme], mapping=make_flip_map(), schedule=schedule,
+                       x1=STARTS[0], contraction=make_scaling_contraction(0.5))
+    v = cfg.step_table(20)[0]
+    return [ray_iterates(x1, v.cf, v.cx, v.cT, v.p) for x1 in STARTS]
+
+
+def table1_readings(xs) -> tuple:
+    """Table 1's two readings of the iterates x_1 .. x_21: the step norms
+    ||x_{n+1} - x_n|| and the distances ||x_{n+1} - x_21||, n = 1 .. 20."""
+    return (np.linalg.norm(np.diff(xs, axis=0), axis=1),
+            np.linalg.norm(xs[1:] - xs[-1], axis=1))
+
+
+def meets_bars(series) -> bool:
+    """Criterion 2's bars: <= 1.1e-3 at n = 3 and < 5e-5 from n = 15 on."""
+    return series[2] <= 1.1e-3 and bool(np.all(series[14:] < 5e-5))
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_closed_form_rebuilds_the_table1_traces(i):
+    # from the a_n, b_n, c_n that the golden trace records, as AGVIM reads them
+    golden = np.genfromtxt(GOLDEN / "table1" / f"table1_trace_run{i}.csv",
+                           delimiter=",", names=True)
+    x1 = STARTS[i - 1]
+    xs = ray_iterates(x1, golden["a_n"], golden["b_n"], golden["c_n"], golden["n"])
+    bound = 4 * np.finfo(float).eps * np.linalg.norm(x1)
+    assert np.abs(xs[:-1] - np.stack([golden["x0"], golden["x1"]], axis=1)).max() <= bound
+    assert np.abs(table1_readings(xs)[0] - golden["step_norm"]).max() <= bound
+
+
+def test_closed_form_matches_the_rational_oracle():
+    for x1, xs in zip(STARTS, closed_form_table1("AGVIM", paper_schedule())):
+        want = np.array(ray_oracle(x1, 20), dtype=float)
+        assert np.abs(xs - want).max() <= 4 * np.finfo(float).eps * np.linalg.norm(x1)
+
+
+# ROADMAP item 21's grid: the paper family and the power family's s and b_const
+SWEEP = {"paper": paper_schedule(),
+         **{f"power s={s:g} b_const={b:g}": power_schedule(s, b)
+            for s in (0.05, 0.1, 0.25, 0.5, 0.75, 1.0) for b in (0.0, 0.3)}}
+
+
+def test_no_paper_or_power_schedule_meets_the_table1_pattern():
+    # the columns in which each scheme meets criterion 2's bars under either
+    # reading: at most two under any schedule of the grid, never all three
+    met = {(name, scheme): sum(any(map(meets_bars, table1_readings(xs)))
+                               for xs in closed_form_table1(scheme, schedule))
+           for name, schedule in SWEEP.items() for scheme in sorted(SCHEMES)}
+    assert max(met.values()) == 2
+    assert sorted(key for key, count in met.items() if count == 2) == [
+        ("paper", "VIM"), ("power s=0.5 b_const=0", "IMR"), ("power s=0.5 b_const=0.3", "IMR"),
+        ("power s=1 b_const=0", "GVIM"), ("power s=1 b_const=0", "VIM"),
+        ("power s=1 b_const=0.3", "VIM")]
+
+
+@pytest.mark.parametrize("scheme", ["GVIM", "AGVIM"])
+def test_a_table_that_never_applies_t_meets_the_step_reading(scheme):
+    # c_n = 0, so the runs only scale their starts: criterion 2's step reading
+    # alone does not tell the paper's iteration from this one
+    rows = [[1e-4, 1 - 1e-4, 0.0, 1.0] if n == 3 else
+            [1.0, 0.0, 0.0, 1.0] if n <= 14 else [0.01, 0.99, 0.0, 1.0] for n in range(1, 21)]
+    for xs in closed_form_table1(scheme, custom_schedule(rows)):
+        assert meets_bars(table1_readings(xs)[0])

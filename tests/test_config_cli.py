@@ -16,6 +16,8 @@ from midpointfp.errors import ConfigError
 from midpointfp.solver import SolverConfig, Trace
 from midpointfp.space import NormSpec
 
+from test_golden import ALL_SCHEMES, FLIP
+
 BENCHMARK = {
     "mapping": {"kind": "flip"},
     "contraction": {"kind": "half"},
@@ -401,8 +403,8 @@ class TestCompareCommand:
         assert all(line.count(",") == 2 for line in lines[1:-1])
         md = (tmp_path / "compare.md").read_text()
         assert md.splitlines()[:2] == [
-            "| scheme | status | iterations | n @ 0.01 | n @ 0.0001 | n @ 1e-06 | rate |",
-            "|---|---|---|---|---|---|---|"]
+            "| scheme | status | iterations | n @ 0.01 | n @ 0.0001 | n @ 1e-06 |",
+            "|---|---|---|---|---|---|"]
         assert "\n| GVIM | max_outer | 60 | " in md and "\n| VIM | converged | 3 | " in md
         assert capsys.readouterr().out.startswith(md)
 
@@ -429,7 +431,24 @@ class TestCompareCommand:
         assert all(row[1] == "" and row[2] != "" for row in rows)
         failed = (tmp_path / "compare.md").read_text().splitlines()[2]
         assert failed.startswith("| AGVIM | failed: implicit step not a contraction at n=")
-        assert failed.endswith(" | - | - | - | - | - |")
+        assert failed.endswith(" | - | - | - | - |")
+
+    def test_only_the_step_counts_depend_on_tol_step(self, tmp_path):
+        # the golden compare_flip config at three tol_step: each scheme reaches
+        # the thresholds at the same steps, and only where it stops moves
+        tables = []
+        for tol in (1e-6, 1e-8, 1e-10):
+            data = {**FLIP, "scheme": ALL_SCHEMES, "tol_step": tol, "tol_inner": 1e-4 * tol}
+            path = write_config(tmp_path, data, name=f"{tol:g}.json")
+            out = tmp_path / f"{tol:g}"
+            assert main(["compare", "--config", path, "--out", str(out)]) == 0
+            lines = (out / "compare.md").read_text().splitlines()
+            tables.append((lines[:2], [line.split(" | ") for line in lines[2:]]))
+        header, rows = tables[0]
+        for other_header, other_rows in tables[1:]:
+            assert other_header == header
+            assert [r[:2] + r[3:] for r in other_rows] == [r[:2] + r[3:] for r in rows]
+        assert len({tuple(r[2] for r in body) for _, body in tables}) == 3  # the step counts move
 
     def test_single_scheme_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, {**BENCHMARK, "scheme": ["VIM"], "max_outer": 10})

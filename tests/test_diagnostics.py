@@ -6,11 +6,10 @@ import pytest
 from midpointfp.diagnostics import (
     check_vi,
     compare_schemes,
-    estimate_rate,
     iterate_bound,
     sample_fixed_set_flip,
 )
-from midpointfp.errors import InsufficientDataError, InvalidInputError, RejectedSampleError
+from midpointfp.errors import InvalidInputError, RejectedSampleError
 from midpointfp.mappings import (
     Mapping,
     make_affine,
@@ -222,23 +221,3 @@ class TestIterateBound:
         drift = (np.sqrt(2.0) / 2.0) / 0.25
         assert iterate_bound(p, p, f) == pytest.approx(drift, rel=1e-12)
 
-
-class TestEstimateRate:
-    def test_harmonic_slope(self):
-        r = [1.0 / n for n in range(1, 200)]
-        assert estimate_rate(r) == pytest.approx(-1.0, abs=0.05)
-
-    def test_quadratic_slope(self):
-        r = [1.0 / n**2 for n in range(1, 200)]
-        assert estimate_rate(r) == pytest.approx(-2.0, abs=0.05)
-
-    def test_constant_slope(self):
-        assert estimate_rate([0.7] * 50) == pytest.approx(0.0, abs=1e-12)
-
-    def test_nonpositive_excluded_and_guarded(self):
-        with pytest.raises(InsufficientDataError):
-            estimate_rate([1.0, 0.5, 0.25])
-        with pytest.raises(InsufficientDataError):
-            estimate_rate([0.0, -1.0, 0.5, 0.25, 0.125, 0.0625])
-        # exactly five positives is enough
-        estimate_rate([0.0, 1.0, 0.5, 0.25, 0.125, 0.0625])
