@@ -218,10 +218,10 @@ def cmd_run(args) -> int:
         writer.abort()  # a helper still running when the run failed
     count, s = len(trace), "s" if len(trace) != 1 else ""
     log.debug("run stopped: %s after %d step%s", trace.stop, count, s)
-    status = "max_outer reached" if trace.stop == "max_outer" else "converged"
+    status = "converged" if trace.converged else "max_outer reached"
     print(f"{solver_cfg.scheme.name}: {status} after {count} iteration{s}; "
           f"final step_norm {trace.step_norm[-1]:.3e}; trace written to {path}")
-    return 2 if trace.stop == "max_outer" else 0
+    return 0 if trace.converged else 2
 
 
 def cmd_validate_schedule(args) -> int:
@@ -249,7 +249,7 @@ def _compare_row(r) -> list:
     """The cells of one scheme's row of compare.md."""
     if r.failed:
         return [r.scheme, f"failed: {r.error}"] + ["-"] * (len(COMPARE_HEADER) - 2)
-    status = "max_outer" if r.trace.stop == "max_outer" else "converged"
+    status = "converged" if r.trace.converged else "max_outer"
     hits = ["-" if r.iters_to[t] is None else str(r.iters_to[t]) for t in THRESHOLDS]
     return [r.scheme, status, str(len(r.trace))] + hits
 

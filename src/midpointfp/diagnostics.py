@@ -9,7 +9,7 @@ import numpy as np
 from .errors import InvalidInputError, MidpointError, RejectedSampleError
 from .mappings import SAMPLE_RADIUS, Contraction, Mapping
 from .solver import Trace, run
-from .space import NormSpec, as_vector, duality_map, norm, norm_kernel
+from .space import NormSpec, _vdot, as_vector, duality_map, norm, norm_kernel
 
 __all__ = [
     "VICertificate",
@@ -72,7 +72,7 @@ def check_vi(
                 offenders=offenders,
             )
     g = pv - np.asarray(contraction.apply(pv), dtype=float)  # (I - f) p
-    values = [float(np.dot(g, duality_map(x - pv, norm_spec))) for x in samples]
+    values = [float(_vdot(g, duality_map(x - pv, norm_spec))) for x in samples]
     if tol is None:
         spread = max(size(x - pv) for x in samples)
         tol = 1e-9 * (1.0 + size(pv)) * (1.0 + spread)

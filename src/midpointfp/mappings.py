@@ -167,11 +167,11 @@ def power_operator(mapping: Mapping, n: int) -> Callable[[np.ndarray], np.ndarra
 
 
 def _flip_apply(u: np.ndarray) -> np.ndarray:
-    # sign-flip outside the open mixed-sign region; axes flip too
+    # sign-flip outside the open mixed-sign region, read from signs; axes flip too
     if u.ndim == 2:
         return _flip_rows(u)
-    u0, u1 = u.tolist()  # Python floats: faster to multiply than numpy scalars
-    if u0 * u1 < 0.0:
+    u0, u1 = u.tolist()  # Python floats: faster to compare than numpy scalars
+    if u0 < 0.0 < u1 or u1 < 0.0 < u0:
         return u.copy()
     return -u
 
@@ -183,7 +183,8 @@ def _flip_power(n: int, u: np.ndarray) -> np.ndarray:
 
 def _flip_rows(U: np.ndarray) -> np.ndarray:
     """T on each row of a (B, 2) stack: a branch mask per row."""
-    return np.where((U[:, 0] * U[:, 1] < 0.0)[:, None], U, -U)
+    u0, u1 = U[:, 0], U[:, 1]
+    return np.where(((u0 < 0.0) & (u1 > 0.0) | (u1 < 0.0) & (u0 > 0.0))[:, None], U, -U)
 
 
 def _flip_sample(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -198,8 +199,8 @@ def _flip_sample(rng: np.random.Generator, count: int) -> np.ndarray:
 def make_flip_map(envelope: Callable[[int], float] | None = None) -> Mapping:
     """Plane map fixing the open mixed-sign quadrants and negating elsewhere.
 
-    Tu = u when u1*u2 < 0, Tu = -u when u1*u2 >= 0 (axis points are
-    negated). Fixed-point set: {0} together with {u : u1*u2 < 0}.
+    Tu = u when u1 < 0 < u2 or u2 < 0 < u1, Tu = -u otherwise (axis points
+    are negated). Fixed-point set: {0} together with that region.
     T^n has the closed form u (mixed signs) or (-1)^n u. The default
     envelope is k_n = 1 + 2^-n; on the sampling domain every power is an
     isometry, so k_n = 1 is also valid.

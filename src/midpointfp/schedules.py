@@ -46,7 +46,7 @@ class Schedule:
     "custom"); ``sum_a`` is the family's (status, reason) verdict on
     condition (ii), sum(a_n) = inf, or None ("unknown"). ``k`` is an
     envelope declared in the 2-norm; a run uses the larger of it and the
-    mapping's envelope (:meth:`SolverConfig.envelope`).
+    mapping's envelope (:meth:`SolverConfig.step_values`).
     """
 
     a: Callable[[int], float]
@@ -195,7 +195,7 @@ def validate(cfg: SolverConfig, horizon: int) -> ValidationReport:
     reads at steps 1..horizon: conditions (i), (ii) and the simplex identity
     read its a_n, b_n, c_n, and well-posedness its q_n, in the run's norm.
     Condition (iii), the normal-structure bound and k >= 1 read the declared
-    2-norm k_n = ``cfg.envelope(n)``, which ``step_table`` gives with it. An
+    2-norm k_n = max(schedule k_n, L_n), which ``step_table`` gives with it. An
     error that a row raises names its n, the first such row's.
     Tail-limit conditions are checked on the second half of the horizon,
     since the underlying requirements only bind for sufficiently large n.

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import IllPosedError, InnerBudgetError, InvalidInputError
 from .mappings import Contraction, Mapping, _declared_k, power_operator
 from .schedules import Schedule
-from .space import NormSpec, _row_norms, as_vector, norm_kernel
+from .space import NormSpec, _row_norms, _vdot, as_vector, norm_kernel
 
 __all__ = [
     "Scheme",
@@ -156,19 +156,13 @@ class SolverConfig:
         elif self.scheme.viscosity:
             raise InvalidInputError(f"scheme {self.scheme.name} needs a contraction")
 
-    def envelope(self, p: int, r: float = 2.0) -> float:
-        """k_p = max(schedule k_p, L_p) in the r-norm, L_p = ``mapping.lipschitz(p, r)``:
-        at r = 2, the declared value that :func:`verify_envelope` checks. A value
-        that overflows a float reads as inf, and a NaN one raises InvalidInputError."""
-        return max(_declared_k(self.schedule.k, p), self.mapping.lipschitz(p, r))
-
     def _bounds(self, p: int) -> tuple[float, float]:
         """The schedule's k_p and L_p of T^p in the run's norm."""
         return _declared_k(self.schedule.k, p), self.mapping.lipschitz(p, self.norm.p)
 
     def step_values(self, n: int) -> StepValues:
         """Step n's :class:`StepValues`: a_n, b_n, c_n and what :func:`_step_row` makes
-        of them, with k_p the :meth:`envelope` of T^p in the run's norm. ``run`` makes
+        of them, with k_p = max(schedule k_p, L_p) of T^p in the run's norm. ``run`` makes
         one per step, as step n is reached, so an error names its n."""
         sched = self.schedule
         # tuple.__new__ skips StepValues' Python-level __new__: 0.2 us a row, not 0.56
@@ -177,7 +171,7 @@ class SolverConfig:
 
     def step_table(self, horizon: int) -> tuple[StepValues, np.ndarray]:
         """Steps n = 1..horizon as columns: the :class:`StepValues` whose row n - 1 is
-        ``step_values(n)`` bit for bit, and the 2-norm k_n = ``envelope(n)``.
+        ``step_values(n)`` bit for bit, and the 2-norm k_n = max(schedule k_n, L_n).
 
         The schedule's a, b, c and k and the mapping's envelope are each called once
         per n, with n an int, row by row in the order ``step_values`` calls them, so
@@ -206,7 +200,7 @@ class SolverConfig:
             bounds = (k, np.array(lip) if per_p else mapping.lipschitz(ns, r, env))
         with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic does
             row = _step_row(self.scheme, ns, a, b, c, lambda p: bounds, np.where)
-        # envelope(n) at r = 2: the larger of the schedule's k_n and the mapping's
+        # k_n at r = 2: the larger of the schedule's k_n and the mapping's
         return (StepValues._make(np.broadcast_to(v, (horizon,)) for v in row),
                 np.where(env > k, env, k))
 
@@ -357,8 +351,8 @@ def implicit_step(cfg: SolverConfig, n: int, x_n,
             y1 = None
         elif prev is not None and bound > tol:  # secant step: G(y) - gamma (G(y) - G(y'))
             df = f - prev[1]
-            dd = float(df @ df)
-            gamma = float(f @ df) / dd if dd > 0.0 else math.nan
+            dd = float(_vdot(df, df))
+            gamma = float(_vdot(f, df)) / dd if dd > 0.0 else math.nan
             if math.isfinite(gamma):
                 plain = y_new, delta
                 y_new = y_new - gamma * (y - prev[0] + df)

@@ -245,6 +245,30 @@ class TestRunCommand:
         assert (done.returncode, done.stdout) == (0, capsys.readouterr().out)
         assert "DEBUG:midpointfp:run stopped: tol_step after 16 steps" in done.stderr.splitlines()
 
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    @pytest.mark.parametrize("x1", [[1e200, 1e200], [1e200, -1e200], [1e300, 1e300],
+                                    [1e307, -1e307]], ids=["1e200", "1e200-mixed", "1e300",
+                                                           "1e307-mixed"])
+    def test_a_huge_start_ends_without_a_warning(self, tmp_path, capsys, scheme, x1):
+        # dot products and the flip map's region test past the float range
+        path = write_config(tmp_path, {**BENCHMARK, "scheme": scheme, "x1": x1,
+                                       "max_outer": 50})
+        code = main(["run", "--config", path, "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        if code == 1:  # the inner budget, whose tolerance is absolute
+            assert err.startswith("error: ") and not out
+        else:
+            status = "converged" if code == 0 else "max_outer reached"
+            assert code in (0, 2) and out.startswith(f"{scheme}: {status} after ")
+
+    def test_a_huge_start_exits_two_under_the_warning_filter(self, tmp_path):
+        path = write_config(tmp_path, {**BENCHMARK, "x1": [1e200, 1e200], "max_outer": 3})
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                               "midpointfp.cli", "run", "--config", path, "--out", str(tmp_path)],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 2 and "max_outer reached" in done.stdout, done.stderr
+
     def test_schema_violation_exits_one(self, tmp_path, capsys):
         path = write_config(tmp_path, {**BENCHMARK, "typo_key": True})
         assert main(["run", "--config", path]) == 1

@@ -12,6 +12,7 @@ from midpointfp.diagnostics import (
 from midpointfp.errors import InvalidInputError, RejectedSampleError
 from midpointfp.mappings import (
     Mapping,
+    _declared_k,
     make_affine,
     make_flip_map,
     make_scaling_contraction,
@@ -63,6 +64,12 @@ class TestCheckVI:
         b = check_vi([0.2, -0.4], f, xs[::-1])
         assert a.min_value == b.min_value
         assert a.verdict == b.verdict
+
+    def test_a_product_past_the_float_range_gives_a_verdict(self):
+        # <(I - f) p, x - p> is about -1e400: the sum reads -inf, without a warning
+        cert = check_vi([1e200, -1e200], make_scaling_contraction(0.5), [np.array([1.0, -1.0])],
+                        mapping=make_flip_map())
+        assert cert.values == [-np.inf] and cert.verdict in ("holds", "violated")
 
     def test_rejects_unverified_samples(self):
         flip = make_flip_map()
@@ -169,7 +176,8 @@ class TestCompareSchemes:
         for r in runs:
             use_power = SCHEMES[r.scheme].use_power
             powers = [n if use_power else 1 for n in range(1, len(r.trace) + 1)]
-            assert r.trace.k.tolist() == [cfg.envelope(p) for p in powers]
+            assert r.trace.k.tolist() == [max(_declared_k(cfg.schedule.k, p),
+                                              cfg.mapping.lipschitz(p)) for p in powers]
 
     def test_fixed_start_hits_all_thresholds_immediately(self):
         cfg = _flip_cfg([0.0, 0.0], steps=10)

@@ -52,11 +52,16 @@ class TestFlipMap:
                 assert np.linalg.norm(power_operator(flip, n)(u) - w) <= 1e-12
 
     def test_fixed_set_membership(self):
-        # F = {0} together with the open mixed-sign quadrants
+        # F = {0} together with the open mixed-sign quadrants, also where u1 * u2
+        # underflows to -0.0, in the 1-D call and in a stack
         flip = make_flip_map()
-        for u, fixed in [([1.0, -1.0], True), ([-0.25, 0.75], True), ([0.0, 0.0], True),
-                         ([2.0, 3.0], False), ([0.0, 1.0], False), ([-1.0, -1.0], False)]:
+        cases = [([1.0, -1.0], True), ([-0.25, 0.75], True), ([0.0, 0.0], True),
+                 ([1e-200, -1e-200], True), ([-1e-200, 1e-200], True),
+                 ([2.0, 3.0], False), ([0.0, 1.0], False), ([-1.0, -1.0], False)]
+        for u, fixed in cases:
             assert np.array_equal(flip(u), u) == fixed
+        U = np.array([u for u, _ in cases])
+        assert (flip.images(flip.apply, U) == U).all(axis=1).tolist() == [f for _, f in cases]
 
     def test_envelope_decays_to_one(self):
         flip = make_flip_map()

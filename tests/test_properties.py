@@ -30,7 +30,7 @@ from hypothesis.extra.numpy import arrays
 from midpointfp import _csv_writer, cli
 from midpointfp.config import parse_config
 from midpointfp.errors import ConfigError, IllPosedError, MidpointError
-from midpointfp.mappings import make_affine, make_flip_map, make_scaling_contraction
+from midpointfp.mappings import _declared_k, make_affine, make_flip_map, make_scaling_contraction
 from midpointfp.schedules import custom_schedule, paper_schedule, power_schedule, validate
 from midpointfp.solver import SCHEMES, SolverConfig, implicit_step, run
 from midpointfp.space import NormSpec, norm
@@ -507,4 +507,5 @@ def test_row_n_of_the_step_table_is_step_n(problem):
     assert (values.q[values.cT == 0.0] == 0.0).all()  # also where k_p is inf
     for n in range(1, horizon + 1):
         assert bits(column[n - 1] for column in values) == bits(cfg.step_values(n)), n
-        assert bits([k_2[n - 1]]) == bits([cfg.envelope(n)]), n
+        k_n = max(_declared_k(cfg.schedule.k, n), cfg.mapping.lipschitz(n))
+        assert bits([k_2[n - 1]]) == bits([k_n]), n
