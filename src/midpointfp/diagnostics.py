@@ -55,7 +55,8 @@ def check_vi(
     fixed point (||T x - x|| <= 1e-12), all of them in one stack through
     :meth:`Mapping.images`; offenders, and samples whose image is not
     finite, raise RejectedSampleError. The default tolerance scales as
-    1e-9 * (1 + ||p||) * (1 + max ||x - p||). Each input is checked once.
+    1e-9 * (1 + ||p||) * (1 + max ||x - p||); the minimum is divided by that
+    scale instead, so -inf fails where the product overflows. Each input is checked once.
     """
     pv = as_vector(p, dim=None if mapping is None else mapping.domain_dim)
     samples = [as_vector(x, dim=pv.size) for x in fixed_samples]
@@ -73,11 +74,13 @@ def check_vi(
             )
     g = pv - np.asarray(contraction.apply(pv), dtype=float)  # (I - f) p
     values = [float(_vdot(g, duality_map(x - pv, norm_spec))) for x in samples]
-    if tol is None:
-        spread = max(size(x - pv) for x in samples)
-        tol = 1e-9 * (1.0 + size(pv)) * (1.0 + spread)
     min_value = min(values)
-    verdict = "holds" if min_value >= -tol else "violated"
+    if tol is None:
+        scale_p, scale_x = 1.0 + size(pv), 1.0 + max(size(x - pv) for x in samples)
+        tol, holds = 1e-9 * scale_p * scale_x, min_value / scale_p / scale_x >= -1e-9
+    else:
+        holds = min_value >= -tol
+    verdict = "holds" if holds else "violated"
     return VICertificate(
         p=pv, samples=samples, values=values,
         min_value=min_value, tolerance=tol, verdict=verdict,

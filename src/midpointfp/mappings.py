@@ -54,7 +54,8 @@ class Mapping:
     :func:`make_affine`, holds its powers as pairs: ``affine.pair(n)``
     returns (A_n, b_n) with T^n u = A_n u + b_n, and ``affine.solve(p, s, r)``
     solves (I - s A_p) y = r, which the step solver uses for the
-    correction from x_n to each implicit step's warm start.
+    correction e from x_n to each implicit step's warm start; the step
+    reads A_p from ``affine.pair`` to form its pass there by linearity.
 
     ``rowwise`` declares that ``apply`` and ``power`` also take a (B, d)
     stack of points and return the (B, d) stack of their images, each row

@@ -19,12 +19,13 @@ When the first Picard iterate misses the bound, ``affine.solve`` solves
 it once, for the correction from x_n whose right-hand side is that
 iterate's residual G(x_n) - x_n, in A's eigenbasis (O(d^2) per step) or
 by LU where the eigenbasis is ill-conditioned. The solve only moves the
-warm start to x_n plus that correction: the one Picard loop runs from
-there, so the accepted iterate passes the same a-posteriori bound
-whatever the solve's accuracy, and the loop's first pass checks that
-the step map contracts by q_n along the solve, which catches an
-envelope that understates T. The tests check it against the same system
-solved by LU, with powers by binary powering.
+warm start, to y* = x_n + e with e that correction. T^p being affine, the
+pass at y* is G(y*) = G(x_n) + (cT/2) A_p e (A_p from ``affine.pair``; no
+second T^p evaluation), and it checks that the step map contracts by q_n
+along the solve, ||(cT/2) A_p e|| <= q_n ||e|| + tol_inner, which catches
+an envelope that understates T. Later passes are the one Picard loop's, so
+the accepted iterate passes the same a-posteriori bound whatever the
+solve's accuracy. The tests check it against LU, with binary powering.
 
 :func:`run` returns a :class:`Trace`: one table whose rows are the
 rows of trace.csv, with each column as a view of it.
@@ -259,14 +260,14 @@ def implicit_step(cfg: SolverConfig, n: int, x_n,
     of the pass whose Picard iterate it replaced is dropped, and the loop
     goes on with Picard from that iterate. For a mapping with an
     ``affine`` power whose first iterate y_1 = G(x_n) does not meet
-    tol_inner, the step's linear system is solved once and its solution
-    y* only replaces the warm start: the same loop runs from y*,
-    inner_iters counts from there, and the first pass also checks the
-    pair (y_1, G(y*)). Raises IllPosedError if q_n >= 1, if the delta of
-    a plain Picard pass is non-finite or exceeds the first one, if the
-    linear system is singular, if T^p or lam^p is past the float range,
-    or if ||y_1 - G(y*)|| > q_n ||x_n - y*|| + tol_inner (no
-    q_n-contraction does any of these), and
+    tol_inner, the step's linear system is solved once for y* = x_n + e,
+    which only replaces the warm start: inner_iters counts from y*, whose
+    pass G(y*) = y_1 + (cT/2) A_p e is formed by linearity and checks the
+    pair (y_1, G(y*)), and the loop goes on from G(y*). Raises IllPosedError
+    if q_n >= 1, if the delta of a plain Picard pass is non-finite or
+    exceeds the first one, if the linear system is singular, if T^p or
+    lam^p is past the float range, or if ||(cT/2) A_p e|| > q_n ||e|| +
+    tol_inner (no q_n-contraction does any of these), and
     InnerBudgetError if max_inner is hit first (the achieved bound is
     attached), and InvalidInputError if a step without the operator term
     (cT = 0) comes out non-finite. ``x_n`` is checked once; the loop and
@@ -308,22 +309,32 @@ def implicit_step(cfg: SolverConfig, n: int, x_n,
     # every later plain delta must be <= first, which NaN and inf fail too
     deltas = [first]
     bound = factor * first
-    m, y1 = 1, None
+    # prev: (y, G(y) - y) of the last kept pass; plain: the Picard iterate
+    # that a secant point y replaced, and the delta of the pass that made it
+    m, prev, plain = 1, None, None
     if bound > tol and cfg.mapping.affine is not None:
         # restart from y* = x_n + e, with (I - (cT/2) A_p) e = G(x_n) - x_n (the
-        # system's residual at x_n); the loop counts from y* and first checks
-        # that G brings x_n and y* closer by q_n
+        # system's residual at x_n). By linearity G(y*) = G(x_n) + (cT/2) A_p e, and G
+        # brings x_n and y* closer by q_n if ||(cT/2) A_p e|| <= q_n ||e||, no cancellation
         try:
-            y1, y = y, x_n + cfg.mapping.affine.solve(p, 0.5 * cT, residual)
+            e = cfg.mapping.affine.solve(p, 0.5 * cT, residual)
         except np.linalg.LinAlgError as exc:
             raise IllPosedError(f"singular implicit system at n={n}: {exc}", n=n, q=q) from exc
         except InvalidInputError as exc:  # A_p or lam^p past the float range
             raise IllPosedError(f"cannot solve the implicit system at n={n}: {exc}",
                                 n=n, q=q) from exc
-        m, bound = 0, math.inf
-    # prev: (y, G(y) - y) of the last kept pass; plain: the Picard iterate
-    # that a secant point y replaced, and the delta of the pass that made it
-    prev = plain = None
+        term = 0.5 * cT * cfg.mapping.affine.pair(p)[0].dot(e)
+        y_star, y = x_n + e, y + term
+        f = y - y_star
+        delta = size(f)
+        deltas.append(delta)
+        if not delta <= first:
+            raise _bad_delta(n, q, delta, first, 1)
+        gap, dist = size(term), size(e)
+        if not gap <= q * dist + tol:
+            raise _diverges(n, q, f"||G(x_n) - G(y*)|| = {gap:.3e} for "
+                                  f"||x_n - y*|| = {dist:.3e}")
+        prev, bound = (y_star, f), factor * delta
     while bound > tol:
         if m == max_inner:
             raise InnerBudgetError(
@@ -343,13 +354,7 @@ def implicit_step(cfg: SolverConfig, n: int, x_n,
         elif not delta <= first:
             raise _bad_delta(n, q, delta, first, m)
         bound = factor * delta
-        if y1 is not None:  # G(y*): the pair check, once
-            gap, dist = size(y1 - y_new), size(x_n - y)
-            if not gap <= q * dist + tol:
-                raise _diverges(n, q, f"||G(x_n) - G(y*)|| = {gap:.3e} for "
-                                      f"||x_n - y*|| = {dist:.3e}")
-            y1 = None
-        elif prev is not None and bound > tol:  # secant step: G(y) - gamma (G(y) - G(y'))
+        if prev is not None and bound > tol:  # secant step: G(y) - gamma (G(y) - G(y'))
             df = f - prev[1]
             dd = float(_vdot(df, df))
             gamma = float(_vdot(f, df)) / dd if dd > 0.0 else math.nan

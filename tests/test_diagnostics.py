@@ -66,10 +66,13 @@ class TestCheckVI:
         assert a.verdict == b.verdict
 
     def test_a_product_past_the_float_range_gives_a_verdict(self):
-        # <(I - f) p, x - p> is about -1e400: the sum reads -inf, without a warning
+        # <(I - f) p, x - p> is about -1e400: the sum reads -inf, without a
+        # warning. The default tolerance 1e-9 (1 + ||p||) (1 + spread)
+        # overflows to inf too, and -inf >= -inf would read "holds"
         cert = check_vi([1e200, -1e200], make_scaling_contraction(0.5), [np.array([1.0, -1.0])],
                         mapping=make_flip_map())
-        assert cert.values == [-np.inf] and cert.verdict in ("holds", "violated")
+        assert cert.values == [-np.inf] and cert.tolerance == np.inf
+        assert cert.verdict == "violated"
 
     def test_rejects_unverified_samples(self):
         flip = make_flip_map()

@@ -227,20 +227,29 @@ class TestImplicitStep:
             want = implicit_step_affine_oracle(Q, b, cfg, n, trace.x[n - 1])
             assert np.linalg.norm(trace.x[n] - want) <= cfg.tol_inner
 
-    @pytest.mark.xfail(raises=IllPosedError, strict=True,
-                       reason="tol_inner is absolute (ROADMAP item 2): the pair check's "
-                              "slack is below the rounding of ||G(x_n) - G(y*)|| at 5e4")
-    def test_exact_contraction_of_a_large_iterate_passes_the_pair_check(self):
-        # T = identity on R: step 2 of AGVIM under a_n = 1/n contracts by
-        # exactly q_2 = 1/4, so the pair check holds with equality up to
-        # rounding, which at |x| = 54191 exceeds tol_inner (found by the
-        # property test of honest runs in test_properties.py)
-        cfg = SolverConfig(
+    @staticmethod
+    def exact_contraction_cfg(x1):
+        return SolverConfig(
             scheme=SCHEMES["AGVIM"], mapping=make_affine([[1.0]], [0.0], envelope=lambda n: 1.0),
-            schedule=power_schedule(1.0), x1=[54191.0], contraction=make_scaling_contraction(0.5),
+            schedule=power_schedule(1.0), x1=[x1], contraction=make_scaling_contraction(0.5),
             max_outer=2, tol_step=0.0,
         )
-        assert len(run(cfg)) == 2
+
+    def test_exact_contraction_of_a_large_iterate_passes_the_pair_check(self):
+        # T = identity on R: step 2 of AGVIM under a_n = 1/n contracts by
+        # exactly q_2 = 1/4, so the pair check holds with equality; formed as
+        # ||G(x_n) - G(y*)|| by subtraction, its rounding at |x| = 54191
+        # exceeded tol_inner (found by the property test of honest runs in
+        # test_properties.py), while ||(cT/2) A_p e|| carries no cancellation
+        assert len(run(self.exact_contraction_cfg(54191.0))) == 2
+
+    @pytest.mark.parametrize("k", [0, 10, 30, 60])
+    def test_exact_contraction_passes_the_pair_check_at_any_scale(self, k):
+        # the same step from 54191 * 2^k: the pair check's two sides scale
+        # with 2^k, exactly in binary floating point, and hold with equality
+        trace = run(self.exact_contraction_cfg(54191.0 * 2.0 ** k))
+        assert len(trace) == 2
+        assert trace.q[1] == 0.25
 
     def test_step_factor_uses_the_mapping_envelope(self):
         # the paper schedule's k_n = 1 + 2^-n is far below ||A^n|| = 1.9^n;
@@ -480,15 +489,16 @@ class TestPicardLoop:
                            contraction=make_scaling_contraction(0.5), max_inner=1)
         with pytest.raises(InnerBudgetError) as err:
             implicit_step(cfg, 1, [1.0])
-        assert len(calls) == 2
+        # T^p at x_n only: G(y*) is formed from G(x_n) by linearity
+        assert len(calls) == 1
         # G(y) = 0.375 + 0.125 y, y* = 3/7: the bound is (1/3) * 0.875 * 1e-3
         assert err.value.achieved_bound == pytest.approx(0.875e-3 / 3.0, rel=1e-9)
         assert err.value.iterations == 1
-        assert calls[1][0] == pytest.approx(0.5 * (1.0 + 3.0 / 7.0 + 1e-3), rel=1e-12)
 
     def test_affine_restart_hands_off_to_the_loop(self):
         # a solve 1e-11 off y* leaves G(y*) short of tol_inner once: the loop
-        # takes one more Picard iteration from G(y*) and accepts the next
+        # takes one more Picard iteration from G(y*), its one T^p evaluation
+        # after the one at x_n, and accepts the next
         T = make_affine([[0.5]], [0.0])
 
         class OffSolve:
@@ -507,7 +517,7 @@ class TestPicardLoop:
                            schedule=custom_schedule([[0.5, 0.0, 0.5, 1.0]]), x1=[1.0],
                            contraction=make_scaling_contraction(0.5), max_inner=2)
         res = implicit_step(cfg, 1, [1.0])
-        assert res.inner_iters == 2 and len(calls) == 3
+        assert res.inner_iters == 2 and len(calls) == 2
         # G(y) = 0.375 + 0.125 y from x_n = 1: the first delta is 0.5, then
         # each delta from y* + e is 0.875 e and shrinks by 0.125
         assert len(res.deltas) == 3 and res.deltas[0] == 0.5
@@ -627,6 +637,51 @@ class TestAffineSolve:
             scheme=SCHEMES["AGVIM"], mapping=make_affine(A, b), schedule=paper_schedule(),
             x1=x1, contraction=make_scaling_contraction(0.5), max_outer=steps, tol_step=0.0,
         )
+
+    def test_a_step_whose_solve_lands_evaluates_one_power(self):
+        # the pass at y* is formed from G(x_n) by linearity: mapping.power is
+        # called at x_n only, and the step still takes its one inner iteration
+        A, b, x1, _ = _rotation()
+        T = make_affine(A, b)
+        calls = []
+
+        def power(n, u):
+            calls.append(n)
+            return T.power(n, u)
+
+        cfg = SolverConfig(scheme=SCHEMES["AGVIM"], mapping=replace(T, power=power),
+                           schedule=paper_schedule(), x1=x1,
+                           contraction=make_scaling_contraction(0.5))
+        res = implicit_step(cfg, 3, x1)
+        assert calls == [3]
+        assert res.inner_iters == 1 and len(res.deltas) == 2
+        want = implicit_step_affine_oracle(A, b, cfg, 3, x1)
+        assert np.linalg.norm(res.x - want) <= cfg.tol_inner
+
+    def test_the_pass_at_y_star_is_the_loops_formula(self):
+        # G(y*) = G(x_n) + (cT/2) A_p e against base + cT T^p((x_n + y*)/2), the
+        # Picard loop's pass at the same y*, over the run's first 200 steps
+        cfg = self.orthogonal_d60_agvim(200)
+        affine, corrections = cfg.mapping.affine, []
+
+        class Recorded:
+            pair = affine.pair
+
+            def solve(self, p, s, r):
+                corrections.append(affine.solve(p, s, r))
+                return corrections[-1]
+
+        cfg = replace(cfg, mapping=replace(cfg.mapping, affine=Recorded()))
+        eps = np.finfo(float).eps
+        x_n = implicit_step(cfg, 1, cfg.x1).x  # c_1 = 0: step 1 has no operator term
+        for n in range(2, 201):
+            res = implicit_step(cfg, n, x_n)
+            assert res.inner_iters == 1 and len(corrections) == n - 1
+            _, _, _, cf, cx, cT, p, _, _ = cfg.step_values(n)
+            y_star = x_n + corrections[-1]
+            loop = cf * cfg.contraction(x_n) + cx * x_n + cT * affine(p, 0.5 * (x_n + y_star))
+            assert np.linalg.norm(res.x - loop) <= 8 * eps * (norm(x_n) + norm(y_star)), n
+            x_n = res.x
 
     def test_a_power_past_the_float_range_names_the_step(self):
         # A = [[1, 1], [1, 1]] and x_n on its null space: A_p x_n = 0, but
