@@ -9,7 +9,7 @@ import numpy as np
 from .errors import InvalidInputError, MidpointError, RejectedSampleError
 from .mappings import SAMPLE_RADIUS, Contraction, Mapping
 from .solver import Trace, run
-from .space import NormSpec, _vdot, as_vector, duality_map, norm, norm_kernel
+from .space import NormSpec, _first, _vdot, as_vector, duality_map, norm, norm_kernel
 
 __all__ = [
     "VICertificate",
@@ -148,11 +148,7 @@ def compare_schemes(cfgs) -> list:
         except MidpointError as exc:
             runs.append(SchemeRun(cfg.scheme.name, None, str(exc), dict.fromkeys(THRESHOLDS)))
             continue
-        steps = trace.step_norm
-        iters_to = {}
-        for t in THRESHOLDS:
-            hit = np.nonzero(steps <= t)[0]
-            iters_to[t] = int(hit[0]) + 1 if hit.size else None
+        iters_to = {t: _first(trace.step_norm <= t) for t in THRESHOLDS}
         runs.append(SchemeRun(cfg.scheme.name, trace, None, iters_to))
     return runs
 

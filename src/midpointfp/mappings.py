@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidInputError
-from .space import _row_norms, as_vector
+from .space import _largest, _row_norms, as_vector
 
 __all__ = [
     "Mapping",
@@ -290,15 +290,16 @@ class _AffinePower:
 
     def _refuse_past_range(self, n: int, lam: bool = False):
         """InvalidInputError naming n if the held pair, or with ``lam`` lam^n, is not
-        finite; called once n != 1 and the bound on the pair passes _POWER_ROOM."""
+        finite; checked only once n != 1 and the bound on the pair passes _POWER_ROOM."""
+        if n == 1 or self._size <= _POWER_ROOM:
+            return
         held = (self._An, self._bn, self._lam_n) if lam and self._eig else (self._An, self._bn)
         if not all(np.isfinite(v).all() for v in held):
             raise InvalidInputError(f"power {n} of the affine map is past the float range")
 
     def __call__(self, n: int, u: np.ndarray) -> np.ndarray:
         An, bn = self.pair(n)
-        if n != 1 and not self._size <= _POWER_ROOM:
-            self._refuse_past_range(n)
+        self._refuse_past_range(n)
         return _affine_apply(An, bn, u)
 
     def solve(self, p: int, s: float, r: np.ndarray) -> np.ndarray:
@@ -317,8 +318,7 @@ class _AffinePower:
             self._eig = _eigenbasis(self.A)
             self._restart()
         Ap = self.pair(p)[0]
-        if p != 1 and not self._size <= _POWER_ROOM:
-            self._refuse_past_range(p, lam=True)
+        self._refuse_past_range(p, lam=True)
         if self._eig:
             lam, V, Vinv, rho = self._eig
             if p != 1:  # lam^p; below, |s| rho^p <= MAX as p-th roots, which cannot overflow
@@ -441,13 +441,15 @@ def make_scaling_contraction(factor: float) -> Contraction:
 
 def _declared_k(envelope: Callable[[int], float], n: int) -> float:
     """The declared envelope value k_n = ``envelope(n)`` as a float: inf when
-    it overflows a float, InvalidInputError when it is NaN."""
+    it overflows a float, InvalidInputError when it is NaN or negative."""
     try:
         k = float(envelope(n))
     except OverflowError:  # e.g. the default affine envelope 1.9 ** 1107
         return math.inf
     if math.isnan(k):
         raise InvalidInputError(f"declared envelope value k_n is NaN at n={n}")
+    if k < 0.0:  # it would make q_n, and the step's error bound, negative
+        raise InvalidInputError(f"declared envelope value k_n = {k:g} is negative at n={n}")
     return k
 
 
@@ -481,15 +483,15 @@ def verify_envelope(mapping: Mapping, n_max: int, samples: int, seed: int) -> En
     """Check ``||T^n u - T^n v||_2 <= k_n ||u - v||_2`` on random pairs.
 
     k_n is ``mapping.lipschitz(n)``, the declared envelope(n); a k_n that
-    overflows a float reads as inf, and a NaN one raises InvalidInputError.
-    Pairs are drawn from the mapping's own sampling domain when it declares
-    one, else uniformly from [-SAMPLE_RADIUS, SAMPLE_RADIUS]^d (2); pairs
-    closer than 1e-9 are discarded to avoid ratio blowup. Reports the
-    maximum over samples and n <= n_max of ratio - k_n; passes iff
-    <= ENVELOPE_TOL (1e-10). For a map with ``affine``, whose expanding
-    direction sampling can miss, it also reports the maximum of
-    ||A_n||_2 - k_n, from the pair the powers are formed by (inf once A_n
-    overflows), as ``exact_excess``, and passes only if both do.
+    overflows a float reads as inf, and a NaN or negative one raises
+    InvalidInputError. Pairs are drawn from the mapping's own sampling domain
+    when it declares one, else uniformly from [-SAMPLE_RADIUS, SAMPLE_RADIUS]^d
+    (2); pairs closer than 1e-9 are discarded to avoid ratio blowup. Reports
+    the maximum over samples and n <= n_max of ratio - k_n, at the first n and
+    pair that attain it; passes iff <= ENVELOPE_TOL (1e-10). For a map with
+    ``affine``, whose expanding direction sampling can miss, it also reports
+    the maximum of ||A_n||_2 - k_n, from the pair the powers are formed by
+    (inf once A_n overflows), as ``exact_excess``, and passes only if both do.
     Each drawn stack of sample points is checked once. Per n, the u side
     and the v side of the pairs each go through :meth:`Mapping.images`,
     T^n on the pairs or T on the previous images: 2 * n_max calls for a
@@ -526,10 +528,7 @@ def verify_envelope(mapping: Mapping, n_max: int, samples: int, seed: int) -> En
         raise InvalidInputError("could not draw enough well-separated sample pairs")
     us, vs = us[:samples], vs[:samples]
 
-    max_excess = -np.inf
-    worst_n = 1
-    worst_pair = (us[0].copy(), vs[0].copy())
-    per_power = {}
+    maxima = []  # per power, the largest excess and the first pair attaining it
     exact_excess = None if mapping.affine is None else -math.inf
     denoms = _row_norms(us - vs)
     tus, tvs = us, vs  # T^n of each side
@@ -545,27 +544,24 @@ def verify_envelope(mapping: Mapping, n_max: int, samples: int, seed: int) -> En
         if not np.isfinite(diffs).all():
             raise InvalidInputError(f"an image difference T^{n} u - T^{n} v contains NaN or Inf")
         k_n = mapping.lipschitz(n)
-        excess = _row_norms(diffs) / denoms - k_n
+        # a NaN excess (inf - inf against k_n = inf, or inf / inf) reads -inf: it names no n
+        excess = np.fmax(_row_norms(diffs) / denoms - k_n, -np.inf)
         if mapping.affine is not None:
             An = mapping.affine.pair(n)[0]
             exact = float(np.linalg.norm(An, 2)) if np.isfinite(An).all() else math.inf
             exact_excess = max(exact_excess, exact - k_n)
-        i = int(np.argmax(excess))  # the first pair attaining the maximum
-        if excess[i] > -np.inf:
-            per_power[n] = float(excess[i])
-        if excess[i] > max_excess:
-            max_excess = float(excess[i])
-            worst_n = n
-            worst_pair = (us[i].copy(), vs[i].copy())
+        maxima.append(_largest(excess))
+    max_excess, worst_n = _largest([m for m, _ in maxima])
+    i = maxima[worst_n - 1][1] - 1
     return EnvelopeReport(
         passed=bool(max_excess <= ENVELOPE_TOL
                     and (exact_excess is None or exact_excess <= ENVELOPE_TOL)),
-        max_excess=float(max_excess),
+        max_excess=max_excess,
         worst_n=worst_n,
-        worst_pair=worst_pair,
+        worst_pair=(us[i].copy(), vs[i].copy()),
         n_max=n_max,
         samples=samples,
         tol=ENVELOPE_TOL,
-        per_power_excess=per_power,
+        per_power_excess={n: m for n, (m, _) in enumerate(maxima, 1) if m > -np.inf},
         exact_excess=exact_excess,
     )

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import InvalidInputError
+from .space import _first, _largest
 
 if TYPE_CHECKING:
     from .solver import SolverConfig
@@ -169,23 +170,10 @@ class ValidationReport:
         return [(label, r.status, r.value, r.at_n, r.detail) for label, r in named]
 
 
-def _first(bad, start: int = 1) -> int | None:
-    """The n of the first true entry of the mask ``bad``, whose entry 0 is n =
-    ``start``, or None."""
-    hits = np.flatnonzero(bad)
-    return int(hits[0]) + start if hits.size else None
-
-
 def _rises(vals) -> np.ndarray:
     """Whether the column ``vals`` increases at each of its entries after the
     first (or either value is NaN)."""
     return ~(vals[1:] <= vals[:-1] * (1.0 + 1e-12) + 1e-300)
-
-
-def _largest(vals) -> tuple[float, int]:
-    """The largest entry of the column ``vals`` and the n of its first, n = 1..."""
-    i = int(np.argmax(vals))
-    return float(vals[i]), i + 1
 
 
 def validate(cfg: SolverConfig, horizon: int) -> ValidationReport:

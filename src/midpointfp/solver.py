@@ -135,8 +135,10 @@ class SolverConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "x1", as_vector(self.x1, dim=self.mapping.domain_dim))
-        if self.max_inner < 1 or self.max_outer < 1:
-            raise InvalidInputError("max_inner and max_outer must be >= 1")
+        if not all(isinstance(m, (int, np.integer)) and not isinstance(m, bool) and m >= 1
+                   for m in (self.max_inner, self.max_outer)):  # a count never equals inf or 2.5
+            raise InvalidInputError(f"max_inner and max_outer must be integers >= 1, got "
+                                    f"{self.max_inner!r} and {self.max_outer!r}")
         # written so that NaN fails too
         if not (0.0 <= self.tol_step < math.inf and 0.0 < self.tol_inner < math.inf):
             raise InvalidInputError(

@@ -5,6 +5,10 @@ Vectors are 1-D float64 arrays. The space is R^d equipped with a p-norm,
 pairs a point with the functional of equal norm that attains
 <x, J(x)> = ||x||^2; for p-norms it has the closed form implemented in
 :func:`duality_map`, and for p = 2 it is the identity.
+
+It also holds the column reductions the reports share: the 2-norm of each
+row of a stack, and the rule by which a report names its n, the first n
+that attains a value (``_first``, ``_largest``).
 """
 
 from __future__ import annotations
@@ -105,6 +109,19 @@ def _row_norms(E: np.ndarray) -> np.ndarray:
     for i in np.flatnonzero(np.isinf(norms)):
         norms[i] = _norm_2(E[i])
     return norms
+
+
+def _first(bad, start: int = 1) -> int | None:
+    """The n of the first true entry of the mask ``bad``, whose entry 0 is n =
+    ``start``, or None."""
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) + start if hits.size else None
+
+
+def _largest(vals) -> tuple[float, int]:
+    """The largest entry of the column ``vals`` and the n of its first, n = 1..."""
+    i = int(np.argmax(vals))
+    return float(vals[i]), i + 1
 
 
 def norm(x, spec: NormSpec = NormSpec()) -> float:

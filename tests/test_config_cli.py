@@ -725,6 +725,12 @@ def test_every_builder_reports_a_config_error():
         cfg.build_schedule()
 
 
+def test_a_top_level_array_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, [])
+    assert main(["run", "--config", path, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "config error: top-level config must be a JSON object\n"
+
+
 def test_integral_counts_accept_whole_floats():
     cfg = parse_config({**BENCHMARK, "max_outer": 20.0})
     max_outer = cfg.build_solver_config().max_outer
@@ -744,6 +750,8 @@ def test_nan_tolerance_is_config_error(tmp_path, capsys, tols):
 ILL_POSED = {**BENCHMARK, "schedule": {"family": "custom", "table": [[0.1, 0.0, 0.9, 4.0]] * 5}}
 SHORT_TABLE = {**BENCHMARK, "scheme": "VIM", "x1": [-2.0, 1.0],
                "schedule": {"family": "custom", "table": [[0.5, 0.25, 0.25, 1.0]] * 2}}
+NEGATIVE_K = {**BENCHMARK,
+              "schedule": {"family": "custom", "table": [[0.5, 0.25, 0.25, -1.0]] * 20}}
 # (config or None, argv with "{tmp}" for the test directory, stderr prefix);
 # "{tmp}/file" is a regular file, so "{tmp}/file/sub" cannot be created
 ERRORS = {
@@ -765,6 +773,11 @@ ERRORS = {
                         "error: implicit step not a contraction at n=1"),
     "past the table": (SHORT_TABLE, ["run", "--out", "{tmp}"],
                        "error: custom schedule defined for n in [1, 2], requested n=3"),
+    # the flip map's envelope k_n = 1 + 2^-n used to mask the table's k_n = -1
+    "negative k column, run": (NEGATIVE_K, ["run", "--out", "{tmp}"],
+                               "error: declared envelope value k_n = -1 is negative at n=1"),
+    "negative k column, validate": (NEGATIVE_K, ["validate-schedule", "--horizon", "20"],
+                                    "error: declared envelope value k_n = -1 is negative at n=1"),
     # a scheme after the first that needs the missing contraction
     "scheme without its contraction": (
         {**{k: v for k, v in BENCHMARK.items() if k != "contraction"}, "scheme": ["IMR", "VIM"]},

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from midpointfp.diagnostics import (
+    THRESHOLDS,
     check_vi,
     compare_schemes,
     iterate_bound,
@@ -207,6 +208,18 @@ class TestCompareSchemes:
         assert by_name["AGVIM"].failed
         assert "q_n" in by_name["AGVIM"].error
         assert not by_name["VIM"].failed
+
+    def test_a_level_names_the_first_step_at_or_below_it(self):
+        # AVIM63's step norm from (1/2, 1) falls to each level and rises above
+        # it again at the next step; AGVIM's does so at 1e-2
+        runs = compare_schemes(_per_scheme(_flip_cfg([0.5, 1.0], steps=60), "AGVIM", "AVIM63"))
+        avim63 = runs[1]
+        assert [avim63.iters_to[t] for t in THRESHOLDS] == [4, 10, 16]
+        assert all(avim63.trace.step_norm[n] > t for t, n in avim63.iters_to.items())
+        for r in runs:
+            steps = r.trace.step_norm
+            for t, n in r.iters_to.items():
+                assert steps[n - 1] <= t and (steps[:n - 1] > t).all()
 
     def test_needs_two_schemes(self):
         with pytest.raises(InvalidInputError):

@@ -8,6 +8,7 @@ import pytest
 from midpointfp import mappings
 from midpointfp.errors import InvalidInputError
 from midpointfp.mappings import (
+    Contraction,
     Mapping,
     make_affine,
     make_affine_contraction,
@@ -118,6 +119,10 @@ class TestContraction:
         for make in (make_affine, make_affine_contraction):
             with pytest.raises(InvalidInputError, match=re.escape(message)):
                 make(A, b)
+
+    def test_a_constant_of_one_is_refused(self):
+        with pytest.raises(InvalidInputError, match=re.escape("must lie in [0, 1), got 1.0")):
+            Contraction(lambda u: u, alpha=1.0)
 
     def test_scaling_contraction_range(self):
         with pytest.raises(InvalidInputError):
@@ -451,6 +456,19 @@ class TestVerifyEnvelope:
         assert report.exact_excess is None
         assert "exact" not in str(report)
 
+    def test_a_tie_names_the_first_power_and_pair(self):
+        # every power of the flip map is an isometry on its sampling domain,
+        # so with k_n = 1 every pair of every power has excess 0
+        report = verify_envelope(make_flip_map(envelope=lambda n: 1.0), n_max=5, samples=30,
+                                 seed=2)
+        assert report.per_power_excess == dict.fromkeys(range(1, 6), 0.0)
+        assert (report.max_excess, report.worst_n) == (0.0, 1)
+        rng = np.random.default_rng(2)
+        u, v = mappings._flip_sample(rng, 30), mappings._flip_sample(rng, 30)
+        assert norm(u[0] - v[0]) >= 1e-9  # the first pair drawn is kept
+        np.testing.assert_array_equal(report.worst_pair[0], u[0])
+        np.testing.assert_array_equal(report.worst_pair[1], v[0])
+
     def test_bad_parameters(self):
         with pytest.raises(InvalidInputError):
             verify_envelope(make_flip_map(), n_max=0, samples=10, seed=1)
@@ -649,6 +667,22 @@ class TestVerifyEnvelopeBoundary:
                     power=lambda n, u: u, sample_domain=sampler)
         with pytest.raises(InvalidInputError, match=r"20 finite points in R\^2"):
             verify_envelope(T, n_max=2, samples=20, seed=1)
+
+    def test_a_domain_of_one_point_draws_no_pairs(self):
+        T = Mapping(apply=lambda u: u, envelope=lambda n: 1.0, domain_dim=2,
+                    sample_domain=lambda rng, count: np.ones((count, 2)))
+        with pytest.raises(InvalidInputError, match="could not draw enough well-separated"):
+            verify_envelope(T, n_max=2, samples=20, seed=1)
+
+    def test_a_ratio_past_the_float_range_passes_an_infinite_envelope(self):
+        # at n = 1 the pairs 1.7 apart in both coordinates have images 1.7e308
+        # apart in both, a distance that reads inf, against k_1 = inf
+        T = Mapping(apply=lambda u: u, envelope=lambda n: math.inf if n == 1 else 1.0,
+                    domain_dim=2, power=lambda n, u: 1e308 * u if n == 1 else u,
+                    sample_domain=lambda rng, count: rng.choice([-0.85, 0.85], size=(count, 2)))
+        report = verify_envelope(T, n_max=2, samples=50, seed=1)
+        assert report.per_power_excess == {2: 0.0}
+        assert (report.passed, report.max_excess, report.worst_n) == (True, 0.0, 2)
 
     def test_negative_seed_raises(self):
         with pytest.raises(InvalidInputError, match="seed"):

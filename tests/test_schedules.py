@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from midpointfp.errors import IllPosedError, InvalidInputError
-from midpointfp.mappings import _declared_k, make_affine, make_flip_map, make_scaling_contraction
+from midpointfp.mappings import (
+    Mapping,
+    _declared_k,
+    make_affine,
+    make_flip_map,
+    make_scaling_contraction,
+    verify_envelope,
+)
 from midpointfp.schedules import (
     Schedule,
     custom_schedule,
@@ -245,6 +252,18 @@ class TestDeclaredEnvelopeValues:
             run(cfg)
         with pytest.raises(InvalidInputError, match="NaN at n=1"):
             validate(cfg, 20)
+
+    def test_a_negative_value_is_an_input_error_in_every_reader(self):
+        # k_p = -1 made q_2 = -0.25: step 2 accepted its first pass, with the
+        # bound -0.68, 0.63 from the step's solution, and validate passed
+        T = Mapping(apply=lambda u: 0.9 * u[::-1] + 1.0, envelope=lambda n: -1.0, domain_dim=2)
+        cfg = SolverConfig(scheme=SCHEMES["VIM"], mapping=T,
+                           schedule=replace(paper_schedule(), k=lambda n: -1.0),
+                           x1=[3.0, -1.0], contraction=make_scaling_contraction(0.5))
+        for call in (lambda: cfg.step_values(2), lambda: run(cfg), lambda: validate(cfg, 20),
+                     lambda: verify_envelope(T, n_max=3, samples=10, seed=1)):
+            with pytest.raises(InvalidInputError, match=r"k_n = -1 is negative at n=1$"):
+                call()
 
     def test_overflow_is_inf_in_the_max_norm_bound(self):
         # at r = inf an affine map's k_p is max(schedule k_p, ||A_p||_inf);

@@ -1248,6 +1248,21 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             one_d_identity_cfg(max_outer=0)
 
+    @pytest.mark.parametrize("budget", [
+        {"max_inner": math.inf}, {"max_inner": 2.5}, {"max_outer": 2.5}, {"max_outer": 20.0},
+        {"max_inner": True},
+    ], ids=["max_inner inf", "max_inner 2.5", "max_outer 2.5", "max_outer 20.0", "max_inner bool"])
+    def test_a_budget_must_be_an_integer(self, budget):
+        # a max_inner of inf or 2.5 never equals the pass count, so a step that
+        # misses tol_inner looped without end; max_outer=2.5 was a TypeError
+        with pytest.raises(InvalidInputError, match="must be integers >= 1"):
+            one_d_identity_cfg(**budget)
+
+    def test_numpy_integers_are_budgets(self):
+        cfg = one_d_identity_cfg(max_inner=np.int64(100), max_outer=np.int32(2), tol_step=0.0,
+                                 rows=2)
+        assert len(run(cfg)) == 2
+
     @pytest.mark.parametrize("tol_step, tol_inner", [
         (math.nan, 1e-12), (0.0, math.nan), (math.inf, 1e-12), (0.0, math.inf), (-1e-8, 1e-12),
     ])

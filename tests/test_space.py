@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,9 @@ class TestNorm:
             NormSpec(1.0)
         with pytest.raises(UnsupportedNormError):
             NormSpec(0.5)
+
+    def test_dual_exponent_of_the_max_norm(self):
+        assert NormSpec(math.inf).q == 1.0
 
     def test_homogeneity(self):
         rng = np.random.default_rng(7)
@@ -99,6 +103,13 @@ class TestAsVector:
         x = [fill] * 5
         x[at] = bad
         with pytest.raises(InvalidInputError, match=r"^vector contains NaN or Inf$"):
+            as_vector(x)
+
+    @pytest.mark.parametrize("x, shape", [([[1.0, 2.0]], "(1, 2)"), ([], "(0,)"), (3.0, "()")],
+                             ids=["2-d", "empty", "0-d"])
+    def test_only_a_non_empty_1d_input_is_a_vector(self, x, shape):
+        message = f"expected a 1-D vector, got shape {shape}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             as_vector(x)
 
 
