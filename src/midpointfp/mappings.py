@@ -544,8 +544,10 @@ def verify_envelope(mapping: Mapping, n_max: int, samples: int, seed: int) -> En
         if not np.isfinite(diffs).all():
             raise InvalidInputError(f"an image difference T^{n} u - T^{n} v contains NaN or Inf")
         k_n = mapping.lipschitz(n)
-        # a NaN excess (inf - inf against k_n = inf, or inf / inf) reads -inf: it names no n
-        excess = np.fmax(_row_norms(diffs) / denoms - k_n, -np.inf)
+        # a NaN excess (inf - inf against k_n = inf, or inf / inf) reads -inf, without a
+        # warning: it names no n
+        with np.errstate(invalid="ignore"):
+            excess = np.fmax(_row_norms(diffs) / denoms - k_n, -np.inf)
         if mapping.affine is not None:
             An = mapping.affine.pair(n)[0]
             exact = float(np.linalg.norm(An, 2)) if np.isfinite(An).all() else math.inf

@@ -399,7 +399,8 @@ class Trace:
     a last row is N + 1, x_{N+1} and NaNs. ``x`` (x_1 .. x_{N+1}), ``final``
     and the step columns are views of it. res_map is ||x_n - T x_n||,
     res_power is ||x_n - T^n x_n|| (NaN for an n-fold power past POWER_CAP
-    or an affine one past the float range), inner_iters holds whole numbers,
+    or an affine one past the float range, and both NaN on every row of a
+    ``run(cfg, residuals=False)``), inner_iters holds whole numbers,
     and q, a, b, c and k are step n's :class:`StepValues` q_n, a_n, b_n, c_n and k_p.
     ``stop`` is why :func:`run` ended it, and ``converged`` is stop != "max_outer".
     """
@@ -432,7 +433,8 @@ BLOCK_ROWS = 64
 
 
 def run(cfg: SolverConfig,
-        on_block: Optional[Callable[[np.ndarray], None]] = None) -> Trace:
+        on_block: Optional[Callable[[np.ndarray], None]] = None,
+        residuals: bool = True) -> Trace:
     """Iterate the configured scheme from x1.
 
     The trace's ``stop`` is "tol_step" ("stationary" if tol_step = 0) once
@@ -449,6 +451,12 @@ def run(cfg: SolverConfig,
     shorter). After each finished block that the run goes on from,
     ``on_block(rows)`` gets trace.csv's rows so far, a view of the table
     that the returned :class:`Trace` holds; the last block is never passed on.
+
+    With ``residuals=False`` the run forms neither res_T nor res_Tn, which
+    then read NaN on every row: no ||x_n - T^n x_n|| per step (a T^n
+    evaluation on each step of the p = 1 schemes) and no ||x_n - T x_n||
+    per block. The other columns, the stop and the errors are the same; a
+    step with cT = 0 still evaluates T x_n for its stop test.
     """
     total, d = cfg.max_outer, cfg.mapping.domain_dim
     rows = min(total, _FIRST_ROWS)
@@ -460,7 +468,9 @@ def run(cfg: SolverConfig,
     for n in range(1, total + 1):
         v = cfg.step_values(n)
         step = implicit_step(cfg, n, x, v)  # checks x_n, then q_n < 1
-        if v.p == n and step.power_x is not None:  # T^n x_n, evaluated by the step
+        if not residuals:
+            res_power = math.nan
+        elif v.p == n and step.power_x is not None:  # T^n x_n, evaluated by the step
             res_power = size(x - step.power_x)
         else:
             try:
@@ -482,9 +492,10 @@ def run(cfg: SolverConfig,
         if last or n % BLOCK_ROWS == 0:  # ||x - T x|| of the block's rows, bit for bit per row
             table[start:n, 1 + d:] = block
             block.clear()
-            E = table[start:n, 1:1 + d] - cfg.mapping.images(apply, table[start:n, 1:1 + d])
             table[start:n, 0] = np.arange(start + 1, n + 1)
-            table[start:n, 2 + d] = _row_norms(E) if cfg.norm.p == 2.0 else [size(e) for e in E]
+            if residuals:
+                E = table[start:n, 1:1 + d] - cfg.mapping.images(apply, table[start:n, 1:1 + d])
+                table[start:n, 2 + d] = _row_norms(E) if cfg.norm.p == 2.0 else [size(e) for e in E]
             if last:
                 break
             if on_block is not None:

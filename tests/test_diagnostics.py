@@ -164,6 +164,11 @@ class TestCompareSchemes:
             assert r.iters_to[1e-4] is not None
         np.testing.assert_array_equal(runs[1].trace.final, [0.0, 0.0])
 
+    def test_traces_carry_no_residuals(self):
+        runs = compare_schemes(_per_scheme(_flip_cfg([0.5, 1.0], steps=20), "VIM", "GVIM", "AGVIM"))
+        for t in (r.trace for r in runs):
+            assert np.isnan(t.res_map).all() and np.isnan(t.res_power).all()
+
     def test_schedule_values_shared_bitwise(self):
         cfg = _flip_cfg([0.5, 1.0], steps=20)
         runs = compare_schemes(_per_scheme(cfg, "VIM", "GVIM", "AGVIM"))

@@ -42,6 +42,11 @@ class TestFlipMap:
         np.testing.assert_array_equal(thrice, [-1.0, -1.0])
         np.testing.assert_array_equal(power_operator(flip, 5)(np.array([2.0, -3.0])), [2.0, -3.0])
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_a_power_below_one_is_refused(self, n):
+        with pytest.raises(InvalidInputError, match=f"^power must be a positive integer, got {n}$"):
+            power_operator(make_flip_map(), n)
+
     def test_power_consistency_random(self):
         flip = make_flip_map()
         rng = np.random.default_rng(3)
@@ -640,6 +645,14 @@ class TestStackedEvaluation:
             verify_envelope(T, n_max=2, samples=20, seed=1)
 
 
+def _past_the_float_range():
+    """At n = 1 the pairs 1.7 apart in both coordinates have images 1.7e308
+    apart in both, a distance that reads inf, against k_1 = inf."""
+    return Mapping(apply=lambda u: u, envelope=lambda n: math.inf if n == 1 else 1.0,
+                   domain_dim=2, power=lambda n, u: 1e308 * u if n == 1 else u,
+                   sample_domain=lambda rng, count: rng.choice([-0.85, 0.85], size=(count, 2)))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # arithmetic on the NaN/Inf images
 class TestVerifyEnvelopeBoundary:
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -675,18 +688,20 @@ class TestVerifyEnvelopeBoundary:
             verify_envelope(T, n_max=2, samples=20, seed=1)
 
     def test_a_ratio_past_the_float_range_passes_an_infinite_envelope(self):
-        # at n = 1 the pairs 1.7 apart in both coordinates have images 1.7e308
-        # apart in both, a distance that reads inf, against k_1 = inf
-        T = Mapping(apply=lambda u: u, envelope=lambda n: math.inf if n == 1 else 1.0,
-                    domain_dim=2, power=lambda n, u: 1e308 * u if n == 1 else u,
-                    sample_domain=lambda rng, count: rng.choice([-0.85, 0.85], size=(count, 2)))
-        report = verify_envelope(T, n_max=2, samples=50, seed=1)
+        report = verify_envelope(_past_the_float_range(), n_max=2, samples=50, seed=1)
         assert report.per_power_excess == {2: 0.0}
         assert (report.passed, report.max_excess, report.worst_n) == (True, 0.0, 2)
 
     def test_negative_seed_raises(self):
         with pytest.raises(InvalidInputError, match="seed"):
             verify_envelope(make_flip_map(), n_max=2, samples=20, seed=-1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # outside the class's ignore
+def test_an_infinite_ratio_against_an_infinite_envelope_warns_nothing():
+    # inf - inf is NaN, which the check reads as -inf: no warning, as the README says
+    report = verify_envelope(_past_the_float_range(), n_max=2, samples=50, seed=1)
+    assert report.passed
 
 
 @pytest.mark.parametrize("build", [

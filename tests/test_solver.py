@@ -1130,6 +1130,48 @@ class TestBlocks:
         assert len(trace) == 128 and calls == [64]
 
 
+class TestWithoutResiduals:
+    """run(cfg, residuals=False) fills neither res_T nor res_Tn, and changes nothing else."""
+
+    @staticmethod
+    def affine4():
+        rng = np.random.default_rng(4)
+        Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        x_star = rng.standard_normal(4)
+        return SolverConfig(scheme=SCHEMES["AGVIM"], mapping=make_affine(Q, x_star - Q @ x_star),
+                            schedule=paper_schedule(), x1=rng.standard_normal(4),
+                            contraction=make_scaling_contraction(0.5), max_outer=150,
+                            tol_step=0.0)
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    @pytest.mark.parametrize("problem", [
+        lambda: benchmark_cfg([0.5, 1.0]),
+        lambda: benchmark_cfg([0.0, 1.0 / 3.0]),
+        affine4,
+    ], ids=["flip from (1/2, 1)", "flip from (0, 1/3)", "orthogonal d=4"])
+    def test_only_the_residual_columns_change(self, problem, scheme):
+        cfg = replace(problem(), scheme=SCHEMES[scheme])
+        full, lean = run(cfg), run(cfg, residuals=False)
+        d = cfg.mapping.domain_dim
+        res = [1 + d + solver.STEP_COLUMNS.index(name) for name in ("res_T", "res_Tn")]
+        assert lean.stop == full.stop
+        assert (np.delete(lean.rows, res, axis=1).tobytes()
+                == np.delete(full.rows, res, axis=1).tobytes())
+        assert np.isfinite(full.res_map).all() and np.isfinite(full.res_power).all()
+        assert np.isnan(lean.res_map).all() and np.isnan(lean.res_power).all()
+
+    @pytest.mark.parametrize("scheme", ["VIM", "GVIM", "AGVIM", "AVIM63"])
+    def test_a_step_without_the_operator_term_stops_only_where_t_fixes_x(self, scheme):
+        # a_1 = 1 makes step 1 x_2 = f(x_1), which is x_1 at the origin: flip
+        # fixes the origin, so the run stops there; T(u) = u/2 + 1 does not
+        flip = benchmark_cfg([0.0, 0.0], scheme, tol_step=0.0)
+        moved = replace(flip, mapping=make_affine(0.5 * np.eye(2), [1.0, 1.0]), max_outer=50)
+        trace = run(flip, residuals=False)
+        assert (trace.stop, len(trace)) == ("stationary", 1)
+        trace = run(moved, residuals=False)
+        assert trace.step_norm[0] == 0.0 and len(trace) > 1
+
+
 class TestSchemeAlgebra:
     def test_registry_and_lookup(self):
         assert scheme_by_name("agvim").name == "AGVIM"
