@@ -2,11 +2,11 @@
 
 Each outer step n solves the implicit equation
 
-    x = cf * f(x_n) + cx * x_n + cT * T^p((x_n + x) / 2)
+    x = cf * f(x_n) + cx * x_n + cT * T^p((1 - θ) x_n + θ x),  θ = THETA = 1/2
 
 for x, where the coefficient triple (cf, cx, cT) and the power p depend
 on the scheme (see :data:`SCHEMES`). The step map is a contraction with
-factor q_n = |cT| * k_p / 2 whenever q_n < 1, so the step is solved by
+factor q_n = θ |cT| k_p whenever q_n < 1, so the step is solved by
 Picard iteration warm-started at x_n, with secant steps (Anderson
 acceleration, window 1), and stopped by the standard a-posteriori error
 bound q/(1-q) * ||G(y) - y||, which holds for G(y) at any y. q_n comes
@@ -14,15 +14,15 @@ from ``SolverConfig.step_values`` alone, with the step's other values, its
 L_p from ``Mapping.lipschitz``, and q_n < 1 is checked as step n is reached.
 
 For affine T (a mapping with ``affine``) the step is the linear system
-(I - (cT/2) A_p) x = cf f(x_n) + cx x_n + cT (A_p x_n / 2 + b_p).
+(I - θ cT A_p) x = cf f(x_n) + cx x_n + cT ((1 - θ) A_p x_n + b_p).
 When the first Picard iterate misses the bound, ``affine.solve`` solves
 it once, for the correction from x_n whose right-hand side is that
 iterate's residual G(x_n) - x_n, in A's eigenbasis (O(d^2) per step) or
 by LU where the eigenbasis is ill-conditioned. The solve only moves the
 warm start, to y* = x_n + e with e that correction. T^p being affine, the
-pass at y* is G(y*) = G(x_n) + (cT/2) A_p e (A_p from ``affine.pair``; no
+pass at y* is G(y*) = G(x_n) + θ cT A_p e (A_p from ``affine.pair``; no
 second T^p evaluation), and it checks that the step map contracts by q_n
-along the solve, ||(cT/2) A_p e|| <= q_n ||e|| + tol_inner, which catches
+along the solve, ||θ cT A_p e|| <= q_n ||e|| + tol_inner, which catches
 an envelope that understates T. Later passes are the one Picard loop's, so
 the accepted iterate passes the same a-posteriori bound whatever the
 solve's accuracy. The tests check it against LU, with binary powering.
@@ -51,10 +51,14 @@ __all__ = [
     "SolverConfig",
     "StepValues",
     "StepResult",
+    "THETA",
     "Trace",
     "implicit_step",
     "run",
 ]
+
+# θ: x_{n+1}'s weight where step n evaluates T^p; q_n = θ |cT| k_p bounds G at this θ only
+THETA = 0.5
 
 
 @dataclass(frozen=True)
@@ -95,7 +99,7 @@ def scheme_by_name(name: str) -> Scheme:
 
 class StepValues(NamedTuple):
     """Step n's a_n, b_n, c_n, the coefficients cf, cx, cT of f(x_n), x_n and
-    T^p(midpoint), p, k = k_p and q = q_n (:meth:`SolverConfig.step_values`)."""
+    T^p(point), p, k = k_p and q = q_n = THETA |cT| k_p (:meth:`SolverConfig.step_values`)."""
 
     a: float
     b: float
@@ -217,7 +221,7 @@ def _step_row(scheme: Scheme, n, a, b, c, bounds, where=_pick) -> tuple:
     """The :class:`StepValues` fields of step n from a_n, b_n, c_n, the one derivation
     of :meth:`SolverConfig.step_values` and :meth:`SolverConfig.step_table`: (cf, cx,
     cT) and p as the :class:`Scheme` says, k_p = max of the pair ``bounds(p)`` (the
-    schedule's k_p and L_p), and q_n = |cT| * k_p / 2 (cT < 0 comes from, e.g., a
+    schedule's k_p and L_p), and q_n = THETA * |cT| * k_p (cT < 0 comes from, e.g., a
     custom c_n < 0), which is 0 on a step without the operator term (cT = 0), also
     where k_p is inf. Of one step with floats, or of columns with ``where=np.where``."""
     if not scheme.viscosity:
@@ -229,7 +233,7 @@ def _step_row(scheme: Scheme, n, a, b, c, bounds, where=_pick) -> tuple:
     p = n if scheme.use_power else 1
     k_p, lip = bounds(p)
     k = where(lip > k_p, lip, k_p)  # max(k_p, lip), the first of equals
-    return a, b, c, cf, cx, cT, p, k, 0.5 * abs(cT) * where(cT != 0.0, k, 0.0)
+    return a, b, c, cf, cx, cT, p, k, THETA * abs(cT) * where(cT != 0.0, k, 0.0)
 
 
 @dataclass
@@ -264,11 +268,11 @@ def implicit_step(cfg: SolverConfig, n: int, x_n,
     ``affine`` power whose first iterate y_1 = G(x_n) does not meet
     tol_inner, the step's linear system is solved once for y* = x_n + e,
     which only replaces the warm start: inner_iters counts from y*, whose
-    pass G(y*) = y_1 + (cT/2) A_p e is formed by linearity and checks the
+    pass G(y*) = y_1 + θ cT A_p e is formed by linearity and checks the
     pair (y_1, G(y*)), and the loop goes on from G(y*). Raises IllPosedError
     if q_n >= 1, if the delta of a plain Picard pass is non-finite or
     exceeds the first one, if the linear system is singular, if T^p or
-    lam^p is past the float range, or if ||(cT/2) A_p e|| > q_n ||e|| +
+    lam^p is past the float range, or if ||θ cT A_p e|| > q_n ||e|| +
     tol_inner (no q_n-contraction does any of these), and
     InnerBudgetError if max_inner is hit first (the achieved bound is
     attached), and InvalidInputError if a step without the operator term
@@ -298,7 +302,7 @@ def implicit_step(cfg: SolverConfig, n: int, x_n,
     size = norm_kernel(cfg.norm)
     factor = q / (1.0 - q)
     tol, max_inner = cfg.tol_inner, cfg.max_inner
-    # the first iterate's midpoint is x_n itself: 0.5 * (x_n + x_n) == x_n
+    # the first iterate's point is x_n itself: (1 - θ) x_n + θ x_n = x_n for any θ
     try:
         power_x = power(x_n)
     except InvalidInputError as exc:  # an affine T^p past the float range
@@ -315,17 +319,18 @@ def implicit_step(cfg: SolverConfig, n: int, x_n,
     # that a secant point y replaced, and the delta of the pass that made it
     m, prev, plain = 1, None, None
     if bound > tol and cfg.mapping.affine is not None:
-        # restart from y* = x_n + e, with (I - (cT/2) A_p) e = G(x_n) - x_n (the
-        # system's residual at x_n). By linearity G(y*) = G(x_n) + (cT/2) A_p e, and G
-        # brings x_n and y* closer by q_n if ||(cT/2) A_p e|| <= q_n ||e||, no cancellation
+        # restart from y* = x_n + e, with (I - s A_p) e = G(x_n) - x_n, s = θ cT (the
+        # system's residual at x_n). By linearity G(y*) = G(x_n) + s A_p e, and G
+        # brings x_n and y* closer by q_n if ||s A_p e|| <= q_n ||e||, no cancellation
+        s = THETA * cT
         try:
-            e = cfg.mapping.affine.solve(p, 0.5 * cT, residual)
+            e = cfg.mapping.affine.solve(p, s, residual)
         except np.linalg.LinAlgError as exc:
             raise IllPosedError(f"singular implicit system at n={n}: {exc}", n=n, q=q) from exc
         except InvalidInputError as exc:  # A_p or lam^p past the float range
             raise IllPosedError(f"cannot solve the implicit system at n={n}: {exc}",
                                 n=n, q=q) from exc
-        term = 0.5 * cT * cfg.mapping.affine.pair(p)[0].dot(e)
+        term = s * cfg.mapping.affine.pair(p)[0].dot(e)
         y_star, y = x_n + e, y + term
         f = y - y_star
         delta = size(f)
@@ -337,6 +342,7 @@ def implicit_step(cfg: SolverConfig, n: int, x_n,
             raise _diverges(n, q, f"||G(x_n) - G(y*)|| = {gap:.3e} for "
                                   f"||x_n - y*|| = {dist:.3e}")
         prev, bound = (y_star, f), factor * delta
+    x_w = (1.0 - THETA) * x_n if bound > tol else None  # x_n's share of each later point
     while bound > tol:
         if m == max_inner:
             raise InnerBudgetError(
@@ -344,7 +350,7 @@ def implicit_step(cfg: SolverConfig, n: int, x_n,
                 n=n, achieved_bound=bound, iterations=max_inner,
             )
         m += 1
-        y_new = base + cT * power(0.5 * (x_n + y))
+        y_new = base + cT * power(x_w + THETA * y)
         f = y_new - y
         delta = size(f)
         deltas.append(delta)

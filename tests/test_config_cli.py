@@ -449,7 +449,8 @@ class TestCompareCommand:
         assert code == 2
         assert "failed" in capsys.readouterr().err
         # the failed scheme's column is empty, its markdown row all dashes;
-        # VIM lands on the fixed point 0 at step 3
+        # VIM stops at step 3, whose map fixes every point (a_3 = 1/3), at
+        # (0.1556, 0.1556), which T does not fix (ROADMAP item 11)
         header, rows = read_csv(tmp_path / "compare.csv")
         assert header == ["n", "step_norm_AGVIM", "step_norm_VIM"] and len(rows) == 3
         assert all(row[1] == "" and row[2] != "" for row in rows)

@@ -28,7 +28,7 @@ from midpointfp.solver import (
 )
 from midpointfp.space import NormSpec, norm
 
-from affine_oracle import implicit_step_affine_oracle
+from affine_oracle import affine_power_pair, implicit_step_affine_oracle
 
 
 def picard_only(mapping):
@@ -142,6 +142,35 @@ class TestImplicitStep:
             assert own.x.tobytes() == given.x.tobytes() == xs[n].tobytes()
             assert (own.inner_iters, own.bound, own.deltas) == (
                 given.inner_iters, given.bound, given.deltas)
+
+    @pytest.mark.parametrize("theta", [0.25, 0.75])
+    def test_the_weight_theta_has_one_owner(self, monkeypatch, theta):
+        # solver.THETA is x_{n+1}'s weight in T^p's point: q_n, the affine
+        # system and the Picard point all read it, so patching it moves all three
+        monkeypatch.setattr(solver, "THETA", theta)
+        rng = np.random.default_rng(3)
+        Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        A, b, x_n = Q, rng.standard_normal(4), rng.standard_normal(4)
+        cfg = SolverConfig(scheme=SCHEMES["AGVIM"], mapping=make_affine(A, b),
+                           schedule=paper_schedule(), x1=x_n,
+                           contraction=make_scaling_contraction(0.5))
+        rows = [cfg.step_values(n) for n in range(1, 11)]
+        assert [v.q for v in rows] == [theta * abs(v.cT) * v.k for v in rows]
+        assert cfg.step_table(10)[0].q.tolist() == [v.q for v in rows]
+        # AGVIM step 3 solves (I - θ cT A_p) y = cf f(x_n) + cx x_n + cT ((1 - θ) A_p x_n + b_p)
+        _, _, _, cf, cx, cT, p, _, _ = rows[2]
+        Ap, bp = affine_power_pair(A, b, p)
+        want = np.linalg.solve(np.eye(4) - theta * cT * Ap, cf * cfg.contraction(x_n) + cx * x_n
+                               + cT * ((1 - theta) * (Ap @ x_n) + bp))
+        res = implicit_step(cfg, 3, x_n)
+        assert np.linalg.norm(res.x - want) <= 8 * np.finfo(float).eps * np.linalg.norm(want)
+        # the flip map's Picard loop: GVIM's accepted step 4 is a fixed point of its G
+        cfg = benchmark_cfg([0.3, 0.2], "GVIM")
+        x_n = cfg.x1
+        _, _, _, cf, cx, cT, _, _, _ = cfg.step_values(4)
+        x = implicit_step(cfg, 4, x_n).x
+        G = cf * cfg.contraction(x_n) + cx * x_n + cT * cfg.mapping((1 - theta) * x_n + theta * x)
+        assert np.linalg.norm(G - x) <= cfg.tol_inner
 
     def test_illposed_raises(self):
         sched = custom_schedule([[0.1, 0.0, 0.9, 4.0]] * 5)
@@ -869,6 +898,22 @@ class TestRun:
         assert not np.array_equal(trace.final, cfg.x1)  # the steps moved x
         residual = norm(trace.final - cfg.mapping(trace.final))
         assert trace.stop not in ("tol_step", "stationary") or residual <= cfg.tol_step
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="the step-norm stop guards only cT = 0 (ROADMAP item 11): a step "
+                              "whose map fixes every point stops the run off the fixed set")
+    def test_a_stationary_step_does_not_stop_off_the_fixed_set(self):
+        # F = {0}: VIM's step 3 has a_3 = 1/3, and 0.4 a_3 + 1.3 (1 - a_3) = 1
+        # makes x_4 = x_3 at every x_3; the run stops "tol_step" at
+        # (0.1556, 0.1556), where ||x - T x|| = 0.066
+        cfg = SolverConfig(
+            scheme=SCHEMES["VIM"], mapping=make_affine(1.3 * np.eye(2), [0.0, 0.0]),
+            schedule=custom_schedule([[1.0 / n, 0.0, 1.0 - 1.0 / n, 1.0] for n in range(1, 31)]),
+            x1=[0.5, 0.5], contraction=make_scaling_contraction(0.4), max_outer=30,
+        )
+        trace = run(cfg)
+        residual = norm(trace.final - cfg.mapping(trace.final))
+        assert trace.stop != "tol_step" or residual <= cfg.tol_step, (len(trace), residual)
 
     def test_illposed_prescan_names_first_offender(self):
         # power scheme: q_3 = c_3 k_3 / 2 = 0.9 * 4 / 2 >= 1, raised when
